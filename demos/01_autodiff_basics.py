@@ -44,9 +44,9 @@ print(f"w.grad[1,0] analytic {w.grad[1, 0]:+.6f}  numeric {numeric:+.6f}")
 # a linear layer it uses a 1x1 convolution (see the attention MLP), so
 # conv2d is the one matmul-shaped workhorse.
 
-# The conv/pool path used by the encoder. Gradients flow through im2col
-# convolution and 2x2 max pooling the same way; backward() leaves .grad
-# on intermediates as well as leaves.
+# The conv/pool path used by the encoder. Gradients flow through the
+# shift-and-GEMM convolution and 2x2 max pooling the same way; backward()
+# leaves .grad on intermediates as well as leaves.
 img = Tensor(rng.normal(size=(1, 3, 8, 8)).astype(np.float32), requires_grad=True)
 layer = ConvLayer.init(3, 4, 3, rng, padding=1)
 pre = relu(conv2d(img, layer))

@@ -9,11 +9,17 @@ concatenated in header order. The header is
 with offsets measured in bytes from the start of the payload (the byte
 after the header's newline). Writing the same tensors twice produces
 byte-identical files; insertion order of the mapping is preserved.
+
+A save writes a temporary file next to the target and renames it over the
+target, so an interrupted save leaves the previous file intact. A load
+rejects a payload that is longer or shorter than its tensors.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from typing import Mapping
 
 import numpy as np
@@ -41,10 +47,19 @@ def save_checkpoint(path, tensors: Mapping[str, "Tensor | np.ndarray"],
     if config is not None:
         header["config"] = config
     blob = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
-    with open(path, "wb") as f:
-        f.write(blob)
-        for p in payloads:
-            f.write(p)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+            for p in payloads:
+                f.write(p)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict | None]:
@@ -62,6 +77,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict | None]:
         raise CheckpointError(f"{path}: header missing 'tensors' key")
     payload = raw[nl + 1:]
     out: dict[str, np.ndarray] = {}
+    expected = 0
     for entry in header["tensors"]:
         try:
             name, shape, offset = entry["name"], entry["shape"], entry["offset"]
@@ -76,4 +92,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict | None]:
             )
         arr = np.frombuffer(payload, dtype=_DTYPE, count=count, offset=offset)
         out[name] = arr.reshape(shape).astype(np.float32)
+        expected += nbytes
+    if len(payload) != expected:
+        raise CheckpointError(
+            f"{path}: payload has {len(payload)} bytes, but its tensors "
+            f"take {expected}"
+        )
     return out, header.get("config")

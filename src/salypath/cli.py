@@ -2,8 +2,9 @@
 
 Subcommands: train, predict, eval-saliency, eval-scanpath, stats,
 gen-synth. Exit codes: 0 success, 1 evaluation incomplete (missing
-predictions), 2 usage or IO error. Failures print a one-line diagnostic
-to stderr. Every command is deterministic given its flags and seeds.
+predictions or records that could not be scored), 2 usage or IO error.
+Failures print a one-line diagnostic to stderr. Every command is
+deterministic given its flags and seeds.
 
 Evaluation commands fan out across manifest records on a thread pool;
 the SALYPATH_THREADS environment variable caps the worker count. Report
@@ -59,6 +60,11 @@ def _train_config(preset: str, overrides: dict | None = None) -> TrainConfig:
     return base(**(overrides or {}))
 
 
+def _curve(losses: list[float]) -> str:
+    """First -> last epoch loss, or '-' for a phase that ran no epochs."""
+    return f"{losses[0]:.4f} -> {losses[-1]:.4f}" if losses else "-"
+
+
 def cmd_train(args) -> int:
     overrides = {"model": {}, "train": {}}
     if args.config:
@@ -84,8 +90,7 @@ def cmd_train(args) -> int:
             json.dump({"phase1": r1.to_dict(), "phase2": r2.to_dict()}, f, indent=1)
             f.write("\n")
     print(f"trained {len(manifest)} images: "
-          f"L1 {r1.epoch_losses[0]:.4f} -> {r1.epoch_losses[-1]:.4f}, "
-          f"L2 {r2.epoch_losses[0]:.4f} -> {r2.epoch_losses[-1]:.4f}, "
+          f"L1 {_curve(r1.epoch_losses)}, L2 {_curve(r2.epoch_losses)}, "
           f"checkpoint {args.out}")
     return 0
 
@@ -109,14 +114,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _pred_map_path(pred_dir: Path, image_id: str) -> Path:
-    return pred_dir / f"{image_id}.pgm"
-
-
-def _pred_scanpath_path(pred_dir: Path, image_id: str) -> Path:
-    return pred_dir / f"{image_id}.csv"
-
-
 def _write_report(out, cols: list[str], rows: list[list]) -> None:
     """Rows of [image_id, floats...] plus a trailing MEAN row; full-precision
     floats so means can be re-derived exactly from the rows."""
@@ -134,19 +131,46 @@ def _write_report(out, cols: list[str], rows: list[list]) -> None:
             stream.close()
 
 
-def cmd_eval_saliency(args) -> int:
-    manifest = dio.load_manifest(args.manifest)
-    pred_dir = Path(args.pred_dir)
+def _score_records(manifest, pred_dir: Path, suffix: str, score, out,
+                   cols: list[str]) -> int:
+    """Score each record that has a ``<image_id><suffix>`` prediction on a
+    thread pool and write the report in manifest order.
+
+    A missing prediction, or a record whose scoring raises SalypathError
+    (unreadable prediction, constant map, ...), is named on stderr and left
+    out of the report; either makes the exit code 1.
+    """
     missing = []
     jobs = []
     for i in range(len(manifest)):
-        p = _pred_map_path(pred_dir, manifest.image_id(i))
+        p = pred_dir / f"{manifest.image_id(i)}{suffix}"
         if not p.exists():
             missing.append(str(p))
         else:
             jobs.append((i, p))
     for p in missing:
         print(f"missing prediction: {p}", file=sys.stderr)
+
+    def guarded(job):
+        try:
+            return score(job), None
+        except SalypathError as e:
+            return None, e
+
+    with ThreadPoolExecutor(max_workers=_workers(max(1, len(jobs)))) as ex:
+        results = list(ex.map(guarded, jobs))
+    rows = []
+    for (i, _), (row, err) in zip(jobs, results):
+        if err is None:
+            rows.append(row)
+        else:
+            print(f"failed record {manifest.image_id(i)}: {err}", file=sys.stderr)
+    _write_report(out, cols, rows)
+    return 1 if missing or len(rows) < len(jobs) else 0
+
+
+def cmd_eval_saliency(args) -> int:
+    manifest = dio.load_manifest(args.manifest)
 
     def one(job):
         i, p = job
@@ -167,25 +191,12 @@ def cmd_eval_saliency(args) -> int:
             sm.kld(pred, gt.values),
         ]
 
-    with ThreadPoolExecutor(max_workers=_workers(max(1, len(jobs)))) as ex:
-        rows = list(ex.map(one, jobs))
-    _write_report(args.out, SALIENCY_COLS, rows)
-    return 1 if missing else 0
+    return _score_records(manifest, Path(args.pred_dir), ".pgm", one,
+                          args.out, SALIENCY_COLS)
 
 
 def cmd_eval_scanpath(args) -> int:
     manifest = dio.load_manifest(args.manifest)
-    pred_dir = Path(args.pred_dir)
-    missing = []
-    jobs = []
-    for i in range(len(manifest)):
-        p = _pred_scanpath_path(pred_dir, manifest.image_id(i))
-        if not p.exists():
-            missing.append(str(p))
-        else:
-            jobs.append((i, p))
-    for p in missing:
-        print(f"missing prediction: {p}", file=sys.stderr)
 
     def one(job):
         i, p = job
@@ -216,10 +227,8 @@ def cmd_eval_scanpath(args) -> int:
             spm.congruency(pred, gt.values, percentile=args.congruency_percentile),
         ]
 
-    with ThreadPoolExecutor(max_workers=_workers(max(1, len(jobs)))) as ex:
-        rows = list(ex.map(one, jobs))
-    _write_report(args.out, SCANPATH_COLS, rows)
-    return 1 if missing else 0
+    return _score_records(manifest, Path(args.pred_dir), ".csv", one,
+                          args.out, SCANPATH_COLS)
 
 
 def cmd_stats(args) -> int:

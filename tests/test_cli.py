@@ -8,13 +8,16 @@ reasonable; one subprocess case checks the installed console script.
 import csv
 import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import salypath
 from salypath.cli import SALIENCY_COLS, SCANPATH_COLS, main
 from salypath.data import (
     DatasetManifest,
@@ -175,6 +178,18 @@ class TestTrain:
         assert rc == 0
         assert out.read_bytes() == trained["ckpt"].read_bytes()
 
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_phase_with_no_epochs_exits_0(self, dataset, tmp_path, capsys, phase):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"model": TINY_MODEL, "train": {
+            **TINY_TRAIN, f"phase{phase}_epochs": 0}}))
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--data", str(dataset / "manifest.json"),
+                   "--out", str(out), "--config", str(cfg)])
+        assert rc == 0
+        assert f"L{phase} -," in capsys.readouterr().out
+        assert SalypathModel.load(out).config.input_size == (16, 16)
+
     def test_unknown_config_section_rejected(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"model": {}, "optimizer": {}}))
@@ -334,6 +349,31 @@ class TestEvalSaliency:
         _, rows = read_report(out)
         assert [r[0] for r in rows] == ["s0", "s2", "MEAN"]
 
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda p: p.write_bytes(p.read_bytes()[:-20]), "payload has"),
+        (lambda p: write_pgm(p, np.full((8, 8), 0.5)), "zero variance"),
+    ], ids=["truncated", "constant"])
+    def test_unscorable_prediction_fails_its_record_exit_1(
+            self, perfect, tmp_path, capsys, damage, reason):
+        intact = tmp_path / "intact.csv"
+        rc = main(["eval-saliency", "--manifest", str(perfect / "manifest.json"),
+                   "--pred-dir", str(perfect / "pred"), "--out", str(intact)])
+        assert rc == 0
+        pred = tmp_path / "pred"
+        shutil.copytree(perfect / "pred", pred)
+        damage(pred / "s1.pgm")
+        out = tmp_path / "sal.csv"
+        capsys.readouterr()
+        rc = main(["eval-saliency", "--manifest", str(perfect / "manifest.json"),
+                   "--pred-dir", str(pred), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("failed record s1: ") and reason in err
+        _, rows = read_report(out)
+        _, want = read_report(intact)
+        assert [r[0] for r in rows] == ["s0", "s2", "MEAN"]
+        assert rows[:2] == [want[0], want[2]]
+
     def test_thread_cap_does_not_change_output(self, perfect, tmp_path, monkeypatch):
         outs = []
         for threads in ("1", "4"):
@@ -407,6 +447,19 @@ class TestEvalScanpath:
         _, rows = read_report(out)
         assert [r[0] for r in rows] == ["s0", "s1", "MEAN"]
 
+    def test_malformed_prediction_fails_its_record_exit_1(self, perfect, tmp_path,
+                                                           capsys):
+        pred = tmp_path / "pred"
+        shutil.copytree(perfect / "pred", pred)
+        (pred / "s0.csv").write_text("x,y\n1.0\n")
+        out = tmp_path / "sp.csv"
+        rc = main(["eval-scanpath", "--manifest", str(perfect / "manifest.json"),
+                   "--pred-dir", str(pred), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("failed record s0: ")
+        _, rows = read_report(out)
+        assert [r[0] for r in rows] == ["s1", "s2", "MEAN"]
+
 
 # -- usage / plumbing -----------------------------------------------------------
 
@@ -420,6 +473,18 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["explain"])
         assert exc.value.code == 2
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        src = str(Path(salypath.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "salypath", "gen-synth", "--n", "2", "--seed", "0",
+             "--size", "16x16", "--out", str(tmp_path / "ds")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "ds" / "manifest.json").exists()
 
     def test_console_script_installed(self, tmp_path):
         proc = subprocess.run(

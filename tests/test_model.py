@@ -5,6 +5,7 @@ the end-to-end gradient."""
 import numpy as np
 import pytest
 
+from salypath.checkpoint import load_checkpoint, save_checkpoint
 from salypath.errors import CheckpointError, ConfigError, DimensionError
 from salypath.model import ModelConfig, SalypathModel, soft_argmax
 from salypath.tensor import Tensor
@@ -267,6 +268,35 @@ def test_checkpoint_round_trip(tmp_path, rng):
     m2, p2 = clone.forward_tensors(Tensor(x))
     np.testing.assert_array_equal(m1.data, m2.data)
     np.testing.assert_array_equal(p1.data, p2.data)
+
+
+@pytest.mark.parametrize("edit", [lambda raw: raw + b"\0\0\0\0",
+                                  lambda raw: raw[:-4]], ids=["trailing", "short"])
+def test_checkpoint_payload_must_match_its_tensors(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"a": np.ones((2, 3), np.float32),
+                           "b": np.zeros(4, np.float32)})
+    load_checkpoint(path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(CheckpointError, match="payload has"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_failed_save_leaves_previous_file(tmp_path, monkeypatch):
+    import salypath.checkpoint as ck
+
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"a": np.ones(3, np.float32)})
+    before = path.read_bytes()
+
+    def disk_full(fd):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(ck.os, "fsync", disk_full)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, {"a": np.zeros(300, np.float32)})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_load_state_reports_every_mismatch():

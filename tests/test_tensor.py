@@ -58,6 +58,22 @@ def maxpool2_oracle(x):
     return out
 
 
+# Conv cases where flat-grid indexing is easiest to get wrong, as
+# (batch, in_ch, out_ch, H, W, kernel, stride, padding): non-square input,
+# 1x1 and 7x7 kernels, strides 2 and 3 over odd extents, and kernels that
+# cover the whole padded input (1x1 output).
+CONV_EDGE_CASES = [
+    (2, 2, 3, 4, 7, 3, 1, 1),
+    (2, 3, 2, 5, 3, 1, 1, 0),
+    (1, 2, 2, 5, 6, 7, 1, 3),
+    (2, 2, 3, 7, 9, 3, 2, 1),
+    (1, 2, 2, 9, 7, 3, 3, 0),
+    (1, 3, 2, 7, 5, 3, 3, 1),
+    (2, 2, 3, 3, 3, 5, 1, 1),
+    (1, 2, 2, 4, 4, 4, 2, 0),
+]
+
+
 # -- forward semantics ------------------------------------------------------
 
 def test_conv_box_sum():
@@ -95,14 +111,78 @@ def test_conv_matches_loop_oracle():
         if h + 2 * p < k or w + 2 * p < k:
             p = 1
         cases.append((b, c, o, h, w, k, s, p))
-    for b, c, o, h, w, k, s, p in cases:
+    for case in cases + CONV_EDGE_CASES:
+        b, c, o, h, w, k, s, p = case
         x = rng.normal(size=(b, c, h, w)).astype(np.float32)
         wt = rng.normal(size=(o, c, k, k)).astype(np.float32)
         bias = rng.normal(size=o).astype(np.float32)
         layer = ConvLayer(Tensor(wt), Tensor(bias), stride=s, padding=p)
         got = conv2d(Tensor(x), layer).data
         want = conv2d_oracle(x, wt, bias, s, p)
-        np.testing.assert_allclose(got, want, atol=1e-5)
+        np.testing.assert_allclose(got, want, atol=1e-5, err_msg=str(case))
+
+
+def test_conv_batch_equals_stacked_single_images():
+    # 16 channels at 40x40 make conv2d split a batch into several chunks of
+    # the flat grid, where one image takes a single chunk
+    rng = np.random.default_rng(11)
+    xs = rng.normal(size=(4, 16, 40, 40)).astype(np.float32)
+    layer = ConvLayer(Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32) * 0.1,
+                             requires_grad=True),
+                      Tensor(rng.normal(size=16).astype(np.float32), requires_grad=True),
+                      padding=1)
+    coeffs = rng.normal(size=(4, 16, 40, 40)).astype(np.float32)
+
+    def run(lo, hi):
+        x = Tensor(xs[lo:hi], requires_grad=True)
+        layer.weight.grad = layer.bias.grad = None
+        y = conv2d(x, layer)
+        (y * Tensor(coeffs[lo:hi])).sum().backward()
+        return y.data, x.grad, layer.weight.grad, layer.bias.grad
+
+    y, dx, dw, db = run(0, 4)
+    singles = [run(i, i + 1) for i in range(4)]
+    np.testing.assert_allclose(y, np.concatenate([r[0] for r in singles]), rtol=0, atol=1e-5)
+    np.testing.assert_allclose(dx, np.concatenate([r[1] for r in singles]), rtol=0, atol=1e-5)
+    np.testing.assert_allclose(dw, sum(r[2] for r in singles), rtol=1e-5, atol=1e-3)
+    np.testing.assert_allclose(db, sum(r[3] for r in singles), rtol=1e-5, atol=1e-3)
+
+
+def test_conv_input_without_grad_keeps_parameter_grads():
+    rng = np.random.default_rng(13)
+    xs = rng.normal(size=(2, 3, 6, 5)).astype(np.float32)
+    layer = ConvLayer(Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32),
+                             requires_grad=True),
+                      Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True),
+                      padding=1)
+    grads = []
+    for needs in (True, False):
+        x = Tensor(xs, requires_grad=needs)
+        layer.weight.grad = layer.bias.grad = None
+        (conv2d(x, layer) ** 2).sum().backward()
+        assert (x.grad is not None) == needs
+        grads.append((layer.weight.grad, layer.bias.grad))
+    for a, b in zip(*grads):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_conv_repeat_calls_are_bitwise_identical():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(3, 4, 10, 7)).astype(np.float32), requires_grad=True)
+    layer = ConvLayer(Tensor(rng.normal(size=(5, 4, 3, 3)).astype(np.float32),
+                             requires_grad=True),
+                      Tensor(rng.normal(size=5).astype(np.float32), requires_grad=True),
+                      padding=1)
+    coeffs = Tensor(rng.normal(size=(3, 5, 10, 7)).astype(np.float32))
+    runs = []
+    for _ in range(2):
+        for t in (x, layer.weight, layer.bias):
+            t.grad = None
+        y = conv2d(x, layer)
+        (y * coeffs).sum().backward()
+        runs.append([y.data.copy()] + [t.grad.copy() for t in (x, layer.weight, layer.bias)])
+    for a, b in zip(*runs):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_conv_channel_mismatch_names_axis():
@@ -350,6 +430,14 @@ def test_gradcheck_conv2d():
         b = Tensor(rng.normal(size=3).astype(np.float32) * 0.1, requires_grad=True)
         layer = ConvLayer(w, b, stride=s, padding=max(p, 1 if s == 1 else p))
         check_op(lambda: conv2d(x, layer), [x, w, b], seed + 4000)
+    for i, (bs, c, o, h, ww, k, s, p) in enumerate(CONV_EDGE_CASES):
+        rng = np.random.default_rng(4100 + i)
+        x = Tensor(rng.normal(size=(bs, c, h, ww)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(o, c, k, k)).astype(np.float32) * 0.5,
+                   requires_grad=True)
+        b = Tensor(rng.normal(size=o).astype(np.float32) * 0.1, requires_grad=True)
+        layer = ConvLayer(w, b, stride=s, padding=p)
+        check_op(lambda: conv2d(x, layer), [x, w, b], 4200 + i)
 
 
 def test_gradcheck_pooling_and_upsampling():
