@@ -60,18 +60,7 @@ from .tensor import (
     softmax2d,
     upsample2,
 )
-from .trainer import (
-    Adam,
-    SGD,
-    TrainConfig,
-    TrainReport,
-    adam_step,
-    lr_schedule,
-    sgd_step,
-    train,
-    train_phase1,
-    train_phase2,
-)
+from .trainer import Adam, SGD, TrainConfig, TrainReport, lr_schedule, train
 from .types import FixationSet, SaliencyMap, Scanpath
 
 __version__ = "0.1.0"

@@ -136,9 +136,10 @@ def _score_records(manifest, pred_dir: Path, suffix: str, score, out,
     """Score each record that has a ``<image_id><suffix>`` prediction on a
     thread pool and write the report in manifest order.
 
-    A missing prediction, or a record whose scoring raises SalypathError
-    (unreadable prediction, constant map, ...), is named on stderr and left
-    out of the report; either makes the exit code 1.
+    A missing prediction, or a record whose scoring raises SalypathError or
+    OSError (unreadable prediction, constant map, a directory in place of a
+    file, ...), is named on stderr and left out of the report; either makes
+    the exit code 1.
     """
     missing = []
     jobs = []
@@ -154,7 +155,7 @@ def _score_records(manifest, pred_dir: Path, suffix: str, score, out,
     def guarded(job):
         try:
             return score(job), None
-        except SalypathError as e:
+        except (SalypathError, OSError) as e:
             return None, e
 
     with ThreadPoolExecutor(max_workers=_workers(max(1, len(jobs)))) as ex:

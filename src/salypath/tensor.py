@@ -403,12 +403,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
     def vjp(g):
         return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=ax))
-    out = Tensor(out_data)
-    if _grad_enabled and any(t.requires_grad for t in tensors):
-        out.requires_grad = True
-        out._parents = tuple(tensors)
-        out._vjp = vjp
-    return out
+    return ref._track(out_data, tensors, vjp)
 
 
 def softmax2d(x: Tensor, beta: float = 1.0) -> Tensor:

@@ -6,6 +6,11 @@ the pointwise MSE loss, with the trunk frozen by default (``freeze_encoder_phase
 so bottleneck features stay put. An alternating joint mode exists behind
 ``joint_alternating`` for ablation.
 
+One epoch loop serves both phases and both schedules. ``train()`` builds
+each phase's state once (optimizer, shuffling Generator, report), so in
+alternating mode each phase's optimizer moments and shuffle stream carry
+over from round to round exactly as they do across sequential epochs.
+
 Bookkeeping rules: lr for epoch e is exactly base * decay**e; shuffling
 comes from one seeded Generator per phase, so a rerun with the same seed
 reproduces the loss curves bit for bit; a non-finite loss or gradient
@@ -29,10 +34,7 @@ from .model import SalypathModel, soft_argmax
 from .tensor import Tensor, no_grad
 from .types import FixationSet
 
-__all__ = [
-    "TrainConfig", "TrainReport", "SGD", "Adam", "lr_schedule",
-    "sgd_step", "adam_step", "train_phase1", "train_phase2", "train",
-]
+__all__ = ["TrainConfig", "TrainReport", "SGD", "Adam", "lr_schedule", "train"]
 
 
 def lr_schedule(epoch: int, base_lr: float, decay: float) -> float:
@@ -109,6 +111,9 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
+    """One phase's per-epoch loss and lr curves; ``wall_time_s`` is the
+    time spent in that phase's epochs alone."""
+
     phase: int
     epoch_losses: list[float]
     lrs: list[float]
@@ -178,20 +183,6 @@ class Adam:
             p.data = p.data - np.float32(lr) * mhat / (np.sqrt(vhat) + np.float32(self.eps))
 
 
-def sgd_step(params: dict[str, Tensor], lr: float) -> None:
-    """One plain gradient-descent update over named parameters."""
-    SGD().step(params, lr)
-
-
-def adam_step(params: dict[str, Tensor], state: Adam, lr: float) -> None:
-    """One Adam update; ``state`` carries the moment estimates between calls."""
-    state.step(params, lr)
-
-
-def _make_optimizer(config: TrainConfig):
-    return Adam() if config.optimizer == "adam" else SGD()
-
-
 # -- data staging ------------------------------------------------------------
 
 
@@ -232,162 +223,137 @@ def prepare_samples(model: SalypathModel, manifest: DatasetManifest) -> list[_Sa
     return samples
 
 
-# -- the loops ----------------------------------------------------------------
+# -- the loop -----------------------------------------------------------------
 
 
-def _phase1_batch_loss(model: SalypathModel, batch: list[_Sample],
-                       config: TrainConfig) -> Tensor:
-    x = Tensor(np.stack([s.image for s in batch]))
-    bott = model.attend(model.encode(x))
-    maps = model.decode(bott)
-    total = None
-    for i, s in enumerate(batch):
-        li = saliency_loss(maps[i, 0], s.gt_map, s.fixations,
-                           weights=config.loss_weights)
-        total = li if total is None else total + li
-    return total / np.float32(len(batch))
+class _Phase:
+    """One phase's training state, built once per ``train()`` call.
 
+    Everything that must carry over from one epoch of the phase to the
+    next lives here: its samples and parameters, its optimizer, its
+    shuffling Generator and its report. ``run_epoch`` is the only epoch
+    loop, so both schedules carry that state the same way.
+    """
 
-def _phase2_batch_loss(model: SalypathModel, batch: list[_Sample],
-                       config: TrainConfig) -> Tensor:
-    x = Tensor(np.stack([s.image for s in batch]))
-    if config.freeze_encoder_phase2:
-        with no_grad():
-            bott = model.attend(model.encode(x))
-        bott = bott.detach()
-    else:
-        bott = model.attend(model.encode(x))
-    feats = model.scanpath_features(bott)
-    points = soft_argmax(feats, model.config.beta)
-    total = None
-    for i, s in enumerate(batch):
-        per_gt = None
-        for gt_path in s.paths:
-            lg = scanpath_loss(points[i], gt_path, divisor=config.divisor)
-            per_gt = lg if per_gt is None else per_gt + lg
-        li = per_gt / np.float32(len(s.paths))
-        total = li if total is None else total + li
-    return total / np.float32(len(batch))
-
-
-def _run_phase(model: SalypathModel, samples: list[_Sample], config: TrainConfig,
-               phase: int, checkpoint_path=None) -> TrainReport:
-    if phase == 1:
-        params = model.trunk_parameters()
-        base_lr, epochs, loss_fn = config.phase1_lr, config.phase1_epochs, _phase1_batch_loss
-    else:
-        if config.freeze_encoder_phase2:
-            params = model.head_parameters()
+    def __init__(self, model: SalypathModel, samples: list[_Sample],
+                 config: TrainConfig, phase: int, checkpoint_path=None):
+        self.model, self.config, self.phase = model, config, phase
+        self.checkpoint_path = checkpoint_path
+        if phase == 1:
+            self.params = model.trunk_parameters()
+            self.base_lr, self.epochs = config.phase1_lr, config.phase1_epochs
         else:
-            # the scanpath graph runs encoder -> attention -> head; the
-            # decoder never sees gradients in this phase
-            params = {k: v for k, v in model.parameters().items()
-                      if not k.startswith("dec.")}
-        base_lr, epochs, loss_fn = config.phase2_lr, config.phase2_epochs, _phase2_batch_loss
-        samples = [s for s in samples if s.paths.shape[0] > 0]
-        if not samples:
-            raise ContractError(
-                f"phase 2: no scanpaths of length {model.config.head_channels[-1]} "
-                "in the dataset"
-            )
-    if not samples:
-        raise ContractError("training: empty dataset")
+            # alternating mode trains the trunk on both objectives
+            self.freeze = config.freeze_encoder_phase2 and not config.joint_alternating
+            if self.freeze:
+                self.params = model.head_parameters()
+            else:
+                # the scanpath graph runs encoder -> attention -> head; the
+                # decoder never sees gradients in this phase
+                self.params = {k: v for k, v in model.parameters().items()
+                               if not k.startswith("dec.")}
+            self.base_lr, self.epochs = config.phase2_lr, config.phase2_epochs
+            samples = [s for s in samples if s.paths.shape[0] > 0]
+            if self.epochs and not samples:
+                raise ContractError(
+                    f"phase 2: no scanpaths of length {model.config.head_channels[-1]} "
+                    "in the dataset"
+                )
+        if self.epochs and not samples:
+            raise ContractError("training: empty dataset")
+        self.samples = samples
+        self.optimizer = Adam() if config.optimizer == "adam" else SGD()
+        self.rng = np.random.default_rng((config.seed, phase))
+        self.report = TrainReport(phase=phase, epoch_losses=[], lrs=[],
+                                  wall_time_s=0.0, n_samples=len(samples))
 
-    optimizer = _make_optimizer(config)
-    rng = np.random.default_rng((config.seed, phase))
-    losses: list[float] = []
-    lrs: list[float] = []
-    start = time.perf_counter()
-    report = TrainReport(phase=phase, epoch_losses=losses, lrs=lrs,
-                         wall_time_s=0.0, n_samples=len(samples))
-    bs = config.batch_size
-    for epoch in range(epochs):
-        lr = lr_schedule(epoch, base_lr, config.lr_decay)
-        lrs.append(lr)
-        order = rng.permutation(len(samples))
+    def _saliency_batch_loss(self, batch: list[_Sample]) -> Tensor:
+        model = self.model
+        x = Tensor(np.stack([s.image for s in batch]))
+        bott = model.attend(model.encode(x))
+        maps = model.decode(bott)
+        total = None
+        for i, s in enumerate(batch):
+            li = saliency_loss(maps[i, 0], s.gt_map, s.fixations,
+                               weights=self.config.loss_weights)
+            total = li if total is None else total + li
+        return total / np.float32(len(batch))
+
+    def _scanpath_batch_loss(self, batch: list[_Sample]) -> Tensor:
+        model = self.model
+        x = Tensor(np.stack([s.image for s in batch]))
+        if self.freeze:
+            with no_grad():
+                bott = model.attend(model.encode(x))
+            bott = bott.detach()
+        else:
+            bott = model.attend(model.encode(x))
+        feats = model.scanpath_features(bott)
+        points = soft_argmax(feats, model.config.beta)
+        total = None
+        for i, s in enumerate(batch):
+            per_gt = None
+            for gt_path in s.paths:
+                lg = scanpath_loss(points[i], gt_path, divisor=self.config.divisor)
+                per_gt = lg if per_gt is None else per_gt + lg
+            li = per_gt / np.float32(len(s.paths))
+            total = li if total is None else total + li
+        return total / np.float32(len(batch))
+
+    def run_epoch(self, epoch: int) -> None:
+        """Shuffle, take one optimizer step per batch, record the epoch's
+        loss and lr, and checkpoint."""
+        start = time.perf_counter()
+        report = self.report
+        lr = lr_schedule(epoch, self.base_lr, self.config.lr_decay)
+        report.lrs.append(lr)
+        order = self.rng.permutation(len(self.samples))
+        bs = self.config.batch_size
         epoch_loss = 0.0
-        for lo in range(0, len(samples), bs):
-            batch = [samples[k] for k in order[lo:lo + bs]]
-            for p in params.values():
+        for lo in range(0, len(self.samples), bs):
+            batch = [self.samples[k] for k in order[lo:lo + bs]]
+            for p in self.params.values():
                 p.grad = None
             try:
-                loss = loss_fn(model, batch, config)
+                # non-finite activations surface in the forward pass before
+                # the loss does
+                loss = (self._saliency_batch_loss(batch) if self.phase == 1
+                        else self._scanpath_batch_loss(batch))
+                val = loss.item()
+                if not np.isfinite(val):
+                    raise NumericError(f"loss went non-finite ({val})")
+                loss.backward()
+                self.optimizer.step(self.params, lr)
             except NumericError as e:
-                # non-finite activations surface here before the loss does
-                report.wall_time_s = time.perf_counter() - start
+                report.wall_time_s += time.perf_counter() - start
                 raise TrainingDiverged(
-                    f"phase {phase} epoch {epoch}: {e}", report=report
-                ) from e
-            val = loss.item()
-            if not np.isfinite(val):
-                report.wall_time_s = time.perf_counter() - start
-                raise TrainingDiverged(
-                    f"phase {phase} epoch {epoch}: loss went non-finite ({val})",
-                    report=report,
-                )
-            loss.backward()
-            try:
-                optimizer.step(params, lr)
-            except NumericError as e:
-                report.wall_time_s = time.perf_counter() - start
-                raise TrainingDiverged(
-                    f"phase {phase} epoch {epoch}: {e}", report=report
+                    f"phase {self.phase} epoch {epoch}: {e}", report=report
                 ) from e
             epoch_loss += val * len(batch)
-        losses.append(epoch_loss / len(samples))
-        if checkpoint_path is not None:
-            model.save(checkpoint_path)
-    report.wall_time_s = time.perf_counter() - start
-    return report
-
-
-def train_phase1(model: SalypathModel, manifest: DatasetManifest,
-                 config: TrainConfig, checkpoint_path=None) -> TrainReport:
-    """Fit the saliency branch; returns the per-epoch loss curve."""
-    samples = prepare_samples(model, manifest)
-    return _run_phase(model, samples, config, phase=1, checkpoint_path=checkpoint_path)
-
-
-def train_phase2(model: SalypathModel, manifest: DatasetManifest,
-                 config: TrainConfig, checkpoint_path=None) -> TrainReport:
-    """Fit the scanpath head; by default the trunk is frozen."""
-    samples = prepare_samples(model, manifest)
-    return _run_phase(model, samples, config, phase=2, checkpoint_path=checkpoint_path)
+        report.epoch_losses.append(epoch_loss / len(self.samples))
+        if self.checkpoint_path is not None:
+            self.model.save(self.checkpoint_path)
+        report.wall_time_s += time.perf_counter() - start
 
 
 def train(model: SalypathModel, manifest: DatasetManifest, config: TrainConfig,
           checkpoint_path=None) -> tuple[TrainReport, TrainReport]:
-    """Full schedule. Sequential phases by default; ``joint_alternating``
-    interleaves one epoch of each objective instead (ablation mode)."""
-    samples = prepare_samples(model, manifest)
-    if not config.joint_alternating:
-        r1 = _run_phase(model, samples, config, 1, checkpoint_path)
-        r2 = _run_phase(model, samples, config, 2, checkpoint_path)
-        return r1, r2
+    """Run the full schedule; returns the phase-1 and phase-2 reports.
 
-    # alternating: one epoch of each objective per outer round
-    import dataclasses
-    r1_losses: list[float] = []
-    r2_losses: list[float] = []
-    r1_lrs: list[float] = []
-    r2_lrs: list[float] = []
-    start = time.perf_counter()
-    rounds = max(config.phase1_epochs, config.phase2_epochs)
-    for e in range(rounds):
-        if e < config.phase1_epochs:
-            c1 = dataclasses.replace(config, phase1_epochs=1,
-                                     phase1_lr=lr_schedule(e, config.phase1_lr, config.lr_decay))
-            rep = _run_phase(model, samples, c1, 1, checkpoint_path)
-            r1_losses += rep.epoch_losses
-            r1_lrs += rep.lrs
-        if e < config.phase2_epochs:
-            c2 = dataclasses.replace(config, phase2_epochs=1, freeze_encoder_phase2=False,
-                                     phase2_lr=lr_schedule(e, config.phase2_lr, config.lr_decay))
-            rep = _run_phase(model, samples, c2, 2, checkpoint_path)
-            r2_losses += rep.epoch_losses
-            r2_lrs += rep.lrs
-    wall = time.perf_counter() - start
-    return (
-        TrainReport(1, r1_losses, r1_lrs, wall, len(samples)),
-        TrainReport(2, r2_losses, r2_lrs, wall, len(samples)),
-    )
+    Sequential by default: every epoch of phase 1, then every epoch of
+    phase 2. ``joint_alternating`` (ablation mode) runs round e as epoch e
+    of phase 1 then epoch e of phase 2, skipping a phase whose epochs are
+    used up, with the trunk unfrozen in phase 2. Both phases are set up
+    and checked before the first epoch, so a phase that cannot run fails
+    before anything trains; a phase with 0 epochs needs no data.
+    """
+    samples = prepare_samples(model, manifest)
+    phases = [_Phase(model, samples, config, p, checkpoint_path) for p in (1, 2)]
+    if config.joint_alternating:
+        rounds = max(p.epochs for p in phases)
+        schedule = [(p, e) for e in range(rounds) for p in phases if e < p.epochs]
+    else:
+        schedule = [(p, e) for p in phases for e in range(p.epochs)]
+    for phase, epoch in schedule:
+        phase.run_epoch(epoch)
+    return phases[0].report, phases[1].report

@@ -136,13 +136,6 @@ class FixationSet:
         pts = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 2), np.int64)
         return cls(pts, (height, width))
 
-    def mask(self) -> np.ndarray:
-        """Boolean [H, W] grid, True where at least one fixation landed."""
-        m = np.zeros(self.shape, dtype=bool)
-        if len(self):
-            m[self.points[:, 0], self.points[:, 1]] = True
-        return m
-
     def weights(self) -> np.ndarray:
         """Float [H, W] grid counting fixations per pixel (multiplicity)."""
         w = np.zeros(self.shape, dtype=np.float64)

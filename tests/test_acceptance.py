@@ -36,8 +36,8 @@ from salypath.data import (
     write_ppm,
     write_scanpath_csv,
 )
-from salypath.losses import saliency_loss, scanpath_loss
-from salypath.model import soft_argmax
+from salypath.losses import LossWeights, kldiv, mse_map, saliency_loss, scanpath_loss
+from salypath.model import ModelConfig, SalypathModel, soft_argmax
 from salypath.saliency_metrics import auc_borji, auc_judd, cc, kld, nss, sim
 from salypath.scanpath_metrics import align, multimatch, to_saccades
 from salypath.tensor import ConvLayer, Tensor, conv2d, maxpool2, relu, sigmoid, upsample2
@@ -315,6 +315,7 @@ def desk_run(tmp_path_factory):
             "report": json.loads((root / f"report-{tag}.json").read_text()),
         }
 
+    run["train"] = load_manifest(root / "train" / "manifest.json")
     held = load_manifest(root / "held" / "manifest.json")
     pred = root / "pred"
     pred.mkdir()
@@ -352,19 +353,38 @@ def desk_run(tmp_path_factory):
     return run
 
 
+def _kl_mse_part(model: SalypathModel, manifest) -> float:
+    """Mean weighted KL + MSE of the model's maps over a manifest: the
+    phase-1 loss without its NSS reward, so it stays positive and a ratio
+    of it keeps its meaning."""
+    w = LossWeights()
+    total = 0.0
+    for i in range(len(manifest)):
+        smap, _ = model.forward(manifest.load_stimulus(i))
+        gt = manifest.load_map(i).values
+        total += w.kl_w * kldiv(smap, gt).item() + w.mse_w * mse_map(smap, gt).item()
+    return total / len(manifest)
+
+
 def test_criterion_6_desk_training_convergence(desk_run, capsys):
     ra, rb = desk_run["a"]["report"], desk_run["b"]["report"]
     l1 = ra["phase1"]["epoch_losses"]
     l2 = ra["phase2"]["epoch_losses"]
     r1, r2 = l1[-1] / l1[0], l2[-1] / l2[0]
+    # l1 includes -0.1 * NSS and crosses zero, so r1 < 0.5 alone passes
+    # any run whose loss goes negative; the KL + MSE ratio cannot
+    k0 = _kl_mse_part(SalypathModel(ModelConfig.desk(), seed=0), desk_run["train"])
+    k1 = _kl_mse_part(SalypathModel.load(desk_run["a"]["ckpt"]), desk_run["train"])
+    rk = k1 / k0
     wall = desk_run["a"]["wall"]
     repro = all(ra[ph][k] == rb[ph][k]
                 for ph in ("phase1", "phase2")
                 for k in ("epoch_losses", "lrs", "n_samples"))
     repro &= desk_run["a"]["ckpt"].read_bytes() == desk_run["b"]["ckpt"].read_bytes()
-    ok = r1 < 0.5 and r2 < 0.6 and wall < 600.0 and repro
+    ok = r1 < 0.5 and rk < 0.5 and r2 < 0.6 and wall < 600.0 and repro
     announce(capsys, 6, "desk training convergence", ok,
              f"L1 {l1[0]:.3f}->{l1[-1]:.3f} (ratio {r1:.2f} < 0.5), "
+             f"KL+MSE part {k0:.3f}->{k1:.3f} (ratio {rk:.2f} < 0.5), "
              f"L2 {l2[0]:.3f}->{l2[-1]:.3f} (ratio {r2:.2f} < 0.6), "
              f"{wall:.0f}s < 600s, rerun identical: {repro}")
 

@@ -352,7 +352,8 @@ class TestEvalSaliency:
     @pytest.mark.parametrize("damage, reason", [
         (lambda p: p.write_bytes(p.read_bytes()[:-20]), "payload has"),
         (lambda p: write_pgm(p, np.full((8, 8), 0.5)), "zero variance"),
-    ], ids=["truncated", "constant"])
+        (lambda p: (p.unlink(), p.mkdir()), "Is a directory"),
+    ], ids=["truncated", "constant", "directory"])
     def test_unscorable_prediction_fails_its_record_exit_1(
             self, perfect, tmp_path, capsys, damage, reason):
         intact = tmp_path / "intact.csv"

@@ -7,29 +7,20 @@ each case stays well under a second.
 """
 
 import dataclasses
+import gc
 import json
 import warnings
 
 import numpy as np
 import pytest
 
+from salypath import trainer
 from salypath.checkpoint import load_checkpoint
 from salypath.data import generate_synthetic, load_manifest, save_manifest
 from salypath.errors import ConfigError, ContractError, NumericError, TrainingDiverged
 from salypath.model import ModelConfig, SalypathModel
 from salypath.tensor import Tensor
-from salypath.trainer import (
-    Adam,
-    SGD,
-    TrainConfig,
-    TrainReport,
-    adam_step,
-    lr_schedule,
-    sgd_step,
-    train,
-    train_phase1,
-    train_phase2,
-)
+from salypath.trainer import Adam, SGD, TrainConfig, TrainReport, lr_schedule, train
 
 TINY = dict(
     input_size=(16, 16),
@@ -42,6 +33,13 @@ TINY = dict(
 
 def tiny_model(seed: int = 1) -> SalypathModel:
     return SalypathModel(ModelConfig(**TINY), seed=seed)
+
+
+def train_only(phase: int, model, dataset, cfg: TrainConfig, checkpoint_path=None):
+    """``train`` with the other phase at 0 epochs; returns this phase's report."""
+    other = "phase2_epochs" if phase == 1 else "phase1_epochs"
+    cfg = dataclasses.replace(cfg, **{other: 0})
+    return train(model, dataset, cfg, checkpoint_path=checkpoint_path)[phase - 1]
 
 
 def snapshot(params: dict) -> dict:
@@ -85,28 +83,28 @@ class TestOptimizers:
         # f(w) = w^2 at w=1, lr=0.1: grad 2, one step lands on 0.8
         w = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
         (w * w).sum().backward()
-        sgd_step({"w": w}, 0.1)
+        SGD().step({"w": w}, 0.1)
         assert w.data[0] == pytest.approx(0.8, rel=1e-6)
 
     def test_sgd_zero_lr_is_bitwise_noop(self, rng):
         w = Tensor(rng.normal(size=7).astype(np.float32), requires_grad=True)
         before = w.data.copy()
         (w * w).sum().backward()
-        sgd_step({"w": w}, 0.0)
+        SGD().step({"w": w}, 0.0)
         assert np.array_equal(w.data, before)
 
     def test_adam_zero_lr_is_bitwise_noop(self, rng):
         w = Tensor(rng.normal(size=7).astype(np.float32), requires_grad=True)
         before = w.data.copy()
         (w * w).sum().backward()
-        adam_step({"w": w}, Adam(), 0.0)
+        Adam().step({"w": w}, 0.0)
         assert np.array_equal(w.data, before)
 
     def test_adam_first_step_magnitude_is_lr(self):
         # bias correction makes step one ~ lr * sign(g) at any gradient scale
         p = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
         p.grad = np.array([1e-6, 1.0, 1e3, -50.0], dtype=np.float32)
-        adam_step({"p": p}, Adam(), 0.01)
+        Adam().step({"p": p}, 0.01)
         assert np.abs(np.abs(p.data) - 0.01).max() < 0.01 * 0.02
         assert p.data[3] > 0    # steps against the gradient
 
@@ -128,20 +126,20 @@ class TestOptimizers:
     def test_missing_gradient_names_tensor(self):
         w = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         with pytest.raises(ContractError, match="enc.w has no gradient"):
-            sgd_step({"enc.w": w}, 0.1)
+            SGD().step({"enc.w": w}, 0.1)
 
     def test_non_finite_gradient_names_tensor(self):
         w = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         w.grad = np.array([1.0, np.nan], dtype=np.float32)
         with pytest.raises(NumericError, match="non-finite gradient in head.b"):
-            adam_step({"head.b": w}, Adam(), 0.1)
+            Adam().step({"head.b": w}, 0.1)
 
     def test_adam_state_persists_between_calls(self):
         p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
         st = Adam()
         for _ in range(3):
             p.grad = np.array([1.0], dtype=np.float32)
-            adam_step({"p": p}, st, 0.1)
+            st.step({"p": p}, 0.1)
         assert st.t == 3
 
 
@@ -197,7 +195,7 @@ class TestPhase1:
         model = tiny_model()
         head_before = snapshot(model.head_parameters())
         cfg = TrainConfig(phase1_epochs=6, phase1_lr=1e-3, batch_size=4, seed=0)
-        rep = train_phase1(model, dataset, cfg)
+        rep = train_only(1, model, dataset, cfg)
         assert rep.phase == 1
         assert rep.n_samples == 8
         assert len(rep.epoch_losses) == 6
@@ -208,22 +206,22 @@ class TestPhase1:
     def test_lr_curve_follows_schedule_exactly(self, dataset):
         cfg = TrainConfig(phase1_epochs=5, phase1_lr=2e-3, lr_decay=0.8,
                           batch_size=8, seed=0)
-        rep = train_phase1(tiny_model(), dataset, cfg)
+        rep = train_only(1, tiny_model(), dataset, cfg)
         assert rep.lrs == [lr_schedule(e, 2e-3, 0.8) for e in range(5)]
 
     def test_same_seed_reproduces_curve_and_weights(self, dataset):
         cfg = TrainConfig(phase1_epochs=4, phase1_lr=1e-3, batch_size=4, seed=3)
         m1, m2 = tiny_model(), tiny_model()
-        r1 = train_phase1(m1, dataset, cfg)
-        r2 = train_phase1(m2, dataset, cfg)
+        r1 = train_only(1, m1, dataset, cfg)
+        r2 = train_only(1, m2, dataset, cfg)
         assert r1.epoch_losses == r2.epoch_losses
         assert_bitwise_equal(snapshot(m1.parameters()), snapshot(m2.parameters()))
 
     def test_different_seed_changes_curve(self, dataset):
         cfg_a = TrainConfig(phase1_epochs=3, phase1_lr=1e-3, batch_size=4, seed=0)
         cfg_b = dataclasses.replace(cfg_a, seed=1)
-        r_a = train_phase1(tiny_model(), dataset, cfg_a)
-        r_b = train_phase1(tiny_model(), dataset, cfg_b)
+        r_a = train_only(1, tiny_model(), dataset, cfg_a)
+        r_b = train_only(1, tiny_model(), dataset, cfg_b)
         assert r_a.epoch_losses != r_b.epoch_losses
 
     def test_divergence_aborts_with_report_and_checkpoint(self, dataset, tmp_path):
@@ -233,7 +231,7 @@ class TestPhase1:
         cfg = TrainConfig(phase1_epochs=4, phase1_lr=1e10, optimizer="sgd",
                           batch_size=8, seed=0)
         with pytest.raises(TrainingDiverged, match="phase 1 epoch 1") as exc:
-            train_phase1(tiny_model(), dataset, cfg, checkpoint_path=ckpt)
+            train_only(1, tiny_model(), dataset, cfg, checkpoint_path=ckpt)
         assert len(exc.value.report.epoch_losses) == 1
         assert ckpt.exists()
         tensors, _ = load_checkpoint(ckpt)
@@ -246,13 +244,13 @@ class TestPhase1:
         save_manifest(man, tmp_path / "manifest.json")
         empty = load_manifest(tmp_path / "manifest.json")
         with pytest.raises(ContractError, match="empty dataset"):
-            train_phase1(tiny_model(), empty, TrainConfig(phase1_epochs=1))
+            train_only(1, tiny_model(), empty, TrainConfig(phase1_epochs=1))
 
     def test_resampling_warns(self, tmp_path):
         man = generate_synthetic(2, seed=0, size=(24, 24), out_dir=tmp_path)
         cfg = TrainConfig(phase1_epochs=1, phase1_lr=1e-4, batch_size=2, seed=0)
         with pytest.warns(RuntimeWarning, match="resampling"):
-            train_phase1(tiny_model(), man, cfg)
+            train_only(1, tiny_model(), man, cfg)
 
 
 # -- phase 2 ------------------------------------------------------------------
@@ -263,7 +261,7 @@ class TestPhase2:
         trunk_before = snapshot(model.trunk_parameters())
         head_before = snapshot(model.head_parameters())
         cfg = TrainConfig(phase2_epochs=5, phase2_lr=1e-3, batch_size=4, seed=0)
-        rep = train_phase2(model, dataset, cfg)
+        rep = train_only(2, model, dataset, cfg)
         assert rep.phase == 2
         assert rep.epoch_losses[-1] < rep.epoch_losses[0]
         assert_bitwise_equal(snapshot(model.trunk_parameters()), trunk_before)
@@ -276,7 +274,7 @@ class TestPhase2:
         trunk_before = snapshot(model.trunk_parameters())
         cfg = TrainConfig(phase2_epochs=3, phase2_lr=1e-3, batch_size=4,
                           seed=0, freeze_encoder_phase2=False)
-        train_phase2(model, dataset, cfg)
+        train_only(2, model, dataset, cfg)
         moved = [k for k, v in model.trunk_parameters().items()
                  if not np.array_equal(v.data, trunk_before[k])]
         assert moved
@@ -285,7 +283,7 @@ class TestPhase2:
         cfg = TrainConfig(phase2_epochs=4, phase2_lr=1e10, optimizer="sgd",
                           batch_size=8, seed=0)
         with pytest.raises(TrainingDiverged, match="phase 2"):
-            train_phase2(tiny_model(), dataset, cfg)
+            train_only(2, tiny_model(), dataset, cfg)
 
     def test_no_matching_length_scanpaths_rejected(self, tmp_path):
         # head emits 8 points; a dataset of 6-point paths has nothing to fit
@@ -293,7 +291,26 @@ class TestPhase2:
                                  length_weights={6: 1.0})
         cfg = TrainConfig(phase2_epochs=1, phase2_lr=1e-3, seed=0)
         with pytest.raises(ContractError, match="no scanpaths of length 8"):
-            train_phase2(tiny_model(), man, cfg)
+            train_only(2, tiny_model(), man, cfg)
+
+    def test_phase_with_no_epochs_needs_no_scanpaths(self, tmp_path):
+        man = generate_synthetic(3, seed=0, size=(16, 16), out_dir=tmp_path,
+                                 length_weights={6: 1.0})
+        cfg = TrainConfig(phase1_epochs=1, phase2_epochs=0, phase1_lr=1e-3,
+                          batch_size=2, seed=0)
+        r1, r2 = train(tiny_model(), man, cfg)
+        assert len(r1.epoch_losses) == 1
+        assert r2.epoch_losses == [] and r2.n_samples == 0
+
+    def test_unrunnable_phase_fails_before_any_training(self, tmp_path):
+        man = generate_synthetic(3, seed=0, size=(16, 16), out_dir=tmp_path,
+                                 length_weights={6: 1.0})
+        ckpt = tmp_path / "model.ckpt"
+        cfg = TrainConfig(phase1_epochs=1, phase2_epochs=1, phase1_lr=1e-3,
+                          batch_size=2, seed=0)
+        with pytest.raises(ContractError, match="no scanpaths of length 8"):
+            train(tiny_model(), man, cfg, checkpoint_path=ckpt)
+        assert not ckpt.exists()
 
 
 # -- full schedule --------------------------------------------------------------
@@ -324,3 +341,45 @@ class TestFullTrain:
         assert len(r1.epoch_losses) == 3
         assert len(r2.epoch_losses) == 2
         assert r1.lrs[1] == pytest.approx(lr_schedule(1, 1e-4, 0.9))
+
+    def test_phase_state_freed_on_return(self, dataset):
+        # a reference cycle would keep each phase's samples and optimizer
+        # moments alive until the collector's next full pass
+        cfg = TrainConfig(phase1_epochs=1, phase2_epochs=1, batch_size=4, seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            train(tiny_model(), dataset, cfg)
+            alive = [o for o in gc.get_objects() if isinstance(o, trainer._Phase)]
+        finally:
+            gc.enable()
+        assert alive == []
+
+    def test_alternating_mode_keeps_optimizer_and_shuffle_state(self, dataset, monkeypatch):
+        steps = []      # (optimizer id, its step count after the step)
+        maps = []       # gt map of each phase-1 sample, in loss-call order
+        adam_step = trainer.Adam.step
+        saliency_loss = trainer.saliency_loss
+
+        def record_step(self, params, lr):
+            adam_step(self, params, lr)
+            steps.append((id(self), self.t))
+
+        def record_map(pred, gt, *args, **kwargs):
+            maps.append(id(gt))
+            return saliency_loss(pred, gt, *args, **kwargs)
+
+        monkeypatch.setattr(trainer.Adam, "step", record_step)
+        monkeypatch.setattr(trainer, "saliency_loss", record_map)
+        cfg = TrainConfig(phase1_epochs=3, phase2_epochs=3, phase1_lr=1e-4,
+                          phase2_lr=1e-4, batch_size=4, seed=0,
+                          joint_alternating=True)
+        train(tiny_model(), dataset, cfg)
+        # 8 samples in batches of 4: two steps per phase per round
+        per_opt = {}
+        for opt, t in steps:
+            per_opt.setdefault(opt, []).append(t)
+        assert sorted(per_opt.values()) == [list(range(1, 7))] * 2
+        rounds = [maps[k:k + 8] for k in range(0, len(maps), 8)]
+        assert len(rounds) == 3 and sorted(rounds[0]) == sorted(rounds[1])
+        assert rounds[1] != rounds[0]
