@@ -197,6 +197,9 @@ class ManifestRecord:
     stimulus: str
     map: str
     scanpaths: list[str] = field(default_factory=list)
+    # pixel arrays load_manifest parsed and validated, by scanpath path
+    _pixels: dict[str, np.ndarray] = field(default_factory=dict, repr=False,
+                                           compare=False)
 
 
 @dataclass
@@ -225,12 +228,16 @@ class DatasetManifest:
     def load_map(self, i: int) -> SaliencyMap:
         return SaliencyMap(read_pgm(self.map_path(i)))
 
+    def _scanpath_pixels(self, i: int) -> list[np.ndarray]:
+        """Record i's scanpaths as [N, 2] pixel (x, y) arrays: the ones
+        load_manifest already parsed, else read from disk."""
+        rec = self.records[i]
+        return [rec._pixels[rel] if rel in rec._pixels else read_scanpath_csv(self.root / rel)
+                for rel in rec.scanpaths]
+
     def load_scanpaths(self, i: int) -> list[Scanpath]:
-        out = []
-        for rel in self.records[i].scanpaths:
-            px = read_scanpath_csv(self.root / rel)
-            out.append(Scanpath.from_pixels(px, self.width, self.height))
-        return out
+        return [Scanpath.from_pixels(px, self.width, self.height)
+                for px in self._scanpath_pixels(i)]
 
     def to_dict(self) -> dict:
         return {
@@ -253,7 +260,8 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 def load_manifest(path) -> DatasetManifest:
     """Parse and fully validate a manifest: every referenced file must
     exist, every scanpath must parse with in-bounds coordinates. Errors
-    carry the record index and offending path."""
+    carry the record index and offending path. The parsed scanpaths stay
+    with their records (read-only), so they are not read twice."""
     path = Path(path)
     try:
         with open(path) as f:
@@ -281,15 +289,18 @@ def load_manifest(path) -> DatasetManifest:
                 raise ManifestError(
                     f"{path}: record {ri}: referenced path {rel!r} does not exist"
                 )
+        pixels = {}
         for rel in sps:
-            px = read_scanpath_csv(root / rel)
+            px = pixels[rel] = read_scanpath_csv(root / rel)
+            px.flags.writeable = False
             if (px[:, 0].min() < 0 or px[:, 0].max() > width - 1
                     or px[:, 1].min() < 0 or px[:, 1].max() > height - 1):
                 raise ManifestError(
                     f"{path}: record {ri}: scanpath {rel!r} has fixations "
                     f"outside the {width}x{height} stimulus"
                 )
-        records.append(ManifestRecord(stimulus=stim, map=mp, scanpaths=sps))
+        records.append(ManifestRecord(stimulus=stim, map=mp, scanpaths=sps,
+                                      _pixels=pixels))
     return DatasetManifest(
         name=str(doc["name"]), width=width, height=height,
         records=records, root=root,
@@ -299,10 +310,8 @@ def load_manifest(path) -> DatasetManifest:
 def length_stats(manifest: DatasetManifest) -> dict:
     """Scanpath length distribution over every scanpath in the manifest:
     mean, median, mode (ties -> smallest), histogram {length: count}."""
-    lengths = []
-    for i in range(len(manifest)):
-        for rel in manifest.records[i].scanpaths:
-            lengths.append(read_scanpath_csv(manifest.root / rel).shape[0])
+    lengths = [px.shape[0] for i in range(len(manifest))
+               for px in manifest._scanpath_pixels(i)]
     if not lengths:
         raise ContractError("length_stats: manifest has no scanpaths")
     hist: dict[int, int] = {}

@@ -49,33 +49,52 @@ def _fix_points(fixations, shape: tuple[int, int]) -> np.ndarray:
     return pts
 
 
-def _roc_area(pos_vals: np.ndarray, neg_vals: np.ndarray) -> float:
-    """Judd-style ROC sweep: thresholds are the unique positive values in
-    descending order, >= counts as detected, trapezoidal area through the
-    appended endpoints (0,0) and (1,1)."""
-    thresholds = np.unique(pos_vals)[::-1]
-    tp = [0.0]
-    fp = [0.0]
-    for t in thresholds:
-        tp.append(float((pos_vals >= t).mean()))
-        fp.append(float((neg_vals >= t).mean()))
-    tp.append(1.0)
-    fp.append(1.0)
-    return float(np.trapezoid(tp, fp))
+def _pair(pred, gt_map, name: str) -> tuple[np.ndarray, np.ndarray]:
+    p, g = _as_map(pred), _as_map(gt_map)
+    if p.shape != g.shape:
+        raise DimensionError(f"{name}: pred {p.shape} vs gt {g.shape} shape mismatch")
+    return p, g
+
+
+def _pos_neg(pred, fixations, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Map values at the fixations (with multiplicity) and off them."""
+    m = _as_map(pred)
+    pts = _fix_points(fixations, m.shape)
+    fixated = np.zeros(m.shape, dtype=bool)
+    fixated[pts[:, 0], pts[:, 1]] = True
+    if fixated.all():
+        raise ContractError(f"{name}: every pixel is fixated, no negatives")
+    return m[pts[:, 0], pts[:, 1]], m[~fixated]
+
+
+def _roc_areas(pos_vals: np.ndarray, neg_rows: np.ndarray) -> np.ndarray:
+    """Judd-style ROC sweep of the positives against each row of negatives:
+    thresholds are the unique positive values in descending order, >=
+    counts as detected, trapezoidal area through the appended endpoints
+    (0,0) and (1,1). Returns one area per row, from whole-array counts:
+    a value's bucket is how many thresholds it reaches (searched with
+    sorted keys, several times faster), and reversed running sums of a
+    row's bucket counts are its exact integer counts >= each threshold."""
+    thresholds = np.unique(pos_vals)  # ascending
+    k = thresholds.size + 1
+
+    def rates(rows):
+        n_rows, n = rows.shape
+        buckets = thresholds.searchsorted(np.sort(rows, axis=1), side="right")
+        buckets += k * np.arange(n_rows)[:, None]
+        counts = np.bincount(buckets.ravel(), minlength=n_rows * k).reshape(n_rows, k)
+        ge = np.cumsum(counts[:, :0:-1], axis=1) / n
+        return np.hstack([np.zeros((n_rows, 1)), ge, np.ones((n_rows, 1))])
+
+    tp, fp = rates(pos_vals[None, :]), rates(neg_rows)
+    return np.trapezoid(np.broadcast_to(tp, fp.shape), fp, axis=1)
 
 
 def auc_judd(pred, fixations) -> float:
     """ROC area with fixated pixels as positives and every non-fixated
     pixel as a negative. A constant map scores exactly 0.5."""
-    m = _as_map(pred)
-    pts = _fix_points(fixations, m.shape)
-    pos = m[pts[:, 0], pts[:, 1]]
-    fixated = np.zeros(m.shape, dtype=bool)
-    fixated[pts[:, 0], pts[:, 1]] = True
-    neg = m[~fixated]
-    if neg.size == 0:
-        raise ContractError("auc_judd: every pixel is fixated, no negatives")
-    return _roc_area(pos, neg)
+    pos, neg = _pos_neg(pred, fixations, "auc_judd")
+    return float(_roc_areas(pos, neg[None, :])[0])
 
 
 def auc_borji(pred, fixations, n_splits: int = 100, rng_seed: int | None = None) -> float:
@@ -87,21 +106,11 @@ def auc_borji(pred, fixations, n_splits: int = 100, rng_seed: int | None = None)
         raise ContractError("auc_borji: rng_seed is required")
     if n_splits < 1:
         raise ContractError(f"auc_borji: n_splits must be >= 1, got {n_splits}")
-    m = _as_map(pred)
-    pts = _fix_points(fixations, m.shape)
-    pos = m[pts[:, 0], pts[:, 1]]
-    fixated = np.zeros(m.shape, dtype=bool)
-    fixated[pts[:, 0], pts[:, 1]] = True
-    neg_pool = m[~fixated]
-    if neg_pool.size == 0:
-        raise ContractError("auc_borji: every pixel is fixated, no negatives")
+    pos, neg_pool = _pos_neg(pred, fixations, "auc_borji")
+    # one (n_splits, n) draw is the same stream as n_splits draws of n
     rng = np.random.default_rng(rng_seed)
-    n = pos.size
-    areas = np.empty(n_splits, dtype=np.float64)
-    for s in range(n_splits):
-        neg = rng.choice(neg_pool, size=n, replace=True)
-        areas[s] = _roc_area(pos, neg)
-    return float(areas.mean())
+    negs = rng.choice(neg_pool, size=(n_splits, pos.size), replace=True)
+    return float(_roc_areas(pos, negs).mean())
 
 
 def nss(pred, fixations) -> float:
@@ -119,10 +128,7 @@ def nss(pred, fixations) -> float:
 
 def cc(pred, gt_map) -> float:
     """Pearson correlation between the two maps as flat vectors."""
-    p = _as_map(pred)
-    g = _as_map(gt_map)
-    if p.shape != g.shape:
-        raise DimensionError(f"cc: pred {p.shape} vs gt {g.shape} shape mismatch")
+    p, g = _pair(pred, gt_map, "cc")
     ps = p.std()
     gs = g.std()
     if ps == 0.0 or gs == 0.0:
@@ -134,10 +140,7 @@ def cc(pred, gt_map) -> float:
 
 def sim(pred, gt_map) -> float:
     """Histogram intersection of the two maps normalized to sum 1."""
-    p = _as_map(pred)
-    g = _as_map(gt_map)
-    if p.shape != g.shape:
-        raise DimensionError(f"sim: pred {p.shape} vs gt {g.shape} shape mismatch")
+    p, g = _pair(pred, gt_map, "sim")
     psum = p.sum()
     gsum = g.sum()
     if psum <= 0.0 or gsum <= 0.0:
@@ -149,10 +152,7 @@ def kld(pred, gt_map, eps: float = 1e-8) -> float:
     """KL divergence of GT from prediction; the same definition as the
     training loss (normalize by sum+eps, eps inside the log ratio), run in
     float64 for evaluation-grade precision."""
-    p = _as_map(pred)
-    g = _as_map(gt_map)
-    if p.shape != g.shape:
-        raise DimensionError(f"kld: pred {p.shape} vs gt {g.shape} shape mismatch")
+    p, g = _pair(pred, gt_map, "kld")
     pn = p / (p.sum() + eps)
     gn = g / (g.sum() + eps)
     return float((gn * np.log((gn + eps) / (pn + eps))).sum())

@@ -2,13 +2,15 @@
 scanpath NSS, and congruency.
 
 MultiMatch here works on normalized coordinates, so the screen diagonal is
-sqrt(2). Saccade vectors are the successive point differences. The two
-saccade sequences are aligned on the lattice (0,0)..(n_a-1, n_b-1) by the
-cheapest monotone path, where stepping onto node (i, j) costs the vector
-difference ||u_i - v_j|| (the start node is free: it is part of every
-path). Allowed steps are (1,1), (1,0), (0,1); exact cost ties prefer them
-in that order. Scores are 1 - mean(difference)/normalizer over the aligned
-pairs, clamped to [0, 1]:
+sqrt(2). Saccade vectors are the successive point differences, kept as
+[N-1, 2] start and displacement arrays; a saccade ends at start +
+displacement. The two saccade sequences are aligned on the lattice
+(0,0)..(n_a-1, n_b-1) by the cheapest monotone path, where stepping onto
+node (i, j) costs the vector difference ||u_i - v_j|| (the start node is
+free: it is part of every path). Allowed steps are (1,1), (1,0), (0,1);
+exact cost ties prefer them in that order. Scores are 1 -
+mean(difference)/normalizer over the aligned pairs, clamped to [0, 1];
+every aligned pair is scored in one array expression:
 
     shape      ||u - v||              / (2 sqrt(2))
     length     | |u| - |v| |          / sqrt(2)
@@ -17,7 +19,7 @@ pairs, clamped to [0, 1]:
 
 There is no scanpath simplification pre-pass. Zero-length saccades are
 legal inside a path (their angle is taken as 0); a path whose points are
-all identical has no usable geometry and raises ContractError.
+all exactly equal has no usable geometry and raises ContractError.
 """
 
 from __future__ import annotations
@@ -73,112 +75,91 @@ class MultiMatchScores:
 def _points(path) -> np.ndarray:
     if isinstance(path, Scanpath):
         return path.points.astype(np.float64)
-    pts = np.asarray(path, dtype=np.float64).reshape(-1, 2)
-    return pts
+    return np.asarray(path, dtype=np.float64).reshape(-1, 2)
 
 
-def to_saccades(path) -> list[SaccadeVector]:
-    """Successive differences of the fixation sequence. A path of N points
-    yields N-1 saccades; fewer than 2 points raise ContractError."""
+def _saccade_arrays(path) -> tuple[np.ndarray, np.ndarray]:
+    """[N-1, 2] start points and displacements of an N-point path; fewer
+    than 2 points raise ContractError."""
     pts = _points(path)
     if pts.shape[0] < 2:
         raise ContractError(
             f"to_saccades: need at least 2 points, got {pts.shape[0]}"
         )
-    out = []
-    for i in range(pts.shape[0] - 1):
-        d = pts[i + 1] - pts[i]
-        out.append(SaccadeVector(start=(float(pts[i][0]), float(pts[i][1])),
-                                 delta=(float(d[0]), float(d[1]))))
-    return out
+    return pts[:-1], np.diff(pts, axis=0)
 
 
-def _vector_array(saccades: list[SaccadeVector]) -> np.ndarray:
-    return np.array([s.delta for s in saccades], dtype=np.float64).reshape(-1, 2)
+def to_saccades(path) -> list[SaccadeVector]:
+    """Successive differences of the fixation sequence. A path of N points
+    yields N-1 saccades; fewer than 2 points raise ContractError."""
+    starts, deltas = _saccade_arrays(path)
+    return [SaccadeVector(start=tuple(s), delta=tuple(d))
+            for s, d in zip(starts.tolist(), deltas.tolist())]
 
 
-def align(a: list[SaccadeVector], b: list[SaccadeVector]) -> list[tuple[int, int]]:
+def align(a, b) -> list[tuple[int, int]]:
     """Cheapest monotone lattice path from (0, 0) to (len(a)-1, len(b)-1).
 
+    ``a`` and ``b`` are saccade lists or [N, 2] displacement arrays.
     Returns the visited (i, j) pairs including both endpoints. Implemented
-    as a backward DP on best remaining cost plus a greedy forward walk that
-    prefers (1,1) then (1,0) then (0,1) on exact ties.
+    as a backward DP on best remaining cost (python floats, row by row)
+    plus a greedy forward walk that prefers (1,1) then (1,0) then (0,1) on
+    exact ties.
     """
-    if not a or not b:
+    if not len(a) or not len(b):
         raise ContractError("align: empty saccade sequence")
-    ua = _vector_array(a)
-    vb = _vector_array(b)
-    na, nb = len(a), len(b)
-    cost = np.linalg.norm(ua[:, None, :] - vb[None, :, :], axis=2)
-
-    best = np.full((na, nb), np.inf)
-    best[na - 1, nb - 1] = 0.0
+    ua, vb = (np.array(s if isinstance(s, np.ndarray) else [v.delta for v in s],
+                       dtype=np.float64).reshape(-1, 2) for s in (a, b))
+    na, nb = len(ua), len(vb)
+    cost = np.linalg.norm(ua[:, None, :] - vb[None, :, :], axis=2).tolist()
+    # to_go[i][j]: cost of stepping onto (i, j) plus the cheapest rest of
+    # the path from there; the extra row and column of inf close the lattice
+    inf = float("inf")
+    to_go = [[inf] * (nb + 1) for _ in range(na + 1)]
     for i in range(na - 1, -1, -1):
+        row, below = to_go[i], to_go[i + 1]
         for j in range(nb - 1, -1, -1):
-            if i == na - 1 and j == nb - 1:
-                continue
-            b_ij = np.inf
-            for di, dj in _STEPS:
-                ni, nj = i + di, j + dj
-                if ni < na and nj < nb:
-                    c = cost[ni, nj] + best[ni, nj]
-                    if c < b_ij:
-                        b_ij = c
-            best[i, j] = b_ij
+            rest = min(below[j + 1], below[j], row[j + 1])
+            row[j] = cost[i][j] + (rest if rest < inf else 0.0)
 
     path = [(0, 0)]
-    i = j = 0
-    while (i, j) != (na - 1, nb - 1):
-        pick = None
-        pick_cost = np.inf
-        for di, dj in _STEPS:
-            ni, nj = i + di, j + dj
-            if ni < na and nj < nb:
-                c = cost[ni, nj] + best[ni, nj]
-                if c < pick_cost:
-                    pick_cost = c
-                    pick = (ni, nj)
-        i, j = pick
-        path.append((i, j))
+    while path[-1] != (na - 1, nb - 1):
+        i, j = path[-1]
+        di, dj = min(_STEPS, key=lambda d: to_go[i + d[0]][j + d[1]])
+        path.append((i + di, j + dj))
     return path
 
 
 def multimatch(pred, gt) -> MultiMatchScores:
     """First four MultiMatch criteria over the aligned saccade pairs.
 
-    A path whose points all coincide has no usable geometry and raises
-    ContractError."""
+    A path whose points are all exactly equal has no usable geometry and
+    raises ContractError."""
+    tracks = []
     for name, p in (("pred", pred), ("gt", gt)):
         pts = _points(p)
-        if pts.shape[0] >= 2 and np.allclose(pts, pts[0], atol=0.0):
+        if pts.shape[0] >= 2 and (pts == pts[0]).all():
             raise ContractError(
                 f"multimatch: {name} path has all points identical, no extent"
             )
-    sa = to_saccades(pred)
-    sb = to_saccades(gt)
-    pairs = align(sa, sb)
+        tracks.append(_saccade_arrays(pts))
+    (start_a, da), (start_b, db) = tracks
+    ia, ib = np.array(align(da, db)).T
 
-    vec_d = []
-    len_d = []
-    ang_d = []
-    pos_d = []
-    for i, j in pairs:
-        u, v = sa[i], sb[j]
-        du = np.subtract(u.delta, v.delta)
-        vec_d.append(float(np.hypot(du[0], du[1])))
-        len_d.append(abs(u.amplitude - v.amplitude))
-        diff = abs(u.angle - v.angle) % (2.0 * np.pi)
-        ang_d.append(diff if diff <= np.pi else 2.0 * np.pi - diff)
-        pos_d.append(float(np.hypot(u.end[0] - v.end[0], u.end[1] - v.end[1])))
+    u, v = da[ia], db[ib]
+    ang_u = np.arctan2(u[:, 1], u[:, 0])  # the zero vector maps to 0
+    ang_v = np.arctan2(v[:, 1], v[:, 0])
+    ang = np.abs(ang_u - ang_v) % (2.0 * np.pi)
+    end = (start_a + da)[ia] - (start_b + db)[ib]
 
     def score(diffs, norm):
         return float(np.clip(1.0 - np.mean(diffs) / norm, 0.0, 1.0))
 
     return MultiMatchScores(
-        shape=score(vec_d, 2.0 * DIAG),
-        direction=score(ang_d, np.pi),
-        length=score(len_d, DIAG),
-        position=score(pos_d, DIAG),
+        shape=score(np.hypot(*(u - v).T), 2.0 * DIAG),
+        direction=score(np.where(ang <= np.pi, ang, 2.0 * np.pi - ang), np.pi),
+        length=score(np.abs(np.hypot(*u.T) - np.hypot(*v.T)), DIAG),
+        position=score(np.hypot(*end.T), DIAG),
     )
 
 

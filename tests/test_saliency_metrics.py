@@ -51,6 +51,41 @@ def auc_borji_oracle(m, pts, n_splits, seed):
     return float(np.mean(areas))
 
 
+def roc_loop(pos_vals, neg_vals):
+    """The threshold-by-threshold Judd sweep, kept as a bit-exact oracle
+    for the array sweep: one pair of reductions per threshold."""
+    thresholds = np.unique(pos_vals)[::-1]
+    tp = [0.0]
+    fp = [0.0]
+    for t in thresholds:
+        tp.append(float((pos_vals >= t).mean()))
+        fp.append(float((neg_vals >= t).mean()))
+    tp.append(1.0)
+    fp.append(1.0)
+    return float(np.trapezoid(tp, fp))
+
+
+def split_pos_neg(m, pts):
+    m = np.asarray(m, dtype=np.float64)
+    fixated = np.zeros(m.shape, dtype=bool)
+    fixated[pts[:, 0], pts[:, 1]] = True
+    return m[pts[:, 0], pts[:, 1]], m[~fixated]
+
+
+def auc_judd_loop(m, pts):
+    return roc_loop(*split_pos_neg(m, pts))
+
+
+def auc_borji_loop(m, pts, n_splits, seed):
+    """One draw and one loop sweep per split, as a bit-exact oracle."""
+    pos, pool = split_pos_neg(m, pts)
+    rng = np.random.default_rng(seed)
+    areas = np.empty(n_splits, dtype=np.float64)
+    for s in range(n_splits):
+        areas[s] = roc_loop(pos, rng.choice(pool, size=pos.size, replace=True))
+    return float(areas.mean())
+
+
 def cc_oracle(p, g):
     p = np.asarray(p, dtype=np.float64).reshape(-1)
     g = np.asarray(g, dtype=np.float64).reshape(-1)
@@ -157,6 +192,57 @@ def test_auc_borji_requires_seed(rng):
     m = rng.uniform(size=(4, 4))
     with pytest.raises(ContractError, match="rng_seed"):
         auc_borji(m, np.array([[0, 0]]))
+
+
+# -- bit-exact against the loop sweeps -------------------------------------------
+
+def _case(rng, h, w, n, levels=255):
+    """A map quantized to /levels (so values tie) and n fixations that
+    may repeat."""
+    m = np.rint(rng.uniform(size=(h, w)) * levels) / levels
+    pts = np.stack([rng.integers(0, h, n), rng.integers(0, w, n)], axis=1)
+    return m, pts
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 79, 80])
+def test_auc_judd_bit_exact_against_loop(rng, n):
+    for levels in (255, 4):
+        m, pts = _case(rng, 24, 32, n, levels)
+        assert auc_judd(m, pts) == auc_judd_loop(m, pts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 79, 80])
+@pytest.mark.parametrize("n_splits", [1, 20, 100])
+def test_auc_borji_bit_exact_against_loop(rng, n, n_splits):
+    for levels in (255, 4):
+        m, pts = _case(rng, 24, 32, n, levels)
+        seed = int(rng.integers(1 << 31))
+        assert auc_borji(m, pts, n_splits=n_splits, rng_seed=seed) == \
+            auc_borji_loop(m, pts, n_splits, seed)
+
+
+def test_auc_bit_exact_with_duplicated_fixations(rng):
+    m, pts = _case(rng, 16, 16, 12)
+    pts = np.concatenate([pts, pts[:5], pts[:1]])  # repeats count twice
+    assert auc_judd(m, pts) == auc_judd_loop(m, pts)
+    assert auc_borji(m, pts, n_splits=30, rng_seed=4) == auc_borji_loop(m, pts, 30, 4)
+
+
+def test_auc_bit_exact_at_benchmark_size(rng):
+    # a 256x192 ground-truth grid, 80 fixations, float32 map as read from PGM
+    m, pts = _case(rng, 192, 256, 80)
+    m = m.astype(np.float32)
+    assert auc_judd(m, pts) == auc_judd_loop(m, pts)
+    assert auc_borji(m, pts, n_splits=100, rng_seed=9) == auc_borji_loop(m, pts, 100, 9)
+
+
+@pytest.mark.parametrize("n", [79, 80])
+def test_borji_block_draw_is_the_per_split_stream(n):
+    pool = np.arange(1000, dtype=np.float64)
+    block = np.random.default_rng(1234).choice(pool, size=(100, n), replace=True)
+    rng = np.random.default_rng(1234)
+    rows = [rng.choice(pool, size=n, replace=True) for _ in range(100)]
+    assert np.array_equal(block, np.stack(rows))
 
 
 # -- nss ----------------------------------------------------------------------------

@@ -57,6 +57,28 @@ def path_cost(ua, vb, path):
     return sum(float(np.linalg.norm(np.subtract(ua[i], vb[j]))) for i, j in path[1:])
 
 
+def multimatch_loop(pred, gt):
+    """MultiMatch scored one aligned pair at a time on SaccadeVector
+    objects, kept as a bit-exact oracle for the array version."""
+    sa = to_saccades(pred)
+    sb = to_saccades(gt)
+    vec_d, len_d, ang_d, pos_d = [], [], [], []
+    for i, j in align(sa, sb):
+        u, v = sa[i], sb[j]
+        du = np.subtract(u.delta, v.delta)
+        vec_d.append(float(np.hypot(du[0], du[1])))
+        len_d.append(abs(u.amplitude - v.amplitude))
+        diff = abs(u.angle - v.angle) % (2.0 * np.pi)
+        ang_d.append(diff if diff <= np.pi else 2.0 * np.pi - diff)
+        pos_d.append(float(np.hypot(u.end[0] - v.end[0], u.end[1] - v.end[1])))
+
+    def score(diffs, norm):
+        return float(np.clip(1.0 - np.mean(diffs) / norm, 0.0, 1.0))
+
+    return (score(vec_d, 2.0 * DIAG), score(ang_d, np.pi),
+            score(len_d, DIAG), score(pos_d, DIAG))
+
+
 def _random_path(rng, n=8):
     return rng.uniform(0.05, 0.95, size=(n, 2)).astype(np.float64)
 
@@ -135,6 +157,22 @@ def test_align_matches_exhaustive_oracle(rng):
         want, want_cost = align_oracle(ua, vb)
         assert path_cost(ua, vb, got) == pytest.approx(want_cost, abs=1e-12)
         assert got == want, trial
+
+
+def test_align_exact_ties_follow_step_preference(rng):
+    # axis-aligned whole-number saccades have whole-number costs, so path
+    # costs tie exactly and only the (1,1), (1,0), (0,1) order decides
+    def x_axis(xs):
+        return [(float(x), 0.0) for x in xs]
+
+    ua, vb = x_axis([1, 2, 0]), x_axis([1, 0, 2])
+    assert align(np.array(ua), np.array(vb)) == [(0, 0), (1, 0), (2, 1), (2, 2)]
+    ua = x_axis([1, 0])
+    assert align(np.array(ua), np.array(x_axis([0, 0]))) == [(0, 0), (1, 1)]
+    for _ in range(200):
+        ua = x_axis(rng.integers(0, 3, int(rng.integers(2, 5))))
+        vb = x_axis(rng.integers(0, 3, int(rng.integers(2, 5))))
+        assert align(np.array(ua), np.array(vb)) == align_oracle(ua, vb)[0]
 
 
 def test_align_output_is_monotone(rng):
@@ -234,6 +272,57 @@ def test_multimatch_scores_bounded(seed, na, nb):
     for v in s.as_tuple() + (s.mean,):
         assert 0.0 <= v <= 1.0
     assert s.mean == pytest.approx(sum(s.as_tuple()) / 4.0, abs=1e-15)
+
+
+def test_multimatch_bit_exact_against_pair_loop(rng):
+    for trial in range(200):
+        a = _random_path(rng, int(rng.integers(2, 21)))
+        b = _random_path(rng, int(rng.integers(2, 21)))
+        if trial % 4 == 0:  # coarse grid: equal costs tie in the alignment
+            a, b = np.rint(a * 8) / 8, np.rint(b * 8) / 8
+        assert multimatch(a, b).as_tuple() == multimatch_loop(a, b), trial
+
+
+def test_multimatch_bit_exact_single_saccade(rng):
+    one = _random_path(rng, 2)
+    for other in (_random_path(rng, 2), _random_path(rng, 9)):
+        assert multimatch(one, other).as_tuple() == multimatch_loop(one, other)
+        assert multimatch(other, one).as_tuple() == multimatch_loop(other, one)
+
+
+def test_multimatch_bit_exact_with_zero_length_saccades(rng):
+    a = _random_path(rng, 8)
+    a[3] = a[2]  # a saccade of length 0, angle 0
+    a[6] = a[5]
+    b = _random_path(rng, 6)
+    b[1] = b[0]
+    assert multimatch(a, b).as_tuple() == multimatch_loop(a, b)
+    assert multimatch(a, a.copy()).as_tuple() == (1.0, 1.0, 1.0, 1.0)
+
+
+def test_multimatch_bit_exact_on_scanpath_objects(rng):
+    a = Scanpath(rng.uniform(0.1, 0.9, size=(12, 2)).astype(np.float32))
+    b = Scanpath(rng.uniform(0.1, 0.9, size=(16, 2)).astype(np.float32))
+    assert multimatch(a, b).as_tuple() == multimatch_loop(a, b)
+
+
+def test_align_takes_arrays_or_saccade_lists(rng):
+    for _ in range(10):
+        pa, pb = _random_path(rng, 7), _random_path(rng, 11)
+        assert align(np.diff(pa, axis=0), np.diff(pb, axis=0)) == \
+            align(to_saccades(pa), to_saccades(pb))
+
+
+def test_multimatch_identical_guard_is_exact_equality(rng):
+    # points that differ at all have extent, wherever the path sits
+    good = _random_path(rng, 8)
+    for near in ([[0.5, 0.5], [0.500001, 0.5]], [[0.0, 0.0], [1e-9, 0.0]]):
+        s = multimatch(np.array(near), good)
+        assert all(0.0 <= v <= 1.0 for v in s.as_tuple())
+    with pytest.raises(ContractError, match="identical"):
+        multimatch(np.array([[0.5, 0.5], [0.5, 0.5]]), good)
+    with pytest.raises(ContractError, match="identical"):
+        multimatch(good, np.zeros((3, 2)))
 
 
 def test_multimatch_rejects_degenerate_paths(rng):
