@@ -243,10 +243,6 @@ class SalypathModel:
     def head_parameters(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.parameters().items() if k.startswith("head.")}
 
-    def zero_grad(self) -> None:
-        for p in self.parameters().values():
-            p.grad = None
-
     # -- forward pieces ---------------------------------------------------
 
     def _check_input(self, x: Tensor) -> None:

@@ -3,8 +3,10 @@
 Phase 1 fits encoder + attention + decoder under the composite saliency
 loss; the scanpath head is untouched. Phase 2 fits the scanpath head under
 the pointwise MSE loss, with the trunk frozen by default (``freeze_encoder_phase2``)
-so bottleneck features stay put. An alternating joint mode exists behind
-``joint_alternating`` for ablation.
+so bottleneck features stay put. A frozen phase 2 therefore computes each
+sample's attended bottleneck once, when its first epoch starts, and every
+batch of every epoch reads its rows from that array. An alternating joint
+mode exists behind ``joint_alternating`` for ablation.
 
 One epoch loop serves both phases and both schedules. ``train()`` builds
 each phase's state once (optimizer, shuffling Generator, report), so in
@@ -233,18 +235,25 @@ class _Phase:
     next lives here: its samples and parameters, its optimizer, its
     shuffling Generator and its report. ``run_epoch`` is the only epoch
     loop, so both schedules carry that state the same way.
+
+    A frozen phase 2 also keeps the attended bottleneck of its samples,
+    computed once when its first epoch starts (``train()`` builds both
+    phases before phase 1 trains the trunk, so not here).
     """
 
     def __init__(self, model: SalypathModel, samples: list[_Sample],
                  config: TrainConfig, phase: int, checkpoint_path=None):
         self.model, self.config, self.phase = model, config, phase
         self.checkpoint_path = checkpoint_path
+        # alternating mode trains the trunk on both objectives
+        self.freeze = (phase == 2 and config.freeze_encoder_phase2
+                       and not config.joint_alternating)
+        # [N, C, h, w] float32, row k for self.samples[k]; frozen phase only
+        self.bott: np.ndarray | None = None
         if phase == 1:
             self.params = model.trunk_parameters()
             self.base_lr, self.epochs = config.phase1_lr, config.phase1_epochs
         else:
-            # alternating mode trains the trunk on both objectives
-            self.freeze = config.freeze_encoder_phase2 and not config.joint_alternating
             if self.freeze:
                 self.params = model.head_parameters()
             else:
@@ -267,38 +276,48 @@ class _Phase:
         self.report = TrainReport(phase=phase, epoch_losses=[], lrs=[],
                                   wall_time_s=0.0, n_samples=len(samples))
 
-    def _saliency_batch_loss(self, batch: list[_Sample]) -> Tensor:
+    def _images(self, idx) -> Tensor:
+        return Tensor(np.stack([self.samples[k].image for k in idx]))
+
+    def _attended_bottlenecks(self) -> np.ndarray:
+        """The frozen trunk's attended bottleneck of every sample, in
+        sample order, one batch at a time."""
+        model, bs, n = self.model, self.config.batch_size, len(self.samples)
+        with no_grad():
+            chunks = [model.attend(model.encode(self._images(range(n)[lo:lo + bs]))).data
+                      for lo in range(0, n, bs)]
+        return np.concatenate(chunks)
+
+    def _saliency_batch_loss(self, idx) -> Tensor:
         model = self.model
-        x = Tensor(np.stack([s.image for s in batch]))
-        bott = model.attend(model.encode(x))
+        bott = model.attend(model.encode(self._images(idx)))
         maps = model.decode(bott)
         total = None
-        for i, s in enumerate(batch):
+        for i, k in enumerate(idx):
+            s = self.samples[k]
             li = saliency_loss(maps[i, 0], s.gt_map, s.fixations,
                                weights=self.config.loss_weights)
             total = li if total is None else total + li
-        return total / np.float32(len(batch))
+        return total / np.float32(len(idx))
 
-    def _scanpath_batch_loss(self, batch: list[_Sample]) -> Tensor:
+    def _scanpath_batch_loss(self, idx) -> Tensor:
         model = self.model
-        x = Tensor(np.stack([s.image for s in batch]))
         if self.freeze:
-            with no_grad():
-                bott = model.attend(model.encode(x))
-            bott = bott.detach()
+            bott = Tensor(self.bott[idx])
         else:
-            bott = model.attend(model.encode(x))
+            bott = model.attend(model.encode(self._images(idx)))
         feats = model.scanpath_features(bott)
         points = soft_argmax(feats, model.config.beta)
         total = None
-        for i, s in enumerate(batch):
+        for i, k in enumerate(idx):
+            s = self.samples[k]
             per_gt = None
             for gt_path in s.paths:
                 lg = scanpath_loss(points[i], gt_path, divisor=self.config.divisor)
                 per_gt = lg if per_gt is None else per_gt + lg
             li = per_gt / np.float32(len(s.paths))
             total = li if total is None else total + li
-        return total / np.float32(len(batch))
+        return total / np.float32(len(idx))
 
     def run_epoch(self, epoch: int) -> None:
         """Shuffle, take one optimizer step per batch, record the epoch's
@@ -310,26 +329,28 @@ class _Phase:
         order = self.rng.permutation(len(self.samples))
         bs = self.config.batch_size
         epoch_loss = 0.0
-        for lo in range(0, len(self.samples), bs):
-            batch = [self.samples[k] for k in order[lo:lo + bs]]
-            for p in self.params.values():
-                p.grad = None
-            try:
+        try:
+            if self.freeze and self.bott is None:
+                self.bott = self._attended_bottlenecks()
+            for lo in range(0, len(self.samples), bs):
+                idx = order[lo:lo + bs]
+                for p in self.params.values():
+                    p.grad = None
                 # non-finite activations surface in the forward pass before
                 # the loss does
-                loss = (self._saliency_batch_loss(batch) if self.phase == 1
-                        else self._scanpath_batch_loss(batch))
+                loss = (self._saliency_batch_loss(idx) if self.phase == 1
+                        else self._scanpath_batch_loss(idx))
                 val = loss.item()
                 if not np.isfinite(val):
                     raise NumericError(f"loss went non-finite ({val})")
                 loss.backward()
                 self.optimizer.step(self.params, lr)
-            except NumericError as e:
-                report.wall_time_s += time.perf_counter() - start
-                raise TrainingDiverged(
-                    f"phase {self.phase} epoch {epoch}: {e}", report=report
-                ) from e
-            epoch_loss += val * len(batch)
+                epoch_loss += val * len(idx)
+        except NumericError as e:
+            report.wall_time_s += time.perf_counter() - start
+            raise TrainingDiverged(
+                f"phase {self.phase} epoch {epoch}: {e}", report=report
+            ) from e
         report.epoch_losses.append(epoch_loss / len(self.samples))
         if self.checkpoint_path is not None:
             self.model.save(self.checkpoint_path)

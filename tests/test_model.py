@@ -396,7 +396,7 @@ def test_end_to_end_gradient_reaches_encoder(rng):
     model.att.gamma.data[...] = 0.3
     x = Tensor(rng.uniform(size=(2, 3, 8, 8)).astype(np.float32))
     target = Tensor(rng.uniform(size=(2, 8, 2)).astype(np.float32))
-    model.zero_grad()
+    assert all(p.grad is None for p in model.parameters().values())
     _, pts = model.forward_tensors(x)
     d = pts - target
     (d * d).sum().backward()
@@ -415,7 +415,7 @@ def test_fd_spot_checks_on_encoder_weights():
         d = pts - target
         return (d * d).sum()
 
-    model.zero_grad()
+    assert all(p.grad is None for p in model.parameters().values())
     loss().backward()
     eps = 1e-3
     checked = 0

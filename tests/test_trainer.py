@@ -9,6 +9,7 @@ each case stays well under a second.
 import dataclasses
 import gc
 import json
+import math
 import warnings
 
 import numpy as np
@@ -18,8 +19,9 @@ from salypath import trainer
 from salypath.checkpoint import load_checkpoint
 from salypath.data import generate_synthetic, load_manifest, save_manifest
 from salypath.errors import ConfigError, ContractError, NumericError, TrainingDiverged
-from salypath.model import ModelConfig, SalypathModel
-from salypath.tensor import Tensor
+from salypath.losses import scanpath_loss
+from salypath.model import ModelConfig, SalypathModel, soft_argmax
+from salypath.tensor import Tensor, no_grad
 from salypath.trainer import Adam, SGD, TrainConfig, TrainReport, lr_schedule, train
 
 TINY = dict(
@@ -383,3 +385,107 @@ class TestFullTrain:
         rounds = [maps[k:k + 8] for k in range(0, len(maps), 8)]
         assert len(rounds) == 3 and sorted(rounds[0]) == sorted(rounds[1])
         assert rounds[1] != rounds[0]
+
+
+# -- frozen phase 2: the attended bottleneck is computed once -------------------
+
+class PerBatchFrozenPhase(trainer._Phase):
+    """Oracle: the frozen phase-2 loss as it was before the bottleneck
+    array, running the frozen trunk under no_grad on every batch."""
+
+    def _scanpath_batch_loss(self, idx) -> Tensor:
+        model = self.model
+        x = Tensor(np.stack([self.samples[k].image for k in idx]))
+        assert self.freeze
+        with no_grad():
+            bott = model.attend(model.encode(x))
+        bott = bott.detach()
+        feats = model.scanpath_features(bott)
+        points = soft_argmax(feats, model.config.beta)
+        total = None
+        for i, k in enumerate(idx):
+            s = self.samples[k]
+            per_gt = None
+            for gt_path in s.paths:
+                lg = scanpath_loss(points[i], gt_path, divisor=self.config.divisor)
+                per_gt = lg if per_gt is None else per_gt + lg
+            li = per_gt / np.float32(len(s.paths))
+            total = li if total is None else total + li
+        return total / np.float32(len(idx))
+
+
+def count_encode(monkeypatch) -> list[int]:
+    """Patch SalypathModel.encode to record the batch size of each call."""
+    sizes = []
+    encode = SalypathModel.encode
+
+    def counted(self, x):
+        sizes.append(x.shape[0])
+        return encode(self, x)
+
+    monkeypatch.setattr(SalypathModel, "encode", counted)
+    return sizes
+
+
+def raw_bytes(params: dict) -> dict:
+    return {k: v.data.tobytes() for k, v in params.items()}
+
+
+class TestFrozenBottleneck:
+    @pytest.mark.parametrize("bs", [3, 4, 8])
+    def test_frozen_phase_runs_trunk_once(self, dataset, monkeypatch, bs):
+        sizes = count_encode(monkeypatch)
+        cfg = TrainConfig(phase2_epochs=3, phase2_lr=1e-3, batch_size=bs, seed=0)
+        rep = train_only(2, tiny_model(), dataset, cfg)
+        assert len(rep.epoch_losses) == 3
+        n = rep.n_samples
+        # one pass in sample order, in chunks of batch_size
+        assert sizes == [min(bs, n - lo) for lo in range(0, n, bs)]
+
+    @pytest.mark.parametrize("mode", [dict(freeze_encoder_phase2=False),
+                                      dict(joint_alternating=True)])
+    def test_trainable_trunk_runs_once_per_batch(self, dataset, monkeypatch, mode):
+        sizes = count_encode(monkeypatch)
+        cfg = TrainConfig(phase1_epochs=0, phase2_epochs=3, phase2_lr=1e-3,
+                          batch_size=3, seed=0, **mode)
+        rep = train(tiny_model(), dataset, cfg)[1]
+        assert len(sizes) == 3 * math.ceil(rep.n_samples / 3)
+
+    @pytest.mark.parametrize("bs", [3, 8])
+    def test_sequential_equals_phase_by_phase(self, dataset, bs):
+        # phase 2 must see the trunk that phase 1 left, not the one that
+        # existed when train() set the phases up
+        cfg = TrainConfig(phase1_epochs=2, phase2_epochs=3, phase1_lr=1e-3,
+                          phase2_lr=1e-3, batch_size=bs, seed=0)
+        whole = tiny_model()
+        r1, r2 = train(whole, dataset, cfg)
+        split = tiny_model()
+        s1 = train(split, dataset, dataclasses.replace(cfg, phase2_epochs=0))[0]
+        s2 = train(split, dataset, dataclasses.replace(cfg, phase1_epochs=0))[1]
+        assert r1.epoch_losses == s1.epoch_losses
+        assert (r2.epoch_losses, r2.lrs, r2.n_samples) == (s2.epoch_losses, s2.lrs,
+                                                           s2.n_samples)
+        assert_bitwise_equal(snapshot(whole.parameters()), snapshot(split.parameters()))
+
+    @pytest.mark.parametrize("bs", [3, 4, 8])
+    def test_matches_per_batch_forward_bitwise(self, dataset, monkeypatch, bs):
+        cfg = TrainConfig(phase1_epochs=2, phase2_epochs=3, phase1_lr=1e-3,
+                          phase2_lr=1e-3, batch_size=bs, seed=2)
+        cached = tiny_model()
+        reports = train(cached, dataset, cfg)
+        monkeypatch.setattr(trainer, "_Phase", PerBatchFrozenPhase)
+        oracle = tiny_model()
+        expected = train(oracle, dataset, cfg)
+        for got, want in zip(reports, expected):
+            assert (got.epoch_losses, got.lrs) == (want.epoch_losses, want.lrs)
+        assert_bitwise_equal(snapshot(cached.parameters()), snapshot(oracle.parameters()))
+
+    def test_non_finite_trunk_still_diverges(self, dataset):
+        model = tiny_model()
+        model.parameters()["enc.b0.c0.weight"].data[0, 0, 0, 0] = np.nan
+        trunk_before = raw_bytes(model.trunk_parameters())
+        cfg = TrainConfig(phase2_epochs=3, phase2_lr=1e-3, batch_size=4, seed=0)
+        with pytest.raises(TrainingDiverged, match="phase 2 epoch 0") as exc:
+            train_only(2, model, dataset, cfg)
+        assert exc.value.report.epoch_losses == []
+        assert raw_bytes(model.trunk_parameters()) == trunk_before
