@@ -9,7 +9,7 @@ graphs by hand and checks the gradients against central differences.
 
 import numpy as np
 
-from salypath import ConvLayer, Tensor, conv2d, maxpool2, relu, sigmoid
+from salypath import ConvLayer, Tensor, conv2d, maxpool2
 
 rng = np.random.default_rng(0)
 
@@ -18,7 +18,7 @@ rng = np.random.default_rng(0)
 x = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
 w = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
 
-loss = (sigmoid(x * w) ** 2).mean()
+loss = ((x * w).sigmoid() ** 2).mean()
 loss.backward()
 print("loss        =", loss.item())
 print("x.grad shape:", x.grad.shape, " w.grad shape:", w.grad.shape)
@@ -27,7 +27,7 @@ print("x.grad shape:", x.grad.shape, " w.grad shape:", w.grad.shape)
 # float32 forward pass agree to ~1e-4 relative; good enough to catch any
 # real chain-rule mistake.
 def f():
-    return (sigmoid(x * w) ** 2).mean().item()
+    return ((x * w).sigmoid() ** 2).mean().item()
 
 eps = 1e-3
 orig = float(w.data[1, 0])
@@ -49,7 +49,7 @@ print(f"w.grad[1,0] analytic {w.grad[1, 0]:+.6f}  numeric {numeric:+.6f}")
 # leaves .grad on intermediates as well as leaves.
 img = Tensor(rng.normal(size=(1, 3, 8, 8)).astype(np.float32), requires_grad=True)
 layer = ConvLayer.init(3, 4, 3, rng, padding=1)
-pre = relu(conv2d(img, layer))
+pre = conv2d(img, layer).relu()
 pooled = maxpool2(pre)
 print("\nconv->relu->pool:", img.shape, "->", pooled.shape)
 

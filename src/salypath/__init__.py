@@ -50,13 +50,10 @@ from .scanpath_metrics import (
 from .tensor import (
     ConvLayer,
     Tensor,
-    backward,
     concat,
     conv2d,
     maxpool2,
     no_grad,
-    relu,
-    sigmoid,
     softmax2d,
     upsample2,
 )

@@ -15,12 +15,12 @@ Design notes, load-bearing:
   row-major order (numpy argmax convention). Constant windows therefore send
   their whole gradient to the top-left cell.
 * ``no_grad()`` disables graph construction globally; use it for inference.
-* ``conv2d`` is shift-and-GEMM over a channel-major flat grid: the input is
-  padded once into ``[C, B*Hp*Wp + tail]`` and each kernel tap is one GEMM
-  with a contiguous shifted slice of that grid, accumulated into the
-  output. There is no im2col buffer and no col2im loop; the backward pass
-  reads the same slices. Every stride, kernel size and padding takes this
-  one path (stride > 1 subsamples the stride-1 grid).
+* ``conv2d`` is shift-and-GEMM over a channel-major flat grid: each kernel
+  tap is one GEMM with a contiguous shifted slice of the grid, accumulated
+  into the output, and the backward pass reads the same slices. The image
+  starts ``lead`` columns in, and each row and plane is followed by one
+  zero gap, shared by the padding on both of its sides. Every stride, kernel
+  size and padding takes this one path (stride > 1 subsamples the grid).
 """
 
 from __future__ import annotations
@@ -277,28 +277,17 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Max reduction. Ties route the gradient to the first maximal index
-        in row-major order."""
+        in row-major order. ``axis=None`` reduces over every axis."""
         if axis is None:
-            flat = self.data.reshape(-1)
-            idx = int(np.argmax(flat))
-            out_data = np.array(flat[idx], dtype=np.float32)
-            if keepdims:
-                out_data = out_data.reshape((1,) * self.ndim)
-            shape = self.shape
-            def vjp(g):
-                dx = np.zeros(flat.shape, dtype=np.float32)
-                dx[idx] = np.asarray(g, dtype=np.float32).reshape(())
-                return (dx.reshape(shape),)
-            return self._track(out_data, (self,), vjp)
-
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        axes = tuple(a % self.ndim for a in axes)
+            axes = tuple(range(self.ndim))
+        else:
+            axes = (axis,) if isinstance(axis, int) else tuple(axis)
+            axes = tuple(a % self.ndim for a in axes)
         kept = tuple(i for i in range(self.ndim) if i not in axes)
         perm = kept + axes
         moved = self.data.transpose(perm)
         kept_shape = moved.shape[: len(kept)]
-        red = int(np.prod([moved.shape[len(kept) + i] for i in range(len(axes))], dtype=np.int64)) if axes else 1
-        flat = moved.reshape(kept_shape + (red,))
+        flat = moved.reshape(kept_shape + (int(np.prod(moved.shape[len(kept):])),))
         idx = np.argmax(flat, axis=-1)
         out_flat = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
         if keepdims:
@@ -364,20 +353,6 @@ def _spread(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.n
     elif axis is None and not keepdims:
         g = g.reshape((1,) * len(shape))
     return np.broadcast_to(g, shape).astype(np.float32, copy=False)
-
-
-# -- free-function spellings used all over the package -------------------
-
-def relu(x: Tensor) -> Tensor:
-    return _coerce(x).relu()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return _coerce(x).sigmoid()
-
-
-def backward(loss: Tensor) -> None:
-    loss.backward()
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -497,22 +472,29 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
     x: [B, C, H, W]. Output: [B, out_ch, OH, OW] with
     OH = (H + 2p - kh)//s + 1.
 
-    The input is zero-padded once into a channel-major flat grid
-    ``xf[C, B*Hp*Wp + tail]``: image b's padded plane starts at column
-    ``b*Hp*Wp`` and ``tail = (kh-1)*Wp + kw-1`` zero columns close it. At
-    stride 1, the output at grid column q is the sum over taps (ki, kj) of
+    The input is written once into a channel-major flat grid of zeros,
+    ``xf[C, B*Hp*Wp + max(lead, tail)]``: rows are ``Wp = W + gw`` columns
+    wide, planes ``Hp = H + gh`` rows tall, and pixel (b, i, j) sits at
+    column ``lead + b*Hp*Wp + i*Wp + j`` with ``lead = p*Wp + p`` and
+    ``tail = (kh-1)*Wp + kw-1``. At stride 1, the output at grid column
+    ``q = b*Hp*Wp + i*Wp + j`` is the sum over taps (ki, kj) of
     ``W[:, :, ki, kj] @ xf[:, q + ki*Wp + kj]``, so each tap is one GEMM
     of the weight slice with a contiguous shifted slice of the grid, and
-    no im2col buffer exists. Grid columns past an image's last valid row
-    or column wrap into the next row or plane; they are computed and
-    cropped. Stride s > 1 keeps every s-th row and column of the stride-1
-    grid.
+    no im2col buffer exists.
+
+    The gaps are ``gw = max(p, 2p - kw + 1)`` and ``gh = max(p, 2p - kh + 1)``:
+    a read up to p past any edge of a row or plane lands in the zero gap it
+    shares with its neighbour, or in the grid's leading or trailing zeros,
+    where a padded image needs 2p (a 4x4 plane takes 25 columns, not 36).
+    The second term keeps a row as wide as the stride-1 output when p > k-1.
+    Grid columns past an image's last valid output row or column are
+    computed and cropped. Stride s > 1 keeps every s-th row and column.
 
     Backward reuses the slices: ``dW[:, :, ki, kj] = gf @ slice.T``, and
-    ``W[:, :, ki, kj].T @ gf`` accumulates into the flat padded input
-    gradient at the tap's offset, which is then cropped. gf is the output
-    gradient scattered onto the grid, zero in the cropped columns. The
-    input gradient is skipped when nothing upstream needs it.
+    ``W[:, :, ki, kj].T @ gf`` accumulates into the flat input gradient at
+    the tap's offset, which is then cropped. gf is the output gradient
+    scattered onto the grid, zero in the cropped columns. The input
+    gradient is skipped when nothing upstream needs it.
 
     The grid is processed in chunks of whole planes, so the taps of one
     chunk run out of cache. The chunks are fixed by the shapes and run in
@@ -532,20 +514,21 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
         raise DimensionError(
             f"conv2d: padded input {h + 2 * p}x{w + 2 * p} smaller than kernel {kh}x{kw}"
         )
-    hp, wp = h + 2 * p, w + 2 * p
+    hp, wp = h + max(p, 2 * p - kh + 1), w + max(p, 2 * p - kw + 1)
     plane = hp * wp
     n = b * plane
-    tail = (kh - 1) * wp + kw - 1
+    lead, tail = p * wp + p, (kh - 1) * wp + kw - 1
     offsets = [ki * wp + kj for ki in range(kh) for kj in range(kw)]
     # [kh*kw, out_ch, in_ch]: tap t's weight slice, contiguous for the GEMM
     wt = np.ascontiguousarray(layer.weight.data.transpose(2, 3, 0, 1)).reshape(-1, out_ch, c)
     per_col = 4 * max(c + 2 * out_ch, out_ch + 3 * c)
     step = max(1, _CONV_CHUNK_BYTES // (per_col * plane)) * plane
     chunks = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
-    crop = (slice(None), slice(None), slice(0, hp - kh + 1, s), slice(0, wp - kw + 1, s))
+    crop = (slice(None), slice(None), slice(0, h + 2 * p - kh + 1, s),
+            slice(0, w + 2 * p - kw + 1, s))
 
-    xf = np.zeros((c, n + tail), dtype=np.float32)
-    xf[:, :n].reshape(c, b, hp, wp)[:, :, p:p + h, p:p + w] = x.data.transpose(1, 0, 2, 3)
+    xf = np.zeros((c, n + max(lead, tail)), dtype=np.float32)
+    xf[:, lead:lead + n].reshape(c, b, hp, wp)[..., :h, :w] = x.data.transpose(1, 0, 2, 3)
     acc = np.empty((out_ch, n), dtype=np.float32)
     part = np.empty((out_ch, min(step, n)), dtype=np.float32)
     for lo, hi in chunks:
@@ -567,7 +550,7 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
         gf = gf.reshape(out_ch, n)
         db = g.sum(axis=(0, 2, 3))
         dw = np.zeros((len(offsets), out_ch, c), dtype=np.float32)
-        dxf = np.zeros((c, n + tail), dtype=np.float32) if need_dx else None
+        dxf = np.zeros(xf.shape, dtype=np.float32) if need_dx else None
         part = np.empty((c, min(step, n)), dtype=np.float32)
         for lo, hi in chunks:
             gc, pa = gf[:, lo:hi], part[:, :hi - lo]
@@ -579,44 +562,53 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
         dw = np.ascontiguousarray(dw.reshape(kh, kw, out_ch, c).transpose(2, 3, 0, 1))
         if not need_dx:
             return (None, dw, db)
-        dx = dxf[:, :n].reshape(c, b, hp, wp)[:, :, p:p + h, p:p + w]
+        dx = dxf[:, lead:lead + n].reshape(c, b, hp, wp)[..., :h, :w]
         return (np.ascontiguousarray(dx.transpose(1, 0, 2, 3)), dw, db)
 
     return x._track(out_data, (x, layer.weight, layer.bias), vjp)
 
 
 def maxpool2(x: Tensor) -> Tensor:
-    """2x2 max pooling, stride 2. Requires even spatial extents.
-
-    The gradient routes entirely to the argmax cell of each window; when a
-    window is constant, the first cell in row-major order (top-left) wins.
+    """2x2 max pooling, stride 2, on four strided views of the input (one
+    per window cell; no window copy, no index array). Requires even
+    spatial extents. A window outputs its first cell in row-major order
+    that equals its max, bit for bit (of -0.0 and +0.0 the first one, the
+    argmax rule), and its gradient goes to that cell alone. A window
+    holding NaN pools to NaN and passes no gradient.
     """
     x = _coerce(x)
     if x.ndim != 4:
         raise DimensionError(f"maxpool2: input must have 4 axes [B,C,H,W], got {x.ndim}")
-    b, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2:
         raise DimensionError(f"maxpool2: axis 2 extent {h} is odd")
     if w % 2:
         raise DimensionError(f"maxpool2: axis 3 extent {w} is odd")
-    oh, ow = h // 2, w // 2
-    win = x.data.reshape(b, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, 4)
-    idx = np.argmax(win, axis=-1)
-    out_data = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    views = [(Ellipsis, slice(i, None, 2), slice(j, None, 2)) for i in (0, 1) for j in (0, 1)]
+    c0, c1, c2, c3 = (x.data[v] for v in views)
+    # np.maximum(a, b) returns b when a == b, so each pair is passed later
+    # cell first: a tie, down to the sign of a zero, keeps the earlier cell
+    out_data = np.maximum(np.maximum(c3, c2), np.maximum(c1, c0))
 
     def vjp(g):
-        dwin = np.zeros(win.shape, dtype=np.float32)
-        np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
-        return (
-            dwin.reshape(b, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h, w).copy(),
-        )
+        dx = np.empty(x.shape, dtype=np.float32)
+        dbits, gbits = dx.view(np.uint32), np.asarray(g, dtype=np.float32).view(np.uint32)
+        free = np.ones(out_data.shape, dtype=bool)
+        for v in views:
+            hit = free & (x.data[v] == out_data)
+            # an integer product writes g's exact bits where hit, +0.0 elsewhere
+            np.multiply(gbits, hit, out=dbits[v])
+            free ^= hit
+        return (dx,)
 
-    return x._track(np.ascontiguousarray(out_data), (x,), vjp)
+    return x._track(out_data, (x,), vjp)
 
 
 def upsample2(x: Tensor) -> Tensor:
     """Nearest-neighbour 2x upsampling. The gradient of each input cell is
-    the sum over its four replicated output cells."""
+    the sum over its four replicated output cells, read as strided views
+    and added as (top pair) + (bottom pair), as numpy's ``sum(axis=(3, 5))``
+    adds them for W > 1."""
     x = _coerce(x)
     if x.ndim != 4:
         raise DimensionError(f"upsample2: input must have 4 axes [B,C,H,W], got {x.ndim}")
@@ -624,6 +616,10 @@ def upsample2(x: Tensor) -> Tensor:
     out_data = x.data.repeat(2, axis=2).repeat(2, axis=3)
 
     def vjp(g):
-        return (g.reshape(b, c, h, 2, w, 2).sum(axis=(3, 5)),)
+        r = g.reshape(b, c, h, 2, w, 2)
+        dx = ((r[:, :, :, 0, :, 0] + r[:, :, :, 0, :, 1])
+              + (r[:, :, :, 1, :, 0] + r[:, :, :, 1, :, 1]))
+        dx += 0.0  # a window of four -0.0 sums to +0.0 in numpy's sum too
+        return (dx,)
 
     return x._track(out_data, (x,), vjp)

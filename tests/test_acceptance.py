@@ -40,7 +40,7 @@ from salypath.losses import LossWeights, kldiv, mse_map, saliency_loss, scanpath
 from salypath.model import ModelConfig, SalypathModel, soft_argmax
 from salypath.saliency_metrics import auc_borji, auc_judd, cc, kld, nss, sim
 from salypath.scanpath_metrics import align, multimatch, to_saccades
-from salypath.tensor import ConvLayer, Tensor, conv2d, maxpool2, relu, sigmoid, upsample2
+from salypath.tensor import ConvLayer, Tensor, conv2d, maxpool2, upsample2
 
 
 def announce(capsys, num: int, name: str, ok: bool, detail: str = ""):
@@ -113,11 +113,11 @@ def test_criterion_1_gradient_suite(capsys):
 
         x = Tensor(away_from_zero(rng, (3, 7)), requires_grad=True)
         c = _readout(rng, (3, 7))
-        worst = max(worst, gradcheck(lambda: (relu(x) * c).sum(), [x]))
+        worst = max(worst, gradcheck(lambda: (x.relu() * c).sum(), [x]))
 
         x = Tensor(rng.normal(size=(3, 7)).astype(np.float32), requires_grad=True)
         c = _readout(rng, (3, 7))
-        worst = max(worst, gradcheck(lambda: (sigmoid(x) * c).sum(), [x]))
+        worst = max(worst, gradcheck(lambda: (x.sigmoid() * c).sum(), [x]))
 
         x = Tensor(rng.normal(size=(1, 2, 4, 5)).astype(np.float32), requires_grad=True)
         c = _readout(rng, (1, 2, 2))

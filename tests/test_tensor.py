@@ -58,19 +58,57 @@ def maxpool2_oracle(x):
     return out
 
 
+def maxpool2_argmax_oracle(x, g):
+    """The argmax formulation of 2x2 pooling: a transposed [..., 4] window
+    copy, argmax, and a put_along_axis scatter. Returns the pooled values
+    and the input gradient for output gradient g, both float32."""
+    b, c, h, w = x.shape
+    win = (x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+           .reshape(b, c, h // 2, w // 2, 4))
+    idx = np.argmax(win, axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    dwin = np.zeros(win.shape, np.float32)
+    np.put_along_axis(dwin, idx[..., None], g[..., None], axis=-1)
+    dx = dwin.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
+    return out, dx
+
+
+def upsample2_grad_oracle(g):
+    """Input gradient of 2x nearest upsampling as numpy's own window sum."""
+    b, c, h, w = g.shape
+    return g.reshape(b, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+
+
+def pooling_inputs(rng, shape):
+    """Maps that exercise 2x2 window maxima: distinct values, ties after
+    quantization to quarters, constant windows, and windows that mix -0.0
+    and +0.0 (equal under comparison, different in their bits)."""
+    yield "random", rng.normal(size=shape)
+    yield "quantized", np.round(rng.normal(size=shape) * 4) / 4
+    yield "constant", np.full(shape, 0.75)
+    yield "signed zeros", rng.choice(np.array([0.0, -0.0]), size=shape)
+
+
 # Conv cases where flat-grid indexing is easiest to get wrong, as
-# (batch, in_ch, out_ch, H, W, kernel, stride, padding): non-square input,
-# 1x1 and 7x7 kernels, strides 2 and 3 over odd extents, and kernels that
-# cover the whole padded input (1x1 output).
+# (batch, in_ch, out_ch, H, W, (kh, kw), stride, padding): non-square input,
+# 1x1 and 7x7 kernels, strides 2 and 3 over odd extents, kernels that cover
+# the whole padded input (1x1 output), padding larger than k-1 (the row and
+# plane gaps then follow 2p-k+1, not p), stride 2 with padding 2, and
+# non-square kernels.
 CONV_EDGE_CASES = [
-    (2, 2, 3, 4, 7, 3, 1, 1),
-    (2, 3, 2, 5, 3, 1, 1, 0),
-    (1, 2, 2, 5, 6, 7, 1, 3),
-    (2, 2, 3, 7, 9, 3, 2, 1),
-    (1, 2, 2, 9, 7, 3, 3, 0),
-    (1, 3, 2, 7, 5, 3, 3, 1),
-    (2, 2, 3, 3, 3, 5, 1, 1),
-    (1, 2, 2, 4, 4, 4, 2, 0),
+    (2, 2, 3, 4, 7, (3, 3), 1, 1),
+    (2, 3, 2, 5, 3, (1, 1), 1, 0),
+    (1, 2, 2, 5, 6, (7, 7), 1, 3),
+    (2, 2, 3, 7, 9, (3, 3), 2, 1),
+    (1, 2, 2, 9, 7, (3, 3), 3, 0),
+    (1, 3, 2, 7, 5, (3, 3), 3, 1),
+    (2, 2, 3, 3, 3, (5, 5), 1, 1),
+    (1, 2, 2, 4, 4, (4, 4), 2, 0),
+    (2, 2, 3, 5, 4, (1, 1), 1, 2),
+    (1, 2, 2, 4, 5, (3, 3), 1, 3),
+    (2, 2, 3, 6, 7, (3, 3), 2, 2),
+    (2, 3, 2, 5, 7, (3, 5), 1, 1),
+    (1, 2, 3, 6, 5, (2, 3), 2, 2),
 ]
 
 
@@ -110,11 +148,11 @@ def test_conv_matches_loop_oracle():
         p = int(rng.choice([0, 1]))
         if h + 2 * p < k or w + 2 * p < k:
             p = 1
-        cases.append((b, c, o, h, w, k, s, p))
+        cases.append((b, c, o, h, w, (k, k), s, p))
     for case in cases + CONV_EDGE_CASES:
         b, c, o, h, w, k, s, p = case
         x = rng.normal(size=(b, c, h, w)).astype(np.float32)
-        wt = rng.normal(size=(o, c, k, k)).astype(np.float32)
+        wt = rng.normal(size=(o, c) + k).astype(np.float32)
         bias = rng.normal(size=o).astype(np.float32)
         layer = ConvLayer(Tensor(wt), Tensor(bias), stride=s, padding=p)
         got = conv2d(Tensor(x), layer).data
@@ -213,6 +251,30 @@ def test_maxpool_tie_gradient_goes_first_index():
         x.grad, np.array([[[[1, 0], [0, 0]]]], np.float32))
 
 
+def test_maxpool_bitwise_matches_argmax_oracle():
+    rng = np.random.default_rng(17)
+    for shape in [(2, 3, 4, 6), (1, 2, 2, 2), (3, 2, 6, 2), (2, 16, 32, 32)]:
+        for kind, values in pooling_inputs(rng, shape):
+            x = values.astype(np.float32)
+            g = rng.normal(size=shape[:2] + (shape[2] // 2, shape[3] // 2)).astype(np.float32)
+            xt = Tensor(x, requires_grad=True)
+            y = maxpool2(xt)
+            (y * Tensor(g)).sum().backward()
+            want, want_dx = maxpool2_argmax_oracle(x, g)
+            assert y.data.tobytes() == want.tobytes(), (shape, kind)
+            assert xt.grad.tobytes() == want_dx.tobytes(), (shape, kind)
+
+
+def test_maxpool_signed_zero_window_keeps_first_cell():
+    # -0.0 == +0.0, so the first cell wins and its bits are the output;
+    # np.maximum(-0.0, +0.0) would return +0.0
+    x = Tensor(np.array([[[[-0.0, 0.0], [0.0, -0.0]]]], np.float32), requires_grad=True)
+    y = maxpool2(x)
+    assert np.signbit(y.data).all()
+    y.sum().backward()
+    np.testing.assert_array_equal(x.grad, np.array([[[[1, 0], [0, 0]]]], np.float32))
+
+
 def test_maxpool_odd_extent_rejected():
     with pytest.raises(DimensionError, match="axis 2"):
         maxpool2(Tensor(np.zeros((1, 1, 3, 4), np.float32)))
@@ -234,6 +296,19 @@ def test_upsample_gradient_all_fours():
     x = Tensor(np.zeros((1, 2, 3, 3), np.float32), requires_grad=True)
     upsample2(x).sum().backward()
     np.testing.assert_array_equal(x.grad, np.full((1, 2, 3, 3), 4.0, np.float32))
+
+
+def test_upsample_gradient_bitwise_matches_window_sum():
+    # numpy sums each 2x2 window pairwise, as upsample2 does, except at
+    # width 1, where it adds the four cells in sequence; width 1 is left out
+    rng = np.random.default_rng(19)
+    for shape in [(1, 1, 1, 2), (2, 3, 2, 3), (2, 3, 5, 4), (1, 2, 8, 7), (2, 16, 16, 16)]:
+        x = Tensor(np.zeros(shape, np.float32), requires_grad=True)
+        for kind, values in pooling_inputs(rng, shape[:2] + (2 * shape[2], 2 * shape[3])):
+            g = values.astype(np.float32)
+            x.grad = None
+            (upsample2(x) * Tensor(g)).sum().backward()
+            assert x.grad.tobytes() == upsample2_grad_oracle(g).tobytes(), (shape, kind)
 
 
 def test_sigmoid_zero_is_half():
@@ -433,7 +508,7 @@ def test_gradcheck_conv2d():
     for i, (bs, c, o, h, ww, k, s, p) in enumerate(CONV_EDGE_CASES):
         rng = np.random.default_rng(4100 + i)
         x = Tensor(rng.normal(size=(bs, c, h, ww)).astype(np.float32), requires_grad=True)
-        w = Tensor(rng.normal(size=(o, c, k, k)).astype(np.float32) * 0.5,
+        w = Tensor(rng.normal(size=(o, c) + k).astype(np.float32) * 0.5,
                    requires_grad=True)
         b = Tensor(rng.normal(size=o).astype(np.float32) * 0.1, requires_grad=True)
         layer = ConvLayer(w, b, stride=s, padding=p)
