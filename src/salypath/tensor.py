@@ -15,12 +15,12 @@ Design notes, load-bearing:
   row-major order (numpy argmax convention). Constant windows therefore send
   their whole gradient to the top-left cell.
 * ``no_grad()`` disables graph construction globally; use it for inference.
-* ``conv2d`` is shift-and-GEMM over a channel-major flat grid: each kernel
-  tap is one GEMM with a contiguous shifted slice of the grid, accumulated
-  into the output, and the backward pass reads the same slices. The image
-  starts ``lead`` columns in, and each row and plane is followed by one
-  zero gap, shared by the padding on both of its sides. Every stride, kernel
-  size and padding takes this one path (stride > 1 subsamples the grid).
+* ``conv2d`` is shift-and-GEMM over a pixel-major flat grid: each kernel
+  tap is one BLAS ``sgemm`` with a contiguous shifted slice of the grid that
+  adds into the output (``beta=1``; arrays it writes must be F-contiguous
+  views, or f2py writes into a copy), and backward reads the same slices.
+  Zero gaps between rows and planes serve as padding. Every stride, kernel
+  size and padding takes this one path; scipy's BLAS loads at the first conv.
 """
 
 from __future__ import annotations
@@ -88,9 +88,6 @@ class Tensor:
                 f"item: tensor has {self.data.size} elements, expected 1"
             )
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def detach(self) -> "Tensor":
         """Same values, no history, no grad requirement."""
@@ -458,11 +455,9 @@ class ConvLayer:
         return conv2d(x, self)
 
 
-# Bytes of array rows that one conv2d chunk of grid columns touches (input,
-# accumulator and partial product; in backward, output gradient, input,
-# input gradient and partial product): small enough to stay in a core's L2
-# cache across the kh*kw taps. On a 2 MiB-L2 Xeon, phase-1 conv time was
-# flat from 128 KiB to 1 MiB.
+# Bytes of grid rows one conv2d chunk touches (input and output; in backward
+# also the input gradient): small enough to stay in a core's L2 cache across
+# the kh*kw taps. On a 2 MiB-L2 Xeon, phase-1 conv time was flat from 128 KiB to 1 MiB.
 _CONV_CHUNK_BYTES = 512 * 1024
 
 
@@ -472,34 +467,44 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
     x: [B, C, H, W]. Output: [B, out_ch, OH, OW] with
     OH = (H + 2p - kh)//s + 1.
 
-    The input is written once into a channel-major flat grid of zeros,
-    ``xf[C, B*Hp*Wp + max(lead, tail)]``: rows are ``Wp = W + gw`` columns
-    wide, planes ``Hp = H + gh`` rows tall, and pixel (b, i, j) sits at
-    column ``lead + b*Hp*Wp + i*Wp + j`` with ``lead = p*Wp + p`` and
-    ``tail = (kh-1)*Wp + kw-1``. At stride 1, the output at grid column
+    The input is written once into a pixel-major flat grid of zeros,
+    ``xf[B*Hp*Wp + max(lead, tail), C]``: image rows are ``Wp = W + gw``
+    positions wide, planes ``Hp = H + gh`` rows tall, and pixel (b, i, j)
+    sits at position ``lead + b*Hp*Wp + i*Wp + j`` with ``lead = p*Wp + p``
+    and ``tail = (kh-1)*Wp + kw-1``. At stride 1, the output at position
     ``q = b*Hp*Wp + i*Wp + j`` is the sum over taps (ki, kj) of
-    ``W[:, :, ki, kj] @ xf[:, q + ki*Wp + kj]``, so each tap is one GEMM
-    of the weight slice with a contiguous shifted slice of the grid, and
-    no im2col buffer exists.
+    ``W[:, :, ki, kj] @ xf[q + ki*Wp + kj]``, so each tap is one GEMM of
+    the weight slice with a contiguous shifted slice of the grid, and no
+    im2col buffer exists.
 
     The gaps are ``gw = max(p, 2p - kw + 1)`` and ``gh = max(p, 2p - kh + 1)``:
     a read up to p past any edge of a row or plane lands in the zero gap it
     shares with its neighbour, or in the grid's leading or trailing zeros,
-    where a padded image needs 2p (a 4x4 plane takes 25 columns, not 36).
+    where a padded image needs 2p (a 4x4 plane takes 25 positions, not 36).
     The second term keeps a row as wide as the stride-1 output when p > k-1.
-    Grid columns past an image's last valid output row or column are
-    computed and cropped. Stride s > 1 keeps every s-th row and column.
+    Positions past an image's last valid output row or column are computed
+    and cropped. Stride s > 1 keeps every s-th row and column.
 
-    Backward reuses the slices: ``dW[:, :, ki, kj] = gf @ slice.T``, and
-    ``W[:, :, ki, kj].T @ gf`` accumulates into the flat input gradient at
-    the tap's offset, which is then cropped. gf is the output gradient
-    scattered onto the grid, zero in the cropped columns. The input
-    gradient is skipped when nothing upstream needs it.
+    Each tap is one scipy BLAS ``sgemm`` that adds its product straight into
+    the accumulator ``acc[n, out_ch]`` (``beta=1``; a chunk's first tap
+    writes with ``beta=0``). BLAS is column-major, so ``acc[lo:hi].T``, the
+    grid slices' ``.T`` and ``wt[t].T`` are F-contiguous views, passed with
+    no copy. Every ``c`` must be one: f2py's ``overwrite_c`` silently writes
+    into a copy of any other array. sgemm is imported at the first call, so
+    commands that never convolve do not load scipy.linalg.
+
+    Backward scatters the output gradient onto the grid as ``gf[n, out_ch]``
+    (zero in the cropped positions) and, per tap, accumulates
+    ``dW_t += G @ X_t.T`` and ``dxf[tap].T += W_t.T @ G`` inside sgemm, with
+    G = ``gf[lo:hi].T`` and X_t the tap's grid slice. The input gradient is
+    skipped when nothing upstream needs it.
 
     The grid is processed in chunks of whole planes, so the taps of one
     chunk run out of cache. The chunks are fixed by the shapes and run in
     order, so results are bitwise reproducible.
     """
+    from scipy.linalg.blas import sgemm
+
     x = _coerce(x)
     if x.ndim != 4:
         raise DimensionError(f"conv2d: input must have 4 axes [B,C,H,W], got {x.ndim}")
@@ -519,51 +524,46 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
     n = b * plane
     lead, tail = p * wp + p, (kh - 1) * wp + kw - 1
     offsets = [ki * wp + kj for ki in range(kh) for kj in range(kw)]
-    # [kh*kw, out_ch, in_ch]: tap t's weight slice, contiguous for the GEMM
-    wt = np.ascontiguousarray(layer.weight.data.transpose(2, 3, 0, 1)).reshape(-1, out_ch, c)
-    per_col = 4 * max(c + 2 * out_ch, out_ch + 3 * c)
+    # [kh*kw, C, out_ch]: wt[t].T is tap t's [out_ch, C] weight slice
+    wt = np.ascontiguousarray(layer.weight.data.transpose(2, 3, 1, 0)).reshape(-1, c, out_ch)
+    per_col = 4 * (out_ch + 2 * c)
     step = max(1, _CONV_CHUNK_BYTES // (per_col * plane)) * plane
     chunks = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
-    crop = (slice(None), slice(None), slice(0, h + 2 * p - kh + 1, s),
-            slice(0, w + 2 * p - kw + 1, s))
+    crop = (slice(None), slice(0, h + 2 * p - kh + 1, s), slice(0, w + 2 * p - kw + 1, s))
 
-    xf = np.zeros((c, n + max(lead, tail)), dtype=np.float32)
-    xf[:, lead:lead + n].reshape(c, b, hp, wp)[..., :h, :w] = x.data.transpose(1, 0, 2, 3)
-    acc = np.empty((out_ch, n), dtype=np.float32)
-    part = np.empty((out_ch, min(step, n)), dtype=np.float32)
+    xf = np.zeros((n + max(lead, tail), c), dtype=np.float32)
+    xf[lead:lead + n].reshape(b, hp, wp, c)[:, :h, :w] = x.data.transpose(0, 2, 3, 1)
+    acc = np.empty((n, out_ch), dtype=np.float32)
     for lo, hi in chunks:
-        a, pa = acc[:, lo:hi], part[:, :hi - lo]
-        np.matmul(wt[0], xf[:, lo:hi], out=a)
-        for w_t, off in zip(wt[1:], offsets[1:]):
-            np.matmul(w_t, xf[:, lo + off:hi + off], out=pa)
-            a += pa
-    grid = acc.reshape(out_ch, b, hp, wp)[crop].transpose(1, 0, 2, 3)
-    # explicit C-order output: a ufunc would keep the grid's channel-major strides
+        for t, off in enumerate(offsets):
+            sgemm(1.0, wt[t].T, xf[lo + off:hi + off].T, beta=float(t > 0),
+                  c=acc[lo:hi].T, overwrite_c=1)
+    grid = acc.reshape(b, hp, wp, out_ch)[crop].transpose(0, 3, 1, 2)
+    # explicit C-order output: a ufunc would keep the grid's pixel-major strides
     out_data = np.empty(grid.shape, dtype=np.float32)
     np.add(grid, layer.bias.data[:, None, None], out=out_data)
 
     def vjp(g):
         # the rule backward() uses to drop a parent's gradient
         need_dx = x.requires_grad or x._vjp is not None
-        gf = np.zeros((out_ch, b, hp, wp), dtype=np.float32)
-        gf[crop] = g.transpose(1, 0, 2, 3)
-        gf = gf.reshape(out_ch, n)
+        gf = np.zeros((b, hp, wp, out_ch), dtype=np.float32)
+        gf[crop] = g.transpose(0, 2, 3, 1)
+        gf = gf.reshape(n, out_ch)
         db = g.sum(axis=(0, 2, 3))
-        dw = np.zeros((len(offsets), out_ch, c), dtype=np.float32)
+        dw = np.zeros((len(offsets), c, out_ch), dtype=np.float32)
         dxf = np.zeros(xf.shape, dtype=np.float32) if need_dx else None
-        part = np.empty((c, min(step, n)), dtype=np.float32)
         for lo, hi in chunks:
-            gc, pa = gf[:, lo:hi], part[:, :hi - lo]
-            for dw_t, w_t, off in zip(dw, wt, offsets):
-                dw_t += gc @ xf[:, lo + off:hi + off].T
+            gc = gf[lo:hi].T
+            for t, off in enumerate(offsets):
+                tap = slice(lo + off, hi + off)
+                sgemm(1.0, gc, xf[tap].T, beta=1.0, c=dw[t].T, trans_b=1, overwrite_c=1)
                 if need_dx:
-                    np.matmul(w_t.T, gc, out=pa)
-                    dxf[:, lo + off:hi + off] += pa
-        dw = np.ascontiguousarray(dw.reshape(kh, kw, out_ch, c).transpose(2, 3, 0, 1))
+                    sgemm(1.0, wt[t].T, gc, beta=1.0, c=dxf[tap].T, trans_a=1, overwrite_c=1)
+        dw = np.ascontiguousarray(dw.reshape(kh, kw, c, out_ch).transpose(3, 2, 0, 1))
         if not need_dx:
             return (None, dw, db)
-        dx = dxf[:, lead:lead + n].reshape(c, b, hp, wp)[..., :h, :w]
-        return (np.ascontiguousarray(dx.transpose(1, 0, 2, 3)), dw, db)
+        dx = dxf[lead:lead + n].reshape(b, hp, wp, c)[:, :h, :w]
+        return (np.ascontiguousarray(dx.transpose(0, 3, 1, 2)), dw, db)
 
     return x._track(out_data, (x, layer.weight, layer.bias), vjp)
 

@@ -487,6 +487,18 @@ class TestUsage:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "ds" / "manifest.json").exists()
 
+    def test_import_does_not_load_scipy_linalg(self):
+        # conv2d imports scipy's BLAS at its first call; commands that never
+        # convolve (eval-*, stats, gen-synth) must not pay for it at start-up
+        src = str(Path(salypath.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, salypath.cli; print('scipy.linalg' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_console_script_installed(self, tmp_path):
         proc = subprocess.run(
             ["salypath", "gen-synth", "--n", "2", "--seed", "0",

@@ -37,13 +37,62 @@ def conv2d_oracle(x, w, b, stride, padding):
         for o in range(oc):
             for i in range(oh):
                 for j in range(ow):
-                    acc = b[o]
-                    for ci in range(ic):
-                        for ki in range(kh):
-                            for kj in range(kw):
-                                acc += xp[bi, ci, i * stride + ki, j * stride + kj] * w[o, ci, ki, kj]
-                    out[bi, o, i, j] = acc
+                    win = xp[bi, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
+                    out[bi, o, i, j] = b[o] + (win * w[o]).sum()
     return out
+
+
+def conv2d_channel_major_oracle(x, w, bias, stride, padding, g):
+    """conv2d as shift-and-GEMM over a channel-major flat grid ``[C, cols]``,
+    each tap one numpy matmul into a partial product that is then added
+    into the accumulator, with its own chunk size. Same gap pitch and
+    lead/tail as the pixel-major BLAS version, and the same taps in the
+    same order, so where both reach BLAS kernels that sum the channels
+    alike, forward and input gradient match it bit for bit. Returns
+    (out, dx, dw, db) for output gradient g."""
+    b, c, h, wd = x.shape
+    out_ch, _, kh, kw = w.shape
+    s, p = stride, padding
+    hp, wp = h + max(p, 2 * p - kh + 1), wd + max(p, 2 * p - kw + 1)
+    plane = hp * wp
+    n = b * plane
+    lead, tail = p * wp + p, (kh - 1) * wp + kw - 1
+    offsets = [ki * wp + kj for ki in range(kh) for kj in range(kw)]
+    wt = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(-1, out_ch, c)
+    per_col = 4 * max(c + 2 * out_ch, out_ch + 3 * c)
+    step = max(1, (512 * 1024) // (per_col * plane)) * plane
+    chunks = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+    crop = (slice(None), slice(None), slice(0, h + 2 * p - kh + 1, s),
+            slice(0, wd + 2 * p - kw + 1, s))
+    xf = np.zeros((c, n + max(lead, tail)), dtype=np.float32)
+    xf[:, lead:lead + n].reshape(c, b, hp, wp)[..., :h, :wd] = x.transpose(1, 0, 2, 3)
+    acc = np.empty((out_ch, n), dtype=np.float32)
+    part = np.empty((out_ch, min(step, n)), dtype=np.float32)
+    for lo, hi in chunks:
+        a, pa = acc[:, lo:hi], part[:, :hi - lo]
+        np.matmul(wt[0], xf[:, lo:hi], out=a)
+        for w_t, off in zip(wt[1:], offsets[1:]):
+            np.matmul(w_t, xf[:, lo + off:hi + off], out=pa)
+            a += pa
+    grid = acc.reshape(out_ch, b, hp, wp)[crop].transpose(1, 0, 2, 3)
+    out = np.empty(grid.shape, dtype=np.float32)
+    np.add(grid, bias[:, None, None], out=out)
+
+    gf = np.zeros((out_ch, b, hp, wp), dtype=np.float32)
+    gf[crop] = g.transpose(1, 0, 2, 3)
+    gf = gf.reshape(out_ch, n)
+    dw = np.zeros((len(offsets), out_ch, c), dtype=np.float32)
+    dxf = np.zeros(xf.shape, dtype=np.float32)
+    part = np.empty((c, min(step, n)), dtype=np.float32)
+    for lo, hi in chunks:
+        gc, pa = gf[:, lo:hi], part[:, :hi - lo]
+        for dw_t, w_t, off in zip(dw, wt, offsets):
+            dw_t += gc @ xf[:, lo + off:hi + off].T
+            np.matmul(w_t.T, gc, out=pa)
+            dxf[:, lo + off:hi + off] += pa
+    dw = np.ascontiguousarray(dw.reshape(kh, kw, out_ch, c).transpose(2, 3, 0, 1))
+    dx = dxf[:, lead:lead + n].reshape(c, b, hp, wp)[..., :h, :wd]
+    return out, np.ascontiguousarray(dx.transpose(1, 0, 2, 3)), dw, g.sum(axis=(0, 2, 3))
 
 
 def maxpool2_oracle(x):
@@ -94,7 +143,11 @@ def pooling_inputs(rng, shape):
 # 1x1 and 7x7 kernels, strides 2 and 3 over odd extents, kernels that cover
 # the whole padded input (1x1 output), padding larger than k-1 (the row and
 # plane gaps then follow 2p-k+1, not p), stride 2 with padding 2, and
-# non-square kernels.
+# non-square kernels. The last five give the BLAS operands a unit axis,
+# where a view can be C- and F-contiguous at once: one input channel, one
+# output channel, the attention gate's 2->1 7x7 conv at 4x4, a 1x1 conv on
+# 1x1 planes, and one output channel over a batch of three 40x40 planes,
+# one grid chunk each.
 CONV_EDGE_CASES = [
     (2, 2, 3, 4, 7, (3, 3), 1, 1),
     (2, 3, 2, 5, 3, (1, 1), 1, 0),
@@ -109,7 +162,39 @@ CONV_EDGE_CASES = [
     (2, 2, 3, 6, 7, (3, 3), 2, 2),
     (2, 3, 2, 5, 7, (3, 5), 1, 1),
     (1, 2, 3, 6, 5, (2, 3), 2, 2),
+    (2, 1, 3, 5, 6, (3, 3), 1, 1),
+    (2, 3, 1, 5, 6, (3, 3), 1, 1),
+    (2, 2, 1, 4, 4, (7, 7), 1, 3),
+    (3, 4, 2, 1, 1, (1, 1), 1, 0),
+    (3, 24, 1, 40, 40, (3, 3), 1, 1),
 ]
+
+# (in_ch, out_ch, H=W) of the desk model's 16 encoder and decoder convs,
+# all 3x3 with padding 1, in forward order.
+DESK_CONV_SHAPES = [
+    (3, 16, 64), (16, 16, 64), (16, 32, 32), (32, 32, 32),
+    (32, 48, 16), (48, 48, 16), (48, 64, 8), (64, 64, 8),
+    (64, 64, 8), (64, 48, 8), (48, 48, 16), (48, 32, 16),
+    (32, 32, 32), (32, 16, 32), (16, 16, 64), (16, 16, 64),
+]
+
+
+def random_conv_cases(rng, count=20):
+    """Small random conv cases in the CONV_EDGE_CASES tuple layout."""
+    cases = []
+    for _ in range(count):
+        b = int(rng.integers(1, 3))
+        c = int(rng.integers(1, 5))
+        o = int(rng.integers(1, 4))
+        h = int(rng.integers(3, 9))
+        w = int(rng.integers(3, 9))
+        k = int(rng.choice([1, 3]))
+        s = int(rng.choice([1, 2]))
+        p = int(rng.choice([0, 1]))
+        if h + 2 * p < k or w + 2 * p < k:
+            p = 1
+        cases.append((b, c, o, h, w, (k, k), s, p))
+    return cases
 
 
 # -- forward semantics ------------------------------------------------------
@@ -136,20 +221,7 @@ def test_conv_identity_kernel():
 
 def test_conv_matches_loop_oracle():
     rng = np.random.default_rng(7)
-    cases = []
-    for _ in range(20):
-        b = int(rng.integers(1, 3))
-        c = int(rng.integers(1, 5))
-        o = int(rng.integers(1, 4))
-        h = int(rng.integers(3, 9))
-        w = int(rng.integers(3, 9))
-        k = int(rng.choice([1, 3]))
-        s = int(rng.choice([1, 2]))
-        p = int(rng.choice([0, 1]))
-        if h + 2 * p < k or w + 2 * p < k:
-            p = 1
-        cases.append((b, c, o, h, w, (k, k), s, p))
-    for case in cases + CONV_EDGE_CASES:
+    for case in random_conv_cases(rng) + CONV_EDGE_CASES:
         b, c, o, h, w, k, s, p = case
         x = rng.normal(size=(b, c, h, w)).astype(np.float32)
         wt = rng.normal(size=(o, c) + k).astype(np.float32)
@@ -158,6 +230,67 @@ def test_conv_matches_loop_oracle():
         got = conv2d(Tensor(x), layer).data
         want = conv2d_oracle(x, wt, bias, s, p)
         np.testing.assert_allclose(got, want, atol=1e-5, err_msg=str(case))
+
+
+def _conv_with_grads(x, w, bias, stride, padding, g):
+    xt = Tensor(x, requires_grad=True)
+    layer = ConvLayer(Tensor(w, requires_grad=True), Tensor(bias, requires_grad=True),
+                      stride=stride, padding=padding)
+    y = conv2d(xt, layer)
+    (y * Tensor(g)).sum().backward()
+    return y.data, xt.grad, layer.weight.grad, layer.bias.grad
+
+
+def _oracle_inputs(rng, case):
+    b, c, o, h, w, k, s, p = case
+    x = rng.normal(size=(b, c, h, w)).astype(np.float32)
+    wt = (rng.normal(size=(o, c) + k) * 0.3).astype(np.float32)
+    bias = rng.normal(size=o).astype(np.float32)
+    g = rng.normal(size=(b, o, (h + 2 * p - k[0]) // s + 1,
+                         (w + 2 * p - k[1]) // s + 1)).astype(np.float32)
+    return x, wt, bias, s, p, g
+
+
+def test_conv_bitwise_matches_channel_major_oracle():
+    # forward, input and bias gradients sum the same products in the same
+    # order as the channel-major matmul-and-add version; the weight
+    # gradient accumulates K blocks inside BLAS, so its rounding moves.
+    # The random cases are the loop-oracle test's (same seed).
+    rng = np.random.default_rng(7)
+    desk = [(2, ci, co, hw, hw, (3, 3), 1, 1) for ci, co, hw in DESK_CONV_SHAPES]
+    for case in random_conv_cases(rng) + CONV_EDGE_CASES + desk:
+        args = _oracle_inputs(rng, case)
+        got = _conv_with_grads(*args)
+        want = conv2d_channel_major_oracle(*args)
+        for name, a, b in zip(("out", "dx", "dw", "db"), got, want):
+            assert a.shape == b.shape, (case, name)
+            if name == "dw":
+                np.testing.assert_allclose(a, b, rtol=5e-6, atol=5e-6 * np.abs(b).max(),
+                                           err_msg=str(case))
+            else:
+                assert a.tobytes() == b.tobytes(), (case, name)
+
+
+def test_conv_reordering_kernel_shapes_match_channel_major_oracle():
+    # Shapes where OpenBLAS runs the transposed problem (numpy's row-major
+    # matmul against a column-major sgemm) through kernels that sum the
+    # input channels in another order, so values agree to float32
+    # rounding, not in bits: the desk head convs at 4x4 and the gate's
+    # channel MLP on 1x1 planes (16+ input channels, few grid positions),
+    # and one output channel from four input channels.
+    rng = np.random.default_rng(22)
+    head = [(64, 64), (64, 56), (56, 48), (48, 40), (40, 32), (32, 24),
+            (24, 20), (20, 16), (16, 12), (12, 8)]
+    cases = [(b, ci, co, 4, 4, (3, 3), 1, 1) for ci, co in head for b in (1, 2, 16)]
+    cases += [(b, ci, co, 1, 1, (1, 1), 1, 0) for ci, co in ((64, 16), (16, 64)) for b in (1, 2)]
+    cases += [(2, 4, 1, 5, 6, k, 1, k[0] // 2) for k in ((1, 1), (3, 3))]
+    for case in cases:
+        args = _oracle_inputs(rng, case)
+        got = _conv_with_grads(*args)
+        want = conv2d_channel_major_oracle(*args)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5 * np.abs(b).max(),
+                                       err_msg=str(case))
 
 
 def test_conv_batch_equals_stacked_single_images():
@@ -506,6 +639,8 @@ def test_gradcheck_conv2d():
         layer = ConvLayer(w, b, stride=s, padding=max(p, 1 if s == 1 else p))
         check_op(lambda: conv2d(x, layer), [x, w, b], seed + 4000)
     for i, (bs, c, o, h, ww, k, s, p) in enumerate(CONV_EDGE_CASES):
+        if bs * c * h * ww > 4096:
+            continue  # two forwards per input element; the oracles cover it
         rng = np.random.default_rng(4100 + i)
         x = Tensor(rng.normal(size=(bs, c, h, ww)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.normal(size=(o, c) + k).astype(np.float32) * 0.5,
