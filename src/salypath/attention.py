@@ -23,14 +23,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import ConvLayer, Tensor, concat
+from .tensor import ConvLayer, ParamMaker, Tensor, concat, kaiming_uniform
 
 
 class AttentionGate:
-    """Parameter bundle for the attention block at a given channel width."""
+    """Parameter bundle for the attention block at a given channel width.
+
+    Parameters come from ``make`` (see ``tensor.ParamMaker``) under the names
+    ``parameters()`` lists; by default they are fresh, drawn from ``rng``
+    (seed 0 when None)."""
 
     def __init__(self, channels: int, reduction: int = 4, spatial_kernel: int = 7,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, make: ParamMaker | None = None):
         channels = int(channels)
         reduction = int(reduction)
         spatial_kernel = int(spatial_kernel)
@@ -45,19 +49,19 @@ class AttentionGate:
             raise ConfigError(
                 f"AttentionGate: spatial_kernel must be odd, got {spatial_kernel}"
             )
-        if rng is None:
-            rng = np.random.default_rng(0)
+        if make is None:
+            make = kaiming_uniform(np.random.default_rng(0) if rng is None else rng)
         hidden = channels // reduction
         self.channels = channels
         self.reduction = reduction
         self.spatial_kernel = spatial_kernel
         self.ch_mlp = (
-            ConvLayer.init(channels, hidden, 1, rng),
-            ConvLayer.init(hidden, channels, 1, rng),
+            ConvLayer.build(make, "att.ch_mlp.0", channels, hidden, 1),
+            ConvLayer.build(make, "att.ch_mlp.1", hidden, channels, 1),
         )
-        self.sp_conv = ConvLayer.init(2, 1, spatial_kernel, rng,
-                                      padding=(spatial_kernel - 1) // 2)
-        self.gamma = Tensor(np.float32(0.0), requires_grad=True, name="att.gamma")
+        self.sp_conv = ConvLayer.build(make, "att.sp_conv", 2, 1, spatial_kernel,
+                                       padding=(spatial_kernel - 1) // 2)
+        self.gamma = make("att.gamma", ())
 
     def parameters(self) -> dict[str, Tensor]:
         return {

@@ -12,13 +12,18 @@ byte-identical files; insertion order of the mapping is preserved.
 
 A save writes a temporary file next to the target and renames it over the
 target, so an interrupted save leaves the previous file intact. A load
-rejects a payload that is longer or shorter than its tensors.
+reads the file once and rejects any header entry whose name is not a
+string, whose shape is not a list of non-negative ints or whose offset is
+not a non-negative int, a repeated name, and tensors that do not tile the
+payload exactly in header order (a gap, an overlap, a payload longer or
+shorter than its tensors).
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from typing import Mapping
 
@@ -62,40 +67,61 @@ def save_checkpoint(path, tensors: Mapping[str, "Tensor | np.ndarray"],
         raise
 
 
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0  # JSON true/false are not counts
+
+
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict | None]:
-    """Returns (name -> float32 array in header order, config or None)."""
+    """Returns (name -> float32 array in header order, config or None).
+
+    The payload is read once into one aligned buffer; each array is a
+    writable view of its own slice of it, so no two arrays share memory.
+    """
     with open(path, "rb") as f:
-        raw = f.read()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise CheckpointError(f"{path}: no header line found")
+        line = f.readline()
+        if not line.endswith(b"\n"):
+            raise CheckpointError(f"{path}: no header line found")
+        payload = np.empty(os.fstat(f.fileno()).st_size - len(line), dtype=np.uint8)
+        if f.readinto(payload) != payload.size:
+            raise CheckpointError(f"{path}: file changed size while being read")
     try:
-        header = json.loads(raw[:nl].decode("utf-8"))
+        header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: malformed header: {e}") from e
-    if not isinstance(header, dict) or "tensors" not in header:
-        raise CheckpointError(f"{path}: header missing 'tensors' key")
-    payload = raw[nl + 1:]
+    if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
+        raise CheckpointError(f"{path}: header has no 'tensors' list")
+    config = header.get("config")
+    if config is not None and not isinstance(config, dict):
+        raise CheckpointError(f"{path}: header 'config' is not an object")
     out: dict[str, np.ndarray] = {}
-    expected = 0
+    end = 0
     for entry in header["tensors"]:
         try:
             name, shape, offset = entry["name"], entry["shape"], entry["offset"]
         except (TypeError, KeyError) as e:
             raise CheckpointError(f"{path}: malformed tensor entry {entry!r}") from e
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * _DTYPE.itemsize
-        if offset < 0 or offset + nbytes > len(payload):
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(map(_is_count, shape)) and _is_count(offset)):
+            raise CheckpointError(f"{path}: malformed tensor entry {entry!r}")
+        if name in out:
+            raise CheckpointError(f"{path}: tensor {name!r} appears twice")
+        if offset != end:
             raise CheckpointError(
-                f"{path}: tensor {name!r} spans bytes {offset}..{offset + nbytes} "
-                f"but payload has {len(payload)}"
+                f"{path}: tensor {name!r} starts at byte {offset}, but the "
+                f"tensors before it end at byte {end}"
             )
-        arr = np.frombuffer(payload, dtype=_DTYPE, count=count, offset=offset)
-        out[name] = arr.reshape(shape).astype(np.float32)
-        expected += nbytes
-    if len(payload) != expected:
+        end += math.prod(shape) * _DTYPE.itemsize
+        if end > payload.size:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} spans bytes {offset}..{end} "
+                f"but payload has {payload.size}"
+            )
+        try:
+            out[name] = payload[offset:end].view(_DTYPE).reshape(shape)
+        except ValueError as e:  # more axes than numpy allows
+            raise CheckpointError(f"{path}: tensor {name!r}: {e}") from e
+    if payload.size != end:
         raise CheckpointError(
-            f"{path}: payload has {len(payload)} bytes, but its tensors "
-            f"take {expected}"
+            f"{path}: payload has {payload.size} bytes, but its tensors take {end}"
         )
-    return out, header.get("config")
+    return out, config

@@ -24,7 +24,8 @@ import numpy as np
 from .attention import AttentionGate, attend
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import CheckpointError, ConfigError, DimensionError
-from .tensor import ConvLayer, Tensor, concat, conv2d, maxpool2, no_grad, softmax2d, upsample2
+from .tensor import (ConvLayer, ParamMaker, Tensor, concat, conv2d, kaiming_uniform, maxpool2,
+                     no_grad, softmax2d, upsample2)
 from .types import SaliencyMap, Scanpath
 
 DESK_BLOCKS = ((2, 16), (2, 32), (2, 48), (2, 64))
@@ -76,12 +77,13 @@ class ModelConfig:
             )
         if any(a < b for a, b in zip(head, head[1:])):
             raise ConfigError("ModelConfig: head_channels must be non-increasing")
-        if self.beta <= 0:
-            raise ConfigError(f"ModelConfig: beta must be > 0, got {self.beta}")
+        if not 0 < self.beta < float("inf"):
+            raise ConfigError(f"ModelConfig: beta must be finite and > 0, got {self.beta}")
         if self.in_channels < 1:
             raise ConfigError("ModelConfig: in_channels must be >= 1")
         bott = self.encoder_blocks[-1][1]
-        if self.attention_enabled and bott % self.attention_reduction:
+        if self.attention_enabled and (self.attention_reduction < 1
+                                       or bott % self.attention_reduction):
             raise ConfigError(
                 f"ModelConfig: bottleneck channels ({bott}) must be divisible "
                 f"by attention_reduction ({self.attention_reduction})"
@@ -131,12 +133,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Inverse of ``to_dict``; any malformed field raises ConfigError."""
         try:
             return cls(
-                input_size=tuple(d["input_size"]),
+                input_size=tuple(map(int, d["input_size"])),
                 in_channels=int(d.get("in_channels", 3)),
-                encoder_blocks=tuple(tuple(b) for b in d["encoder_blocks"]),
-                head_channels=tuple(d["head_channels"]),
+                encoder_blocks=tuple(tuple(map(int, b)) for b in d["encoder_blocks"]),
+                head_channels=tuple(map(int, d["head_channels"])),
                 beta=float(d.get("beta", 1.0)),
                 attention_enabled=bool(d.get("attention_enabled", True)),
                 attention_reduction=int(d.get("attention_reduction", 4)),
@@ -144,6 +147,10 @@ class ModelConfig:
             )
         except KeyError as e:
             raise ConfigError(f"ModelConfig.from_dict: missing key {e}") from e
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"ModelConfig.from_dict: malformed field: {e}") from e
 
 
 def soft_argmax(features: Tensor, beta: float) -> Tensor:
@@ -175,18 +182,22 @@ class SalypathModel:
     """Encoder + attention gate + decoder + scanpath head."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        self.config = config
-        rng = np.random.default_rng(seed)
+        self._build(config, kaiming_uniform(np.random.default_rng(seed)))
 
-        # rng draw order is encoder, decoder, head, attention: configs that
-        # differ only in attention share the trunk weights at equal seed.
+    def _build(self, config: ModelConfig, make: ParamMaker) -> None:
+        """Lay out the layers, each parameter made once by ``make``."""
+        self.config = config
+
+        # make is called encoder, decoder, head, attention: at equal seed,
+        # configs that differ only in attention share the trunk weights.
         self.encoder: list[ConvLayer] = []
         self._enc_names: list[str] = []
         in_ch = config.in_channels
         for bi, (count, ch) in enumerate(config.encoder_blocks):
             for ci in range(count):
-                self.encoder.append(ConvLayer.init(in_ch, ch, 3, rng, padding=1))
                 self._enc_names.append(f"enc.b{bi}.c{ci}")
+                self.encoder.append(
+                    ConvLayer.build(make, self._enc_names[-1], in_ch, ch, 3, padding=1))
                 in_ch = ch
 
         self.decoder: list[ConvLayer] = []
@@ -197,14 +208,15 @@ class SalypathModel:
             target = blocks[k - 1][1] if k > 0 else blocks[0][1]
             for ci in range(count):
                 out_ch = target if ci == count - 1 else ch
-                self.decoder.append(ConvLayer.init(ch, out_ch, 3, rng, padding=1))
                 self._dec_names.append(f"dec.b{len(blocks) - 1 - k}.c{ci}")
-        self.dec_out = ConvLayer.init(blocks[0][1], 1, 1, rng)
+                self.decoder.append(
+                    ConvLayer.build(make, self._dec_names[-1], ch, out_ch, 3, padding=1))
+        self.dec_out = ConvLayer.build(make, "dec.out", blocks[0][1], 1, 1)
 
         self.head: list[ConvLayer] = []
         head_in = config.bottleneck_channels
         for hi, hc in enumerate(config.head_channels):
-            self.head.append(ConvLayer.init(head_in, hc, 3, rng, padding=1))
+            self.head.append(ConvLayer.build(make, f"head.{hi}", head_in, hc, 3, padding=1))
             head_in = hc
 
         self.att: AttentionGate | None = None
@@ -213,7 +225,7 @@ class SalypathModel:
                 config.bottleneck_channels,
                 reduction=config.attention_reduction,
                 spatial_kernel=config.spatial_kernel,
-                rng=rng,
+                make=make,
             )
 
     # -- parameters -----------------------------------------------------
@@ -337,16 +349,37 @@ class SalypathModel:
 
     @classmethod
     def load(cls, path) -> "SalypathModel":
+        """Model built straight from a checkpoint: each parameter is a
+        writable view of its own slice of the file's one read buffer, and
+        nothing is drawn."""
         tensors, config = load_checkpoint(path)
         if config is None:
             raise CheckpointError(f"{path}: checkpoint has no embedded config")
-        model = cls(ModelConfig.from_dict(config), seed=0)
-        model.load_state(tensors, source=str(path))
+
+        def make(name: str, shape: tuple[int, ...]) -> Tensor:
+            # zeros stand in for a missing or misshapen array until
+            # _check_state reports every such problem at once
+            arr = tensors.get(name)
+            if arr is None or arr.shape != shape:
+                arr = np.zeros(shape, dtype=np.float32)
+            return Tensor(arr, requires_grad=True)
+
+        model = cls.__new__(cls)
+        model._build(ModelConfig.from_dict(config), make)
+        model._check_state(tensors, str(path))
         return model
 
     def load_state(self, tensors: dict[str, np.ndarray], source: str = "checkpoint") -> None:
-        """Copy arrays into parameters; mismatches raise a structured error
-        listing expected vs found shapes and any missing/unexpected names."""
+        """Copy arrays into parameters (the parameters never alias
+        ``tensors``); mismatches raise as ``_check_state`` describes."""
+        self._check_state(tensors, source)
+        for name, p in self.parameters().items():
+            p.data = np.array(tensors[name], dtype=np.float32)
+            p.grad = None
+
+    def _check_state(self, tensors: dict[str, np.ndarray], source: str) -> None:
+        """Raise a structured error listing expected vs found shapes and any
+        missing/unexpected names unless ``tensors`` fits the parameters."""
         params = self.parameters()
         problems = []
         for name, p in params.items():
@@ -363,6 +396,3 @@ class SalypathModel:
                 problems.append(f"unexpected tensor {name!r}")
         if problems:
             raise CheckpointError(f"{source}: " + "; ".join(problems))
-        for name, p in params.items():
-            p.data = np.asarray(tensors[name], dtype=np.float32).copy()
-            p.grad = None

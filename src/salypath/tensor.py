@@ -26,6 +26,7 @@ Design notes, load-bearing:
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -404,6 +405,26 @@ def softmax2d(x: Tensor, beta: float = 1.0) -> Tensor:
     return x._track(p, (x,), vjp)
 
 
+# make(name, shape) -> parameter tensor. A model asks for each parameter
+# once, by its checkpoint name, so one maker draws fresh weights and another
+# hands out a checkpoint's arrays.
+ParamMaker = Callable[[str, tuple[int, ...]], Tensor]
+
+
+def kaiming_uniform(rng: np.random.Generator) -> ParamMaker:
+    """Maker of fresh parameters: each ``*.weight`` [out, in, kh, kw] drawn
+    uniform in +-sqrt(6/fan_in) with fan_in = in*kh*kw, in call order;
+    every other parameter (biases, gates) zero."""
+    def make(name: str, shape: tuple[int, ...]) -> Tensor:
+        if name.endswith(".weight"):
+            bound = float(np.sqrt(6.0 / math.prod(shape[1:])))
+            data = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+        else:
+            data = np.zeros(shape, dtype=np.float32)
+        return Tensor(data, requires_grad=True)
+    return make
+
+
 class ConvLayer:
     """2-D convolution parameters: weight [out_ch, in_ch, kh, kw], bias
     [out_ch], plus integer stride and symmetric zero padding.
@@ -435,15 +456,16 @@ class ConvLayer:
     def init(cls, in_ch: int, out_ch: int, kernel: int, rng: np.random.Generator,
              stride: int = 1, padding: int = 0) -> "ConvLayer":
         """Kaiming-uniform fan-in init (bound sqrt(6/fan_in)), zero bias."""
-        fan_in = in_ch * kernel * kernel
-        bound = float(np.sqrt(6.0 / fan_in))
-        w = rng.uniform(-bound, bound, size=(out_ch, in_ch, kernel, kernel))
-        return cls(
-            Tensor(w.astype(np.float32), requires_grad=True),
-            Tensor(np.zeros(out_ch, dtype=np.float32), requires_grad=True),
-            stride=stride,
-            padding=padding,
-        )
+        return cls.build(kaiming_uniform(rng), "", in_ch, out_ch, kernel,
+                         stride=stride, padding=padding)
+
+    @classmethod
+    def build(cls, make: ParamMaker, name: str, in_ch: int, out_ch: int, kernel: int,
+              stride: int = 1, padding: int = 0) -> "ConvLayer":
+        """Layer whose ``<name>.weight`` and ``<name>.bias`` come from ``make``,
+        weight first."""
+        return cls(make(f"{name}.weight", (out_ch, in_ch, kernel, kernel)),
+                   make(f"{name}.bias", (out_ch,)), stride=stride, padding=padding)
 
     def out_size(self, h: int, w: int) -> tuple[int, int]:
         kh, kw = self.weight.shape[2], self.weight.shape[3]

@@ -39,6 +39,28 @@ TINY_MODEL = dict(
     attention_reduction=2,
     spatial_kernel=3,
 )
+
+
+def _t(name, shape, offset):
+    return {"name": name, "shape": shape, "offset": offset}
+
+
+# (header tensor entries, payload bytes, config overrides, error text) of
+# checkpoints that each once loaded garbage or crashed `predict` with a
+# traceback
+MALFORMED_CHECKPOINTS = [
+    ([_t("a", [-1], 0), _t("b", [4], 0), _t("c", [1], 12)], 16, {}, "malformed tensor entry"),
+    ([_t("a", ["2"], 0)], 8, {}, "malformed tensor entry"),
+    ([_t("a", [2], 0.0)], 8, {}, "malformed tensor entry"),
+    ([_t("a", [1], 0), _t("a", [1], 4)], 8, {}, "appears twice"),
+    ([_t("a", [2], 0), _t("b", [1], 4)], 12, {}, "starts at byte 4"),
+    ([_t("a", [1], 0)], 4, {"input_size": [64]}, "ModelConfig"),
+    ([_t("a", [1], 0)], 4, {"in_channels": "x"}, "ModelConfig"),
+    ([_t("a", [1], 0)], 4, {"encoder_blocks": [2]}, "ModelConfig"),
+    ([_t("a", [1], 0)], 4, {"beta": None}, "ModelConfig"),
+]
+
+
 TINY_TRAIN = dict(
     phase1_epochs=2, phase2_epochs=2, phase1_lr=1e-3, phase2_lr=1e-3,
     batch_size=4,
@@ -275,6 +297,28 @@ class TestPredict:
                    "--out-scanpath", str(tmp_path / "p.csv")])
         assert rc == 2
         assert "absent.ckpt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tensors,n_bytes,config,error", MALFORMED_CHECKPOINTS, ids=[
+        "negative-dim", "string-dim", "float-offset", "duplicate-name", "overlap",
+        "config-input_size", "config-in_channels", "config-encoder_blocks", "config-beta"])
+    def test_malformed_checkpoint_exits_2_with_one_line(self, tmp_path, tensors, n_bytes,
+                                                        config, error):
+        ckpt = tmp_path / "bad.ckpt"
+        header = {"tensors": tensors, "config": {**TINY_MODEL, **config}}
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + bytes(n_bytes))
+        write_ppm(tmp_path / "img.ppm", np.zeros((3, 16, 16), dtype=np.float32))
+        src = str(Path(salypath.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "salypath", "predict", "--checkpoint", str(ckpt),
+             "--image", str(tmp_path / "img.ppm"), "--out-map", str(tmp_path / "m.pgm"),
+             "--out-scanpath", str(tmp_path / "p.csv")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("salypath predict: error:"), lines
+        assert error in lines[0]
 
     def test_size_mismatch_resamples_with_warning(self, trained, tmp_path, capsys):
         write_ppm(tmp_path / "big.ppm", np.zeros((3, 24, 24), dtype=np.float32))

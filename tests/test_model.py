@@ -2,6 +2,10 @@
 determinism, checkpoint round trips, and finite-difference spot checks of
 the end-to-end gradient."""
 
+import hashlib
+import itertools
+import json
+
 import numpy as np
 import pytest
 
@@ -35,6 +39,9 @@ TINY = dict(
     dict(encoder_blocks=((2, 16), (0, 32))),         # zero convs in a block
     dict(encoder_blocks=((2, 16), (2, 30)), input_size=(4, 4)),   # 30 % 4 != 0
     dict(spatial_kernel=4),
+    dict(beta=float("nan")),
+    dict(beta=float("inf")),
+    dict(attention_reduction=0),
 ])
 def test_config_rejects(overrides):
     with pytest.raises(ConfigError):
@@ -55,6 +62,29 @@ def test_config_presets():
 def test_config_round_trips_through_dict():
     cfg = ModelConfig(beta=3.5, attention_enabled=False)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+# each field value is malformed in a way that once escaped as TypeError,
+# ValueError or ZeroDivisionError
+MALFORMED_CONFIG_FIELDS = [
+    ("input_size", [64]),
+    ("input_size", None),
+    ("in_channels", "x"),
+    ("encoder_blocks", [2]),
+    ("encoder_blocks", [[2]]),
+    ("head_channels", 8),
+    ("beta", None),
+    ("beta", "nan"),
+    ("attention_reduction", 0),
+]
+
+
+@pytest.mark.parametrize("key,value", MALFORMED_CONFIG_FIELDS)
+def test_config_from_dict_rejects_malformed_field(key, value):
+    d = ModelConfig.desk().to_dict()
+    d[key] = value
+    with pytest.raises(ConfigError, match="ModelConfig"):
+        ModelConfig.from_dict(d)
 
 
 # -- soft-argmax ---------------------------------------------------------------
@@ -268,6 +298,135 @@ def test_checkpoint_round_trip(tmp_path, rng):
     m2, p2 = clone.forward_tensors(Tensor(x))
     np.testing.assert_array_equal(m1.data, m2.data)
     np.testing.assert_array_equal(p1.data, p2.data)
+
+
+def _param_digest(model) -> str:
+    h = hashlib.sha256()
+    for name, p in model.parameters().items():
+        h.update(name.encode())
+        h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
+def test_fresh_weights_are_pinned():
+    # guards the rng draw order (encoder, decoder, head, attention) that
+    # makes equal seeds give byte-identical training checkpoints
+    digest = _param_digest(SalypathModel(ModelConfig.desk(), seed=0))
+    assert digest == "0cdbbc47eee902233b1089a0c3108cd072a0479ca948f841dfa1f4256534720b"
+
+
+def test_load_draws_nothing_and_round_trips_bitwise(tmp_path, monkeypatch):
+    import salypath.attention
+    import salypath.model
+    import salypath.tensor
+
+    model = SalypathModel(ModelConfig.desk(), seed=4)
+    model.att.gamma.data = np.float32(0.75)
+    path = tmp_path / "a.ckpt"
+    model.save(path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("SalypathModel.load drew random weights")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for module in (salypath.tensor, salypath.attention, salypath.model):
+        monkeypatch.setattr(module, "kaiming_uniform", no_draws)
+    clone = SalypathModel.load(path)
+    monkeypatch.undo()
+
+    assert _param_digest(clone) == _param_digest(model)
+    clone.save(tmp_path / "b.ckpt")
+    assert (tmp_path / "b.ckpt").read_bytes() == path.read_bytes()
+
+
+def _assert_separate_writable(params: dict, others=()):
+    for p in params.values():
+        assert p.data.flags.writeable and p.data.flags.aligned
+        assert p.data.dtype == np.float32
+    for a, b in itertools.combinations(params.values(), 2):
+        assert not np.may_share_memory(a.data, b.data)
+    for p, arr in others:
+        assert not np.may_share_memory(p.data, arr)
+
+
+def test_loaded_parameters_are_writable_and_separate(tmp_path):
+    model = SalypathModel(ModelConfig(**TINY), seed=2)
+    model.save(tmp_path / "m.ckpt")
+    clone = SalypathModel.load(tmp_path / "m.ckpt")
+    params = clone.parameters()
+    _assert_separate_writable(params)
+    before = {k: p.data.copy() for k, p in params.items()}
+    params["enc.b0.c0.bias"].data[...] = 7.0
+    for name, p in params.items():
+        if name != "enc.b0.c0.bias":
+            np.testing.assert_array_equal(p.data, before[name])
+
+
+def test_load_state_copies_out_of_the_callers_dict():
+    model = SalypathModel(ModelConfig(**TINY), seed=0)
+    state = {k: np.full(v.shape, 0.5, np.float32)
+             for k, v in SalypathModel(ModelConfig(**TINY), seed=1).parameters().items()}
+    model.load_state(state)
+    params = model.parameters()
+    _assert_separate_writable(params, [(params[k], state[k]) for k in state])
+    state["head.0.weight"][...] = 9.0
+    assert (params["head.0.weight"].data == 0.5).all()
+
+
+def _write_raw_checkpoint(path, entries, n_bytes, config=None):
+    header = {"tensors": entries} if config is None else {"tensors": entries,
+                                                          "config": config}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(n_bytes))
+
+
+def _t(name, shape, offset):
+    return {"name": name, "shape": shape, "offset": offset}
+
+
+# (id, header tensor entries, payload bytes): each once loaded silently,
+# loaded garbage, or raised a bare TypeError
+MALFORMED_CHECKPOINTS = [
+    ("negative-dim", [_t("a", [-1], 0), _t("b", [4], 0), _t("c", [1], 12)], 16),
+    ("string-dim", [_t("a", ["2"], 0)], 8),
+    ("float-offset", [_t("a", [2], 0.0)], 8),
+    ("bool-dim", [_t("a", [True], 0)], 4),
+    ("non-string-name", [_t(5, [1], 0)], 4),
+    ("duplicate-name", [_t("a", [1], 0), _t("a", [1], 4)], 8),
+    ("overlap", [_t("a", [2], 0), _t("b", [1], 4)], 12),
+    ("gap", [_t("a", [1], 0), _t("b", [1], 8)], 12),
+    ("out-of-order", [_t("a", [1], 4), _t("b", [1], 0)], 8),
+    ("too-many-axes", [_t("a", [1] * 80, 0)], 4),
+    ("tensors-not-a-list", {"a": 1}, 0),
+    ("entry-not-an-object", [["a", [1], 0]], 4),
+]
+
+
+@pytest.mark.parametrize("entries,n_bytes", [c[1:] for c in MALFORMED_CHECKPOINTS],
+                         ids=[c[0] for c in MALFORMED_CHECKPOINTS])
+def test_checkpoint_rejects_malformed_header(tmp_path, entries, n_bytes):
+    path = tmp_path / "bad.ckpt"
+    _write_raw_checkpoint(path, entries, n_bytes)
+    with pytest.raises(CheckpointError, match="bad.ckpt"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_non_object_config(tmp_path):
+    path = tmp_path / "bad.ckpt"
+    _write_raw_checkpoint(path, [_t("a", [1], 0)], 4, config=[1, 2])
+    with pytest.raises(CheckpointError, match="config"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_zero_size_and_scalar_tensors_round_trip(tmp_path):
+    path = tmp_path / "m.ckpt"
+    tensors = {"empty": np.zeros((0, 3), np.float32), "s": np.float32(2.5),
+               "v": np.arange(3, dtype=np.float32)}
+    save_checkpoint(path, tensors)
+    loaded, config = load_checkpoint(path)
+    assert config is None and list(loaded) == ["empty", "s", "v"]
+    for name, arr in tensors.items():
+        assert loaded[name].shape == np.shape(arr)
+        np.testing.assert_array_equal(loaded[name], arr)
 
 
 @pytest.mark.parametrize("edit", [lambda raw: raw + b"\0\0\0\0",
