@@ -50,37 +50,35 @@ def _workers(n_tasks: int) -> int:
     return max(1, min(n_tasks, cap_n))
 
 
-def _model_config(preset: str, overrides: dict | None = None) -> ModelConfig:
-    base = ModelConfig.full_scale if preset == "paper" else ModelConfig.desk
-    return base(**(overrides or {}))
-
-
-def _train_config(preset: str, overrides: dict | None = None) -> TrainConfig:
-    base = TrainConfig.full_scale if preset == "paper" else TrainConfig
-    return base(**(overrides or {}))
-
-
 def _curve(losses: list[float]) -> str:
     """First -> last epoch loss, or '-' for a phase that ran no epochs."""
     return f"{losses[0]:.4f} -> {losses[-1]:.4f}" if losses else "-"
 
 
 def cmd_train(args) -> int:
-    overrides = {"model": {}, "train": {}}
+    paper = args.preset == "paper"
+    conf = {"model": (ModelConfig.full_scale() if paper else ModelConfig.desk()).to_dict(),
+            "train": (TrainConfig.full_scale() if paper else TrainConfig()).to_dict()}
     if args.config:
         with open(args.config) as f:
             doc = json.load(f)
-        for key in doc:
-            if key not in ("model", "train"):
+        if not isinstance(doc, dict):
+            raise SalypathError(f"{args.config}: config is not a JSON object")
+        for key, section in doc.items():
+            if key not in conf:
                 raise SalypathError(f"{args.config}: unknown config section {key!r}")
-        overrides["model"].update(doc.get("model", {}))
-        overrides["train"].update(doc.get("train", {}))
+            if not isinstance(section, dict):
+                raise SalypathError(f"{args.config}: config section {key!r} is not an object")
+            for name, value in section.items():
+                # a partial dict-valued field (loss_weights) keeps the preset's other keys
+                base = conf[key].get(name)
+                conf[key][name] = ({**base, **value} if isinstance(base, dict)
+                                   and isinstance(value, dict) else value)
     if args.seed is not None:
-        overrides["train"]["seed"] = args.seed
+        conf["train"]["seed"] = args.seed
 
-    mcfg = _model_config(args.preset, overrides["model"])
-    tcfg = TrainConfig.from_dict({**_train_config(args.preset).to_dict(),
-                                  **overrides["train"]})
+    mcfg = ModelConfig.from_dict(conf["model"])
+    tcfg = TrainConfig.from_dict(conf["train"])
     manifest = dio.load_manifest(args.data)
     model = SalypathModel(mcfg, seed=tcfg.seed)
     r1, r2 = train(model, manifest, tcfg, checkpoint_path=args.out)
@@ -245,10 +243,12 @@ def cmd_gen_synth(args) -> int:
         raise SalypathError(f"--size must look like 64x64, got {args.size!r}")
     lw = None
     if args.length_weights:
-        lw = {}
-        for part in args.length_weights.split(","):
-            k, _, v = part.partition(":")
-            lw[int(k)] = float(v)
+        try:
+            lw = {int(k): float(v) for k, v in
+                  (part.split(":") for part in args.length_weights.split(","))}
+        except ValueError:
+            raise SalypathError("--length-weights must be len:weight pairs like "
+                                f"8:0.7,6:0.3, got {args.length_weights!r}")
     manifest = dio.generate_synthetic(
         n=args.n, seed=args.seed, size=(w, h), out_dir=args.out,
         scanpaths_per_image=args.scanpaths_per_image,

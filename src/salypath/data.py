@@ -396,6 +396,9 @@ def generate_synthetic(n: int, seed: int, size: tuple[int, int] = (64, 64),
         if any(l < 2 for l in lens):
             raise ContractError("generate_synthetic: scanpath lengths must be >= 2")
         probs = np.array([length_weights[l] for l in lens], dtype=np.float64)
+        if not (probs.min() >= 0 and 0 < probs.sum() < np.inf):  # NaN fails both
+            raise ContractError("generate_synthetic: length weights must be finite, "
+                                f">= 0 and not all 0, got {length_weights}")
         probs = probs / probs.sum()
     else:
         lens, probs = [8], np.array([1.0])

@@ -33,8 +33,8 @@ class LossWeights:
 
     def __post_init__(self):
         for nm in ("kl_w", "mse_w", "nss_w"):
-            if getattr(self, nm) < 0:
-                raise ConfigError(f"LossWeights: {nm} must be >= 0")
+            if not 0 <= getattr(self, nm) < np.inf:
+                raise ConfigError(f"LossWeights: {nm} must be finite and >= 0")
 
 
 def _as_map_tensor(x) -> Tensor:

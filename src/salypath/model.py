@@ -17,7 +17,7 @@ Everything is float32 and fully differentiable end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import CheckpointError, ConfigError, DimensionError
 from .tensor import (ConvLayer, ParamMaker, Tensor, concat, conv2d, kaiming_uniform, maxpool2,
                      no_grad, softmax2d, upsample2)
-from .types import SaliencyMap, Scanpath
+from .types import SaliencyMap, Scanpath, config_from_dict
 
 DESK_BLOCKS = ((2, 16), (2, 32), (2, 48), (2, 64))
 DESK_HEAD = (64, 56, 48, 40, 32, 24, 20, 16, 12, 8)
@@ -120,37 +120,12 @@ class ModelConfig:
         return cls(**args)
 
     def to_dict(self) -> dict:
-        return {
-            "input_size": list(self.input_size),
-            "in_channels": self.in_channels,
-            "encoder_blocks": [list(b) for b in self.encoder_blocks],
-            "head_channels": list(self.head_channels),
-            "beta": self.beta,
-            "attention_enabled": self.attention_enabled,
-            "attention_reduction": self.attention_reduction,
-            "spatial_kernel": self.spatial_kernel,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Inverse of ``to_dict``; any malformed field raises ConfigError."""
-        try:
-            return cls(
-                input_size=tuple(map(int, d["input_size"])),
-                in_channels=int(d.get("in_channels", 3)),
-                encoder_blocks=tuple(tuple(map(int, b)) for b in d["encoder_blocks"]),
-                head_channels=tuple(map(int, d["head_channels"])),
-                beta=float(d.get("beta", 1.0)),
-                attention_enabled=bool(d.get("attention_enabled", True)),
-                attention_reduction=int(d.get("attention_reduction", 4)),
-                spatial_kernel=int(d.get("spatial_kernel", 7)),
-            )
-        except KeyError as e:
-            raise ConfigError(f"ModelConfig.from_dict: missing key {e}") from e
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"ModelConfig.from_dict: malformed field: {e}") from e
+        """Inverse of ``to_dict``; ``config_from_dict`` lists the rules."""
+        return config_from_dict(cls, d)
 
 
 def soft_argmax(features: Tensor, beta: float) -> Tensor:
@@ -357,8 +332,8 @@ class SalypathModel:
             raise CheckpointError(f"{path}: checkpoint has no embedded config")
 
         def make(name: str, shape: tuple[int, ...]) -> Tensor:
-            # zeros stand in for a missing or misshapen array until
-            # _check_state reports every such problem at once
+            # zeros stand in for a missing or misshapen array until the
+            # check below reports every such problem at once
             arr = tensors.get(name)
             if arr is None or arr.shape != shape:
                 arr = np.zeros(shape, dtype=np.float32)
@@ -366,33 +341,14 @@ class SalypathModel:
 
         model = cls.__new__(cls)
         model._build(ModelConfig.from_dict(config), make)
-        model._check_state(tensors, str(path))
-        return model
-
-    def load_state(self, tensors: dict[str, np.ndarray], source: str = "checkpoint") -> None:
-        """Copy arrays into parameters (the parameters never alias
-        ``tensors``); mismatches raise as ``_check_state`` describes."""
-        self._check_state(tensors, source)
-        for name, p in self.parameters().items():
-            p.data = np.array(tensors[name], dtype=np.float32)
-            p.grad = None
-
-    def _check_state(self, tensors: dict[str, np.ndarray], source: str) -> None:
-        """Raise a structured error listing expected vs found shapes and any
-        missing/unexpected names unless ``tensors`` fits the parameters."""
-        params = self.parameters()
+        params = model.parameters()
         problems = []
         for name, p in params.items():
             if name not in tensors:
-                problems.append(f"missing tensor {name!r} (expected shape {tuple(p.shape)})")
-                continue
-            arr = tensors[name]
-            if tuple(arr.shape) != tuple(p.shape):
-                problems.append(
-                    f"{name}: expected shape {tuple(p.shape)}, found {tuple(arr.shape)}"
-                )
-        for name in tensors:
-            if name not in params:
-                problems.append(f"unexpected tensor {name!r}")
+                problems.append(f"missing tensor {name!r} (expected shape {p.shape})")
+            elif tensors[name].shape != p.shape:
+                problems.append(f"{name}: expected shape {p.shape}, found {tensors[name].shape}")
+        problems += [f"unexpected tensor {name!r}" for name in tensors if name not in params]
         if problems:
-            raise CheckpointError(f"{source}: " + "; ".join(problems))
+            raise CheckpointError(f"{path}: " + "; ".join(problems))
+        return model

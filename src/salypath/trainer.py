@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import ConfigError, ContractError, NumericError, TrainingDiverged
 from .losses import LossWeights, saliency_loss, scanpath_loss
 from .model import SalypathModel, soft_argmax
 from .tensor import Tensor, no_grad
-from .types import FixationSet
+from .types import FixationSet, config_from_dict
 
 __all__ = ["TrainConfig", "TrainReport", "SGD", "Adam", "lr_schedule", "train"]
 
@@ -62,14 +62,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.phase1_epochs < 0 or self.phase2_epochs < 0:
             raise ConfigError("TrainConfig: epochs must be >= 0")
-        if self.phase1_lr <= 0 or self.phase2_lr <= 0:
-            raise ConfigError("TrainConfig: learning rates must be > 0")
+        if not (0 < self.phase1_lr < np.inf and 0 < self.phase2_lr < np.inf):
+            raise ConfigError("TrainConfig: learning rates must be finite and > 0")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ConfigError(
                 f"TrainConfig: lr_decay must be in (0, 1], got {self.lr_decay}"
             )
         if self.batch_size < 1:
             raise ConfigError("TrainConfig: batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"TrainConfig: seed must be >= 0, got {self.seed}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(
                 f"TrainConfig: optimizer must be adam or sgd, got {self.optimizer!r}"
@@ -85,30 +87,12 @@ class TrainConfig:
         return cls(**args)
 
     def to_dict(self) -> dict:
-        return {
-            "phase1_epochs": self.phase1_epochs,
-            "phase2_epochs": self.phase2_epochs,
-            "phase1_lr": self.phase1_lr,
-            "phase2_lr": self.phase2_lr,
-            "lr_decay": self.lr_decay,
-            "batch_size": self.batch_size,
-            "optimizer": self.optimizer,
-            "seed": self.seed,
-            "freeze_encoder_phase2": self.freeze_encoder_phase2,
-            "divisor": self.divisor,
-            "loss_weights": {"kl_w": self.loss_weights.kl_w,
-                             "mse_w": self.loss_weights.mse_w,
-                             "nss_w": self.loss_weights.nss_w},
-            "joint_alternating": self.joint_alternating,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        lw = d.pop("loss_weights", None)
-        if lw is not None:
-            d["loss_weights"] = LossWeights(**lw)
-        return cls(**d)
+        """Inverse of ``to_dict``; ``config_from_dict`` lists the rules."""
+        return config_from_dict(cls, d)
 
 
 @dataclass
@@ -123,13 +107,7 @@ class TrainReport:
     n_samples: int
 
     def to_dict(self) -> dict:
-        return {
-            "phase": self.phase,
-            "epoch_losses": self.epoch_losses,
-            "lrs": self.lrs,
-            "wall_time_s": self.wall_time_s,
-            "n_samples": self.n_samples,
-        }
+        return asdict(self)
 
 
 # -- optimizers ------------------------------------------------------------

@@ -11,11 +11,14 @@ Coordinate conventions, used consistently everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+import functools
+import typing
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError
 
 
 def norm_to_pixel(points: np.ndarray, width: int, height: int) -> np.ndarray:
@@ -142,3 +145,48 @@ class FixationSet:
         if len(self):
             np.add.at(w, (self.points[:, 0], self.points[:, 1]), 1.0)
         return w
+
+
+@functools.cache
+def _field_types(cls) -> dict[str, object]:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def config_from_dict(cls, d):
+    """Build the config dataclass ``cls`` from a JSON-shaped dict.
+
+    Every field must be present and no other key; values must match the
+    field's declared type: a bool is a real bool, an int is an int and not
+    a bool, a float takes an int or a float, a ``tuple[...]`` takes a list
+    (or tuple) checked element by element, and a nested dataclass is read
+    the same way. Any violation raises ConfigError naming ``Class.field``
+    (``Class.field[i]`` for an element, ``Class.field.sub`` for a nested
+    field); the class's own ``__post_init__`` then checks the values.
+    """
+    return _read(cls, d, cls.__name__)
+
+
+def _read(tp, v, where: str):
+    if tp is float and type(v) is int:
+        v = float(v)
+    if type(v) is tp:  # also keeps JSON true/false out of int fields
+        return v
+    if typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        if not isinstance(v, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {v!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(v)
+        elif len(v) != len(args):
+            raise ConfigError(f"{where}: expected a list of {len(args)}, got {v!r}")
+        return tuple(_read(t, x, f"{where}[{i}]") for i, (t, x) in enumerate(zip(args, v)))
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(v, dict):
+            raise ConfigError(f"{where}: expected an object, got {v!r}")
+        types = _field_types(tp)
+        for key in [*v, *types]:
+            if (key in v) != (key in types):
+                raise ConfigError(f"{where}.{key}: {'unknown' if key in v else 'missing'} field")
+        return tp(**{k: _read(t, v[k], f"{where}.{k}") for k, t in types.items()})
+    raise ConfigError(f"{where}: expected {tp.__name__}, got {v!r}")

@@ -32,10 +32,14 @@ from salypath.data import (
 )
 from salypath.model import ModelConfig, SalypathModel
 
+# every ModelConfig field, so a checkpoint header built from it is complete
 TINY_MODEL = dict(
     input_size=[16, 16],
+    in_channels=3,
     encoder_blocks=[[1, 4], [1, 8]],
     head_channels=[8] * 10,
+    beta=1.0,
+    attention_enabled=True,
     attention_reduction=2,
     spatial_kernel=3,
 )
@@ -54,10 +58,31 @@ MALFORMED_CHECKPOINTS = [
     ([_t("a", [2], 0.0)], 8, {}, "malformed tensor entry"),
     ([_t("a", [1], 0), _t("a", [1], 4)], 8, {}, "appears twice"),
     ([_t("a", [2], 0), _t("b", [1], 4)], 12, {}, "starts at byte 4"),
-    ([_t("a", [1], 0)], 4, {"input_size": [64]}, "ModelConfig"),
-    ([_t("a", [1], 0)], 4, {"in_channels": "x"}, "ModelConfig"),
-    ([_t("a", [1], 0)], 4, {"encoder_blocks": [2]}, "ModelConfig"),
-    ([_t("a", [1], 0)], 4, {"beta": None}, "ModelConfig"),
+    ([_t("a", [1], 0)], 4, {"input_size": [64]}, "ModelConfig.input_size"),
+    ([_t("a", [1], 0)], 4, {"in_channels": "x"}, "ModelConfig.in_channels"),
+    ([_t("a", [1], 0)], 4, {"encoder_blocks": [2]}, "ModelConfig.encoder_blocks"),
+    ([_t("a", [1], 0)], 4, {"beta": None}, "ModelConfig.beta"),
+    ([_t("a", [1], 0)], 4, {"attention_enabled": "false"}, "ModelConfig.attention_enabled"),
+    ([_t("a", [1], 0)], 4, {"in_channels": 3.0}, "ModelConfig.in_channels"),
+]
+
+# (config document, extra argv, text the one stderr line must hold) of
+# `train` runs that each once crashed with a traceback, or trained anyway:
+# the "false" strings were read as true, and a NaN lr diverged after an epoch
+BAD_TRAIN_CONFIGS = [
+    ({"model": {"beta": None}}, [], "ModelConfig.beta"),
+    ({"model": {"input_size": [64]}}, [], "ModelConfig.input_size"),
+    ({"model": {"attention_enabled": "false"}}, [], "ModelConfig.attention_enabled"),
+    ({"train": {"nonsense": 1}}, [], "TrainConfig.nonsense"),
+    ({"train": {"batch_size": "16"}}, [], "TrainConfig.batch_size"),
+    ({"train": {"phase1_epochs": 1.5}}, [], "TrainConfig.phase1_epochs"),
+    ({"train": {"loss_weights": {"kl_w": "x"}}}, [], "TrainConfig.loss_weights.kl_w"),
+    ({"train": {"freeze_encoder_phase2": "false"}}, [], "TrainConfig.freeze_encoder_phase2"),
+    ({"train": {"joint_alternating": "false"}}, [], "TrainConfig.joint_alternating"),
+    ([1], [], "config is not a JSON object"),
+    ({"model": [1]}, [], "config section 'model' is not an object"),
+    ({}, ["--seed", "-1"], "seed must be >= 0"),
+    ({"train": {"phase1_lr": float("nan")}}, [], "learning rates must be finite"),
 ]
 
 
@@ -65,6 +90,14 @@ TINY_TRAIN = dict(
     phase1_epochs=2, phase2_epochs=2, phase1_lr=1e-3, phase2_lr=1e-3,
     batch_size=4,
 )
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m salypath *argv`` in a fresh process, importing this tree."""
+    src = str(Path(salypath.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "salypath", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def tree_digest(root: Path) -> dict:
@@ -163,6 +196,15 @@ class TestGenSynth:
         assert st["mode"] == 8
         assert set(st["histogram"]) <= {"6", "8", "10"}
 
+    @pytest.mark.parametrize("weights", ["8", "x:1", "8:0", "8:-1,6:2", "8:nan"])
+    def test_bad_length_weights_is_usage_error(self, tmp_path, capsys, weights):
+        rc = main(["gen-synth", "--n", "2", "--size", "16x16",
+                   "--out", str(tmp_path / "ds"), "--length-weights", weights])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "length" in err and "weights" in err
+        assert not (tmp_path / "ds").exists()
+
 
 class TestStats:
     def test_reports_default_length(self, dataset, capsys):
@@ -219,6 +261,35 @@ class TestTrain:
                    "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg)])
         assert rc == 2
         assert "unknown config section 'optimizer'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc,argv,error", BAD_TRAIN_CONFIGS, ids=[
+        "beta-null", "input_size-short", "attention_enabled-string", "unknown-field",
+        "batch_size-string", "phase1_epochs-float", "kl_w-string",
+        "freeze_encoder_phase2-string", "joint_alternating-string", "file-not-object",
+        "section-not-object", "negative-seed", "phase1_lr-nan"])
+    def test_bad_config_exits_2_with_one_line(self, dataset, tmp_path, doc, argv, error):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "m.ckpt"
+        proc = run_module("train", "--data", str(dataset / "manifest.json"),
+                          "--out", str(out), "--config", str(cfg), *argv)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("salypath train: error:"), lines
+        assert error in lines[0]
+        assert not out.exists()
+
+    def test_partial_loss_weights_merge_onto_the_preset(self, dataset, tmp_path):
+        ckpts = []
+        for weights in ({"kl_w": 0.5}, {"kl_w": 0.5, "mse_w": 0.3, "nss_w": 0.1}):
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({"model": TINY_MODEL,
+                                       "train": {**TINY_TRAIN, "loss_weights": weights}}))
+            ckpts.append(tmp_path / f"m{len(ckpts)}.ckpt")
+            rc = main(["train", "--data", str(dataset / "manifest.json"),
+                       "--out", str(ckpts[-1]), "--config", str(cfg)])
+            assert rc == 0
+        assert ckpts[0].read_bytes() == ckpts[1].read_bytes()
 
 
 # -- predict --------------------------------------------------------------------
@@ -300,21 +371,17 @@ class TestPredict:
 
     @pytest.mark.parametrize("tensors,n_bytes,config,error", MALFORMED_CHECKPOINTS, ids=[
         "negative-dim", "string-dim", "float-offset", "duplicate-name", "overlap",
-        "config-input_size", "config-in_channels", "config-encoder_blocks", "config-beta"])
+        "config-input_size", "config-in_channels", "config-encoder_blocks", "config-beta",
+        "config-attention_enabled-string", "config-in_channels-float"])
     def test_malformed_checkpoint_exits_2_with_one_line(self, tmp_path, tensors, n_bytes,
                                                         config, error):
         ckpt = tmp_path / "bad.ckpt"
         header = {"tensors": tensors, "config": {**TINY_MODEL, **config}}
         ckpt.write_bytes(json.dumps(header).encode() + b"\n" + bytes(n_bytes))
         write_ppm(tmp_path / "img.ppm", np.zeros((3, 16, 16), dtype=np.float32))
-        src = str(Path(salypath.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "salypath", "predict", "--checkpoint", str(ckpt),
-             "--image", str(tmp_path / "img.ppm"), "--out-map", str(tmp_path / "m.pgm"),
-             "--out-scanpath", str(tmp_path / "p.csv")],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_module(
+            "predict", "--checkpoint", str(ckpt), "--image", str(tmp_path / "img.ppm"),
+            "--out-map", str(tmp_path / "m.pgm"), "--out-scanpath", str(tmp_path / "p.csv"))
         assert proc.returncode == 2, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("salypath predict: error:"), lines
@@ -520,14 +587,8 @@ class TestUsage:
         assert exc.value.code == 2
 
     def test_python_dash_m_runs_the_cli(self, tmp_path):
-        src = str(Path(salypath.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run(
-            [sys.executable, "-m", "salypath", "gen-synth", "--n", "2", "--seed", "0",
-             "--size", "16x16", "--out", str(tmp_path / "ds")],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_module("gen-synth", "--n", "2", "--seed", "0",
+                          "--size", "16x16", "--out", str(tmp_path / "ds"))
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "ds" / "manifest.json").exists()
 

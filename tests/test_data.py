@@ -546,3 +546,12 @@ class TestGenerateSynthetic:
             generate_synthetic(
                 1, seed=0, size=(32, 32), out_dir=tmp_path, length_weights={1: 1.0}
             )
+
+    @pytest.mark.parametrize("weights", [
+        {8: 0.0}, {8: -1.0, 6: 2.0}, {8: float("nan")}, {8: float("inf")},
+    ], ids=["zero-sum", "negative", "nan", "inf"])
+    def test_bad_length_weights_rejected(self, tmp_path, weights):
+        with pytest.raises(ContractError, match="length weights"):
+            generate_synthetic(1, seed=0, size=(32, 32), out_dir=tmp_path,
+                               length_weights=weights)
+        assert not any(tmp_path.iterdir())

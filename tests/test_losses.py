@@ -207,6 +207,12 @@ def test_loss_weights_reject_negatives():
         LossWeights(-0.1, 0.3, 0.1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_loss_weights_reject_non_finite(bad):
+    with pytest.raises(ConfigError, match="mse_w must be finite"):
+        LossWeights(0.6, bad, 0.1)
+
+
 # -- scanpath loss -------------------------------------------------------------------
 
 def test_scanpath_loss_identical_is_zero(rng):

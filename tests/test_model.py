@@ -76,6 +76,8 @@ MALFORMED_CONFIG_FIELDS = [
     ("beta", None),
     ("beta", "nan"),
     ("attention_reduction", 0),
+    ("attention_enabled", "false"),
+    ("in_channels", 3.0),
 ]
 
 
@@ -83,8 +85,28 @@ MALFORMED_CONFIG_FIELDS = [
 def test_config_from_dict_rejects_malformed_field(key, value):
     d = ModelConfig.desk().to_dict()
     d[key] = value
-    with pytest.raises(ConfigError, match="ModelConfig"):
+    with pytest.raises(ConfigError, match=rf"ModelConfig\b.*\b{key}\b"):
         ModelConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("edit,error", [
+    (lambda d: d.pop("beta"), r"ModelConfig\.beta: missing"),
+    (lambda d: d.update(depth=3), r"ModelConfig\.depth: unknown"),
+    (lambda d: d.update(encoder_blocks=[[2, 16], [2, True]]),
+     r"ModelConfig\.encoder_blocks\[1\]\[1\]: expected int, got True"),
+], ids=["missing", "unknown", "bool-in-int-tuple"])
+def test_config_from_dict_names_the_field(edit, error):
+    d = ModelConfig.desk().to_dict()
+    edit(d)
+    with pytest.raises(ConfigError, match=error):
+        ModelConfig.from_dict(d)
+
+
+def test_config_from_dict_reads_json_types():
+    cfg = ModelConfig.from_dict(json.loads(json.dumps({**ModelConfig.desk().to_dict(),
+                                                       "beta": 2})))
+    assert cfg == ModelConfig.desk(beta=2.0) and type(cfg.beta) is float
+    assert type(cfg.input_size) is tuple and type(cfg.encoder_blocks[0]) is tuple
 
 
 # -- soft-argmax ---------------------------------------------------------------
@@ -339,38 +361,21 @@ def test_load_draws_nothing_and_round_trips_bitwise(tmp_path, monkeypatch):
     assert (tmp_path / "b.ckpt").read_bytes() == path.read_bytes()
 
 
-def _assert_separate_writable(params: dict, others=()):
-    for p in params.values():
-        assert p.data.flags.writeable and p.data.flags.aligned
-        assert p.data.dtype == np.float32
-    for a, b in itertools.combinations(params.values(), 2):
-        assert not np.may_share_memory(a.data, b.data)
-    for p, arr in others:
-        assert not np.may_share_memory(p.data, arr)
-
-
 def test_loaded_parameters_are_writable_and_separate(tmp_path):
     model = SalypathModel(ModelConfig(**TINY), seed=2)
     model.save(tmp_path / "m.ckpt")
     clone = SalypathModel.load(tmp_path / "m.ckpt")
     params = clone.parameters()
-    _assert_separate_writable(params)
+    for p in params.values():
+        assert p.data.flags.writeable and p.data.flags.aligned
+        assert p.data.dtype == np.float32
+    for a, b in itertools.combinations(params.values(), 2):
+        assert not np.may_share_memory(a.data, b.data)
     before = {k: p.data.copy() for k, p in params.items()}
     params["enc.b0.c0.bias"].data[...] = 7.0
     for name, p in params.items():
         if name != "enc.b0.c0.bias":
             np.testing.assert_array_equal(p.data, before[name])
-
-
-def test_load_state_copies_out_of_the_callers_dict():
-    model = SalypathModel(ModelConfig(**TINY), seed=0)
-    state = {k: np.full(v.shape, 0.5, np.float32)
-             for k, v in SalypathModel(ModelConfig(**TINY), seed=1).parameters().items()}
-    model.load_state(state)
-    params = model.parameters()
-    _assert_separate_writable(params, [(params[k], state[k]) for k in state])
-    state["head.0.weight"][...] = 9.0
-    assert (params["head.0.weight"].data == 0.5).all()
 
 
 def _write_raw_checkpoint(path, entries, n_bytes, config=None):
@@ -458,14 +463,15 @@ def test_checkpoint_failed_save_leaves_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
-def test_load_state_reports_every_mismatch():
+def test_load_reports_every_mismatch(tmp_path):
     model = SalypathModel(ModelConfig(**TINY), seed=0)
-    state = {k: v.data.copy() for k, v in model.parameters().items()}
+    state = {k: v.data for k, v in model.parameters().items()}
     del state["head.9.bias"]
     state["enc.b0.c0.weight"] = np.zeros((2, 2), np.float32)
     state["bogus.tensor"] = np.zeros(3, np.float32)
+    save_checkpoint(tmp_path / "m.ckpt", state, config=model.config.to_dict())
     with pytest.raises(CheckpointError) as exc:
-        model.load_state(state)
+        SalypathModel.load(tmp_path / "m.ckpt")
     msg = str(exc.value)
     assert "head.9.bias" in msg and "missing" in msg
     assert "enc.b0.c0.weight" in msg and "expected shape" in msg

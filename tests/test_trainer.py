@@ -169,6 +169,9 @@ class TestTrainConfig:
         dict(batch_size=0),
         dict(optimizer="rmsprop"),
         dict(divisor="rows"),
+        dict(seed=-1),
+        dict(phase1_lr=float("nan")),
+        dict(phase2_lr=float("inf")),
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -180,6 +183,25 @@ class TestTrainConfig:
         assert d["loss_weights"] == {"kl_w": 0.6, "mse_w": 0.3, "nss_w": 0.1}
         assert TrainConfig.from_dict(d) == cfg
         assert TrainConfig.from_dict(json.loads(json.dumps(d))) == cfg
+
+    @pytest.mark.parametrize("key,value", [
+        ("batch_size", "16"),
+        ("phase1_epochs", 1.5),
+        ("phase2_epochs", True),
+        ("joint_alternating", 0),
+        ("optimizer", None),
+        ("loss_weights", {"kl_w": 0.6, "mse_w": 0.3}),
+        ("loss_weights", [0.6, 0.3, 0.1]),
+    ])
+    def test_from_dict_rejects_mistyped_field(self, key, value):
+        d = TrainConfig().to_dict()
+        d[key] = value
+        with pytest.raises(ConfigError, match=rf"TrainConfig\.{key}\b"):
+            TrainConfig.from_dict(d)
+
+    def test_from_dict_takes_ints_for_floats(self):
+        cfg = TrainConfig.from_dict({**TrainConfig().to_dict(), "phase2_lr": 1})
+        assert cfg.phase2_lr == 1.0 and type(cfg.phase2_lr) is float
 
     def test_report_dict(self):
         rep = TrainReport(phase=1, epoch_losses=[1.0, 0.5], lrs=[1e-3, 9e-4],
