@@ -15,12 +15,14 @@ training can only move away from that as the gradients ask for it.
 import numpy as np
 
 from salypath import AttentionGate, Tensor, attend, channel_attention, spatial_attention
+from salypath.tensor import kaiming_uniform
 
 rng = np.random.default_rng(7)
 x = Tensor(rng.normal(size=(1, 8, 6, 6)).astype(np.float32))
 
+# make(name, shape) hands out each parameter; kaiming_uniform draws fresh ones
 gate = AttentionGate(channels=8, reduction=4, spatial_kernel=7,
-                     rng=np.random.default_rng(1))
+                     make=kaiming_uniform(np.random.default_rng(1)))
 print("fresh gamma =", float(gate.gamma.data))
 
 out = attend(x, gate)

@@ -20,21 +20,19 @@ the identity map (up to adding a literal zero).
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ConfigError
-from .tensor import ConvLayer, ParamMaker, Tensor, concat, kaiming_uniform
+from .tensor import ConvLayer, ParamMaker, Tensor, concat
 
 
 class AttentionGate:
     """Parameter bundle for the attention block at a given channel width.
 
-    Parameters come from ``make`` (see ``tensor.ParamMaker``) under the names
-    ``parameters()`` lists; by default they are fresh, drawn from ``rng``
-    (seed 0 when None)."""
+    Each parameter comes from ``make`` (see ``tensor.ParamMaker``) under an
+    ``att.`` checkpoint name; wrap ``make`` in ``tensor.recording`` to
+    collect them by name."""
 
-    def __init__(self, channels: int, reduction: int = 4, spatial_kernel: int = 7,
-                 rng: np.random.Generator | None = None, make: ParamMaker | None = None):
+    def __init__(self, channels: int, reduction: int = 4, spatial_kernel: int = 7, *,
+                 make: ParamMaker):
         channels = int(channels)
         reduction = int(reduction)
         spatial_kernel = int(spatial_kernel)
@@ -49,8 +47,6 @@ class AttentionGate:
             raise ConfigError(
                 f"AttentionGate: spatial_kernel must be odd, got {spatial_kernel}"
             )
-        if make is None:
-            make = kaiming_uniform(np.random.default_rng(0) if rng is None else rng)
         hidden = channels // reduction
         self.channels = channels
         self.reduction = reduction
@@ -62,17 +58,6 @@ class AttentionGate:
         self.sp_conv = ConvLayer.build(make, "att.sp_conv", 2, 1, spatial_kernel,
                                        padding=(spatial_kernel - 1) // 2)
         self.gamma = make("att.gamma", ())
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {
-            "att.ch_mlp.0.weight": self.ch_mlp[0].weight,
-            "att.ch_mlp.0.bias": self.ch_mlp[0].bias,
-            "att.ch_mlp.1.weight": self.ch_mlp[1].weight,
-            "att.ch_mlp.1.bias": self.ch_mlp[1].bias,
-            "att.sp_conv.weight": self.sp_conv.weight,
-            "att.sp_conv.bias": self.sp_conv.bias,
-            "att.gamma": self.gamma,
-        }
 
     def _mlp(self, d: Tensor) -> Tensor:
         return self.ch_mlp[1](self.ch_mlp[0](d).relu())

@@ -169,6 +169,10 @@ def _score_records(manifest, pred_dir: Path, suffix: str, score, out,
 
 
 def cmd_eval_saliency(args) -> int:
+    if args.seed < 0:
+        raise SalypathError(f"--seed must be >= 0, got {args.seed}")
+    if args.borji_splits < 1:
+        raise SalypathError(f"--borji-splits must be >= 1, got {args.borji_splits}")
     manifest = dio.load_manifest(args.manifest)
 
     def one(job):
@@ -195,6 +199,9 @@ def cmd_eval_saliency(args) -> int:
 
 
 def cmd_eval_scanpath(args) -> int:
+    if not 0.0 < args.congruency_percentile < 100.0:
+        raise SalypathError("--congruency-percentile must be in (0, 100), "
+                            f"got {args.congruency_percentile}")
     manifest = dio.load_manifest(args.manifest)
 
     def one(job):

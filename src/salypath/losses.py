@@ -80,8 +80,9 @@ def mse_map(pred, gt) -> Tensor:
 
 
 def _fixation_weights(fixations, shape: tuple[int, int]) -> np.ndarray:
-    """Accepts FixationSet, Scanpath, or a same-shape indicator array.
-    Returns a float [H, W] weight grid counting multiplicity."""
+    """Float [H, W] weight grid. A FixationSet or Scanpath counts each pixel
+    with multiplicity; an array is read as a 0/1 indicator (``arr > 0``), so
+    a multiplicity grid passed as an array loses its counts."""
     h, w = shape
     if isinstance(fixations, Scanpath):
         fixations = FixationSet(norm_to_pixel(fixations.points, w, h), (h, w))

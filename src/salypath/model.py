@@ -24,14 +24,16 @@ import numpy as np
 from .attention import AttentionGate, attend
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import CheckpointError, ConfigError, DimensionError
-from .tensor import (ConvLayer, ParamMaker, Tensor, concat, conv2d, kaiming_uniform, maxpool2,
-                     no_grad, softmax2d, upsample2)
+from .tensor import (ConvLayer, ParamMaker, Tensor, concat, kaiming_uniform, maxpool2, no_grad,
+                     recording, softmax2d, upsample2)
 from .types import SaliencyMap, Scanpath, config_from_dict
 
 DESK_BLOCKS = ((2, 16), (2, 32), (2, 48), (2, 64))
 DESK_HEAD = (64, 56, 48, 40, 32, 24, 20, 16, 12, 8)
 FULL_BLOCKS = ((2, 64), (2, 128), (3, 256), (3, 512), (3, 512))
 FULL_HEAD = (512, 448, 384, 320, 256, 192, 128, 64, 32, 8)
+# parameter-name prefixes, in checkpoint order
+PARAM_GROUPS = ("enc", "att", "dec", "head")
 
 
 @dataclass(frozen=True)
@@ -160,33 +162,33 @@ class SalypathModel:
         self._build(config, kaiming_uniform(np.random.default_rng(seed)))
 
     def _build(self, config: ModelConfig, make: ParamMaker) -> None:
-        """Lay out the layers, each parameter made once by ``make``."""
+        """Lay out the layers, each parameter made once by ``make`` and
+        filed under its checkpoint name."""
         self.config = config
+        made: dict[str, Tensor] = {}
+        make = recording(make, made)
 
         # make is called encoder, decoder, head, attention: at equal seed,
         # configs that differ only in attention share the trunk weights.
-        self.encoder: list[ConvLayer] = []
-        self._enc_names: list[str] = []
+        self.encoder: list[list[ConvLayer]] = []
         in_ch = config.in_channels
         for bi, (count, ch) in enumerate(config.encoder_blocks):
-            for ci in range(count):
-                self._enc_names.append(f"enc.b{bi}.c{ci}")
-                self.encoder.append(
-                    ConvLayer.build(make, self._enc_names[-1], in_ch, ch, 3, padding=1))
-                in_ch = ch
+            self.encoder.append([
+                ConvLayer.build(make, f"enc.b{bi}.c{ci}", ch if ci else in_ch, ch, 3, padding=1)
+                for ci in range(count)])
+            in_ch = ch
 
-        self.decoder: list[ConvLayer] = []
-        self._dec_names: list[str] = []
-        blocks = config.encoder_blocks
-        for k in range(len(blocks) - 1, -1, -1):
-            count, ch = blocks[k]
-            target = blocks[k - 1][1] if k > 0 else blocks[0][1]
-            for ci in range(count):
-                out_ch = target if ci == count - 1 else ch
-                self._dec_names.append(f"dec.b{len(blocks) - 1 - k}.c{ci}")
-                self.decoder.append(
-                    ConvLayer.build(make, self._dec_names[-1], ch, out_ch, 3, padding=1))
-        self.dec_out = ConvLayer.build(make, "dec.out", blocks[0][1], 1, 1)
+        # block k mirrors encoder block n-1-k; its last conv steps the
+        # channel count down to the next block's
+        self.decoder: list[list[ConvLayer]] = []
+        blocks = config.encoder_blocks[::-1]
+        for k, (count, ch) in enumerate(blocks):
+            out_ch = blocks[k + 1][1] if k + 1 < len(blocks) else ch
+            self.decoder.append([
+                ConvLayer.build(make, f"dec.b{k}.c{ci}", ch, out_ch if ci == count - 1 else ch,
+                                3, padding=1)
+                for ci in range(count)])
+        self.dec_out = ConvLayer.build(make, "dec.out", blocks[-1][1], 1, 1)
 
         self.head: list[ConvLayer] = []
         head_in = config.bottleneck_channels
@@ -194,41 +196,20 @@ class SalypathModel:
             self.head.append(ConvLayer.build(make, f"head.{hi}", head_in, hc, 3, padding=1))
             head_in = hc
 
-        self.att: AttentionGate | None = None
-        if config.attention_enabled:
-            self.att = AttentionGate(
-                config.bottleneck_channels,
-                reduction=config.attention_reduction,
-                spatial_kernel=config.spatial_kernel,
-                make=make,
-            )
+        self.att = (AttentionGate(config.bottleneck_channels, config.attention_reduction,
+                                  config.spatial_kernel, make=make)
+                    if config.attention_enabled else None)
 
-    # -- parameters -----------------------------------------------------
+        # checkpoint order: by group, make order within a group (sort is stable)
+        self._params = dict(sorted(made.items(),
+                                   key=lambda kv: PARAM_GROUPS.index(kv[0].partition(".")[0])))
 
-    def parameters(self) -> dict[str, Tensor]:
-        """Name -> tensor, in a stable serialization order."""
-        out: dict[str, Tensor] = {}
-        for name, layer in zip(self._enc_names, self.encoder):
-            out[f"{name}.weight"] = layer.weight
-            out[f"{name}.bias"] = layer.bias
-        if self.att is not None:
-            out.update(self.att.parameters())
-        for name, layer in zip(self._dec_names, self.decoder):
-            out[f"{name}.weight"] = layer.weight
-            out[f"{name}.bias"] = layer.bias
-        out["dec.out.weight"] = self.dec_out.weight
-        out["dec.out.bias"] = self.dec_out.bias
-        for hi, layer in enumerate(self.head):
-            out[f"head.{hi}.weight"] = layer.weight
-            out[f"head.{hi}.bias"] = layer.bias
-        return out
-
-    def trunk_parameters(self) -> dict[str, Tensor]:
-        """Encoder + attention + decoder (phase-1 trainables)."""
-        return {k: v for k, v in self.parameters().items() if not k.startswith("head.")}
-
-    def head_parameters(self) -> dict[str, Tensor]:
-        return {k: v for k, v in self.parameters().items() if k.startswith("head.")}
+    def parameters(self, groups: tuple[str, ...] | None = None) -> dict[str, Tensor]:
+        """Name -> tensor in checkpoint order, for the named ``PARAM_GROUPS``
+        (all of them by default)."""
+        if groups is None:
+            return dict(self._params)
+        return {k: v for k, v in self._params.items() if k.partition(".")[0] in groups}
 
     # -- forward pieces ---------------------------------------------------
 
@@ -253,11 +234,9 @@ class SalypathModel:
         """Image batch -> raw bottleneck [B, C_bott, H/2^k, W/2^k]."""
         x = x if isinstance(x, Tensor) else Tensor(x)
         self._check_input(x)
-        i = 0
-        for count, _ in self.config.encoder_blocks:
-            for _ in range(count):
-                x = self.encoder[i](x).relu()
-                i += 1
+        for block in self.encoder:
+            for layer in block:
+                x = layer(x).relu()
             x = maxpool2(x)
         return x
 
@@ -269,36 +248,22 @@ class SalypathModel:
     def decode(self, bottleneck: Tensor) -> Tensor:
         """Attended bottleneck -> saliency map batch [B, 1, H, W] in (0, 1)."""
         x = bottleneck
-        i = 0
-        for count, _ in reversed(self.config.encoder_blocks):
+        for block in self.decoder:
             x = upsample2(x)
-            for _ in range(count):
-                x = self.decoder[i](x).relu()
-                i += 1
+            for layer in block:
+                x = layer(x).relu()
         return self.dec_out(x).sigmoid()
 
     def scanpath_features(self, bottleneck: Tensor) -> Tensor:
         """Attended bottleneck -> [B, 8, h, w] fixation feature planes."""
         x = bottleneck
-        last = len(self.head) - 1
-        for i, layer in enumerate(self.head):
-            x = layer(x)
-            if i != last:
-                x = x.relu()
-        return x
+        for layer in self.head[:-1]:
+            x = layer(x).relu()
+        return self.head[-1](x)
 
-    def forward_tensors(self, x: Tensor, use_attention: bool | None = None
-                        ) -> tuple[Tensor, Tensor]:
-        """Full differentiable forward pass.
-
-        Returns (maps [B,1,H,W], points [B,8,2]). ``use_attention`` overrides
-        the config switch on this one call (same weights, gate bypassed),
-        which is how the gamma=0 identity is validated.
-        """
-        bott = self.encode(x)
-        gate_on = self.config.attention_enabled if use_attention is None else use_attention
-        if gate_on and self.att is not None:
-            bott = attend(bott, self.att)
+    def forward_tensors(self, x: Tensor) -> tuple[Tensor, Tensor]:
+        """Full differentiable forward pass: (maps [B,1,H,W], points [B,8,2])."""
+        bott = self.attend(self.encode(x))
         maps = self.decode(bott)
         feats = self.scanpath_features(bott)
         points = soft_argmax(feats, self.config.beta)

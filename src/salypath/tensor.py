@@ -425,6 +425,17 @@ def kaiming_uniform(rng: np.random.Generator) -> ParamMaker:
     return make
 
 
+def recording(make: ParamMaker, made: dict[str, Tensor]) -> ParamMaker:
+    """``make`` that also files each tensor it hands out in ``made`` under
+    its name; a name asked for twice raises ContractError."""
+    def record(name: str, shape: tuple[int, ...]) -> Tensor:
+        if name in made:
+            raise ContractError(f"parameter {name!r} made twice")
+        made[name] = p = make(name, shape)
+        return p
+    return record
+
+
 class ConvLayer:
     """2-D convolution parameters: weight [out_ch, in_ch, kh, kw], bias
     [out_ch], plus integer stride and symmetric zero padding.

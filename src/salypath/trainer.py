@@ -170,7 +170,7 @@ class Adam:
 class _Sample:
     image: np.ndarray            # [3, H, W] float32 at model input size
     gt_map: np.ndarray           # [H, W] float32 at model input size
-    fixations: np.ndarray | None  # [H, W] float64 multiplicity grid, or None
+    fixations: np.ndarray | None  # [H, W] float64 0/1 fixation indicator, or None
     paths: np.ndarray            # [S, L, 2] float32 normalized, L = head length
 
 
@@ -195,7 +195,8 @@ def prepare_samples(model: SalypathModel, manifest: DatasetManifest) -> list[_Sa
         paths = manifest.load_scanpaths(i)
         fix = None
         if paths:
-            fix = FixationSet.from_scanpaths(paths, w, h).weights()
+            # the NSS term reads an array as a 0/1 indicator, so store that
+            fix = (FixationSet.from_scanpaths(paths, w, h).weights() > 0).astype(np.float64)
         keep = [p.points for p in paths if len(p) == head_len]
         pts = (np.stack(keep).astype(np.float32) if keep
                else np.zeros((0, head_len, 2), dtype=np.float32))
@@ -229,16 +230,12 @@ class _Phase:
         # [N, C, h, w] float32, row k for self.samples[k]; frozen phase only
         self.bott: np.ndarray | None = None
         if phase == 1:
-            self.params = model.trunk_parameters()
+            groups = ("enc", "att", "dec")
             self.base_lr, self.epochs = config.phase1_lr, config.phase1_epochs
         else:
-            if self.freeze:
-                self.params = model.head_parameters()
-            else:
-                # the scanpath graph runs encoder -> attention -> head; the
-                # decoder never sees gradients in this phase
-                self.params = {k: v for k, v in model.parameters().items()
-                               if not k.startswith("dec.")}
+            # the scanpath graph runs encoder -> attention -> head; the
+            # decoder never sees gradients in this phase
+            groups = ("head",) if self.freeze else ("enc", "att", "head")
             self.base_lr, self.epochs = config.phase2_lr, config.phase2_epochs
             samples = [s for s in samples if s.paths.shape[0] > 0]
             if self.epochs and not samples:
@@ -248,6 +245,7 @@ class _Phase:
                 )
         if self.epochs and not samples:
             raise ContractError("training: empty dataset")
+        self.params = model.parameters(groups)
         self.samples = samples
         self.optimizer = Adam() if config.optimizer == "adam" else SGD()
         self.rng = np.random.default_rng((config.seed, phase))

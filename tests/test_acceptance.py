@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from conftest import away_from_zero, distinct_values, gradcheck
-from test_attention import _margin
+from test_attention import _margin, new_gate
 from test_saliency_metrics import auc_judd_oracle, cc_oracle, sim_oracle
 from test_scanpath_metrics import align_oracle
 
-from salypath.attention import AttentionGate, attend, channel_attention, spatial_attention
+from salypath.attention import attend, channel_attention, spatial_attention
 from salypath.checkpoint import load_checkpoint, save_checkpoint
 from salypath.cli import main
 from salypath.data import (
@@ -77,16 +77,16 @@ def _conv_instance(rng):
 
 
 def _attend_instances(n):
-    """(x, gate) pairs screened so no relu kink or pooling tie sits within
+    """(x, gate, parameter table) triples screened so no relu kink or pooling tie sits within
     finite-difference reach of the probe."""
     out = []
     for seed in range(4000):
         rng = np.random.default_rng(seed)
         x = distinct_values(rng, (1, 4, 6, 6))
-        gate = AttentionGate(4, 2, 3, rng=np.random.default_rng(seed + 7000))
+        gate, params = new_gate(4, 2, 3, seed=seed + 7000)
         gate.gamma.data[...] = 0.7
         if _margin(x, gate) > 8e-3:
-            out.append((x, gate))
+            out.append((x, gate, params))
             if len(out) == n:
                 return out
     raise AssertionError(f"only {len(out)} screened attention instances found")
@@ -136,12 +136,11 @@ def test_criterion_1_gradient_suite(capsys):
         worst = max(worst, gradcheck(lambda: scanpath_loss(pts, gt_pts), [pts]))
         n_checks += 8
 
-    for x, gate in _attend_instances(20):
+    for x, gate, params in _attend_instances(20):
         xt = Tensor(x.copy(), requires_grad=True)
         c = _readout(np.random.default_rng(0), x.shape)
-        params = list(gate.parameters().values())
         worst = max(worst, gradcheck(lambda: (attend(xt, gate) * c).sum(),
-                                     [xt] + params))
+                                     [xt, *params.values()]))
         n_checks += 1
 
     dt = time.perf_counter() - t0
@@ -196,7 +195,7 @@ def test_criterion_3_attention_identity(capsys):
     for seed in range(20):
         rng = np.random.default_rng(400 + seed)
         x = rng.normal(size=(2, 4, 5, 5)).astype(np.float32)
-        gate = AttentionGate(4, 2, 3, rng=np.random.default_rng(seed))
+        gate, _ = new_gate(4, 2, 3, seed=seed)
         assert float(gate.gamma.data) == 0.0     # fresh gate is an identity
         out = attend(Tensor(x), gate).data
         exact_identity &= bool(np.array_equal(out, x))
@@ -205,7 +204,7 @@ def test_criterion_3_attention_identity(capsys):
     for seed in range(100):
         rng = np.random.default_rng(500 + seed)
         x = rng.normal(size=(1, 4, 4, 4)).astype(np.float32)
-        gate = AttentionGate(4, 2, 3, rng=np.random.default_rng(seed))
+        gate, _ = new_gate(4, 2, 3, seed=seed)
         ch = channel_attention(Tensor(x), gate).data
         sp = spatial_attention(Tensor(x), gate).data
         in_range &= bool((ch > 0).all() and (ch < 1).all())

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from salypath.attention import AttentionGate, attend, channel_attention, spatial_attention
 from salypath.errors import ConfigError
-from salypath.tensor import Tensor
+from salypath.errors import ContractError
+from salypath.tensor import Tensor, kaiming_uniform, recording
 
 from conftest import distinct_values, gradcheck
 
@@ -76,9 +77,17 @@ def attend_oracle(x, gate):
     return x + float(gate.gamma.data) * z
 
 
+def new_gate(channels, reduction, spatial_kernel, seed=0):
+    """Gate with fresh weights drawn from ``seed``, and its name -> parameter
+    table."""
+    params = {}
+    make = recording(kaiming_uniform(np.random.default_rng(seed)), params)
+    return AttentionGate(channels, reduction, spatial_kernel, make=make), params
+
+
 def _zero_gate(channels=4, reduction=4, spatial_kernel=3):
-    gate = AttentionGate(channels, reduction, spatial_kernel)
-    for p in gate.parameters().values():
+    gate, params = new_gate(channels, reduction, spatial_kernel)
+    for p in params.values():
         p.data[...] = 0.0
     return gate
 
@@ -87,28 +96,42 @@ def _zero_gate(channels=4, reduction=4, spatial_kernel=3):
 
 def test_reduction_must_divide_channels():
     with pytest.raises(ConfigError, match="divisible"):
-        AttentionGate(channels=6, reduction=4)
+        new_gate(channels=6, reduction=4, spatial_kernel=7)
 
 
 def test_spatial_kernel_must_be_odd():
     with pytest.raises(ConfigError, match="odd"):
-        AttentionGate(channels=8, reduction=4, spatial_kernel=4)
+        new_gate(channels=8, reduction=4, spatial_kernel=4)
 
 
 def test_gamma_starts_at_zero_and_requires_grad():
-    gate = AttentionGate(8, 4, 3)
+    gate, _ = new_gate(8, 4, 3)
     assert float(gate.gamma.data) == 0.0
     assert gate.gamma.requires_grad
 
 
 def test_parameter_names():
-    gate = AttentionGate(8, 4, 7)
-    assert set(gate.parameters()) == {
+    _, params = new_gate(8, 4, 7)
+    assert list(params) == [
         "att.ch_mlp.0.weight", "att.ch_mlp.0.bias",
         "att.ch_mlp.1.weight", "att.ch_mlp.1.bias",
         "att.sp_conv.weight", "att.sp_conv.bias",
         "att.gamma",
-    }
+    ]
+
+
+def test_make_is_required():
+    with pytest.raises(TypeError, match="make"):
+        AttentionGate(8, 4, 7)
+
+
+def test_recording_refuses_a_name_made_twice():
+    made = {}
+    make = recording(kaiming_uniform(np.random.default_rng(0)), made)
+    first = make("att.gamma", ())
+    with pytest.raises(ContractError, match="att.gamma"):
+        make("att.gamma", ())
+    assert made == {"att.gamma": first}
 
 
 # -- channel branch -----------------------------------------------------------
@@ -119,7 +142,7 @@ def test_identical_channels_get_identical_weights(rng):
     # receive identical gains.
     plane = rng.normal(size=(2, 1, 3, 3)).astype(np.float32)
     x = Tensor(np.repeat(plane, 4, axis=1))
-    gate = AttentionGate(4, 2, 3, rng=np.random.default_rng(7))
+    gate, _ = new_gate(4, 2, 3, seed=7)
     gate.ch_mlp[0].weight.data[...] = 0.3
     gate.ch_mlp[0].bias.data[...] = 0.1
     gate.ch_mlp[1].weight.data[...] = -0.7
@@ -141,8 +164,8 @@ def test_channel_attention_unit_mlp_hand_value():
     # 2 channels, 2x2 planes, reduction 2 (hidden width 1), all-ones MLP.
     # Per batch item: weight_c = sigmoid(relu(a0 + a1) + relu(m0 + m1))
     # where a/m are the per-channel spatial means and maxima.
-    gate = AttentionGate(2, 2, 3)
-    for p in gate.parameters().values():
+    gate, params = new_gate(2, 2, 3)
+    for p in params.values():
         p.data[...] = 0.0
     gate.ch_mlp[0].weight.data[...] = 1.0
     gate.ch_mlp[1].weight.data[...] = 1.0
@@ -157,7 +180,7 @@ def test_channel_attention_unit_mlp_hand_value():
 
 def test_channel_attention_matches_oracle(rng):
     x = rng.normal(size=(2, 8, 4, 4)).astype(np.float32)
-    gate = AttentionGate(8, 4, 3, rng=np.random.default_rng(11))
+    gate, _ = new_gate(8, 4, 3, seed=11)
     got = channel_attention(Tensor(x), gate).data
     want = channel_attention_oracle(x, gate)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
@@ -176,14 +199,14 @@ def test_zero_conv_gives_half_plane(rng):
 def test_constant_input_constant_plane():
     # With a 1x1 kernel there is no border effect: a spatially constant
     # input maps to a spatially constant plane for any constant.
-    gate = AttentionGate(4, 2, 1, rng=np.random.default_rng(3))
+    gate, _ = new_gate(4, 2, 1, seed=3)
     x = np.ones((1, 4, 5, 5), np.float32) * np.array([0.2, -1.0, 3.0, 0.0], np.float32).reshape(1, 4, 1, 1)
     w = spatial_attention(Tensor(x), gate).data
     np.testing.assert_array_equal(w, np.full(w.shape, w[0, 0, 0, 0]))
 
     # Wider kernels see padding zeros at the border; the symmetry claim
     # then holds on the fully supported interior.
-    gate7 = AttentionGate(4, 2, 7, rng=np.random.default_rng(3))
+    gate7, _ = new_gate(4, 2, 7, seed=3)
     x12 = np.full((1, 4, 12, 12), 0.75, np.float32)
     w7 = spatial_attention(Tensor(x12), gate7).data[0, 0, 3:9, 3:9]
     np.testing.assert_allclose(w7, np.full((6, 6), w7[0, 0]), rtol=0, atol=0)
@@ -195,13 +218,13 @@ def test_constant_input_constant_plane():
 
 def test_spatial_attention_matches_oracle(rng):
     x = rng.normal(size=(1, 2, 4, 4)).astype(np.float32)
-    gate = AttentionGate(2, 2, 3, rng=np.random.default_rng(5))
+    gate, _ = new_gate(2, 2, 3, seed=5)
     got = spatial_attention(Tensor(x), gate).data
     np.testing.assert_allclose(got, spatial_attention_oracle(x, gate),
                                rtol=1e-5, atol=1e-6)
 
     x2 = rng.normal(size=(2, 6, 5, 8)).astype(np.float32)
-    gate7 = AttentionGate(6, 3, 7, rng=np.random.default_rng(6))
+    gate7, _ = new_gate(6, 3, 7, seed=6)
     got2 = spatial_attention(Tensor(x2), gate7).data
     assert got2.shape == (2, 1, 5, 8)
     np.testing.assert_allclose(got2, spatial_attention_oracle(x2, gate7),
@@ -211,21 +234,21 @@ def test_spatial_attention_matches_oracle(rng):
 # -- composition --------------------------------------------------------------
 
 def test_attend_is_identity_at_gamma_zero(rng):
-    gate = AttentionGate(8, 4, 3, rng=np.random.default_rng(2))
+    gate, _ = new_gate(8, 4, 3, seed=2)
     x = rng.normal(size=(2, 8, 4, 4)).astype(np.float32)
     out = attend(Tensor(x), gate).data
     np.testing.assert_array_equal(out, x)
 
 
 def test_attend_zero_input_zero_output():
-    gate = AttentionGate(8, 4, 3, rng=np.random.default_rng(2))
+    gate, _ = new_gate(8, 4, 3, seed=2)
     gate.gamma.data[...] = 0.7
     out = attend(Tensor(np.zeros((1, 8, 4, 4), np.float32)), gate).data
     np.testing.assert_array_equal(out, np.zeros((1, 8, 4, 4), np.float32))
 
 
 def test_attend_matches_composed_oracle(rng):
-    gate = AttentionGate(8, 4, 3, rng=np.random.default_rng(13))
+    gate, _ = new_gate(8, 4, 3, seed=13)
     gate.gamma.data[...] = 0.6
     x = rng.normal(size=(2, 8, 4, 4)).astype(np.float32)
     got = attend(Tensor(x), gate).data
@@ -238,7 +261,7 @@ def test_attend_matches_composed_oracle(rng):
     ((3, 2, 2, 2), 1, 3),
 ])
 def test_attend_preserves_shape(shape, reduction, k, rng):
-    gate = AttentionGate(shape[1], reduction, k, rng=np.random.default_rng(1))
+    gate, _ = new_gate(shape[1], reduction, k, seed=1)
     gate.gamma.data[...] = 0.5
     x = Tensor(rng.normal(size=shape).astype(np.float32))
     assert attend(x, gate).shape == shape
@@ -250,7 +273,7 @@ def test_attend_preserves_shape(shape, reduction, k, rng):
 def test_weights_strictly_inside_unit_interval(h, w, seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.uniform(-3.0, 3.0, size=(1, 4, h, w)).astype(np.float32))
-    gate = AttentionGate(4, 2, 3, rng=np.random.default_rng(seed + 1))
+    gate, _ = new_gate(4, 2, 3, seed=seed + 1)
     cw = channel_attention(x, gate).data
     sw = spatial_attention(x, gate).data
     for arr in (cw, sw):
@@ -286,30 +309,29 @@ def _screened_case():
     for seed in range(200):
         rng = np.random.default_rng(seed)
         x = distinct_values(rng, (1, 4, 6, 6))
-        gate = AttentionGate(4, 2, 3, rng=np.random.default_rng(seed + 1000))
+        gate, params = new_gate(4, 2, 3, seed=seed + 1000)
         gate.gamma.data[...] = 0.7
         if _margin(x, gate) > 8e-3:
-            return x, gate
+            return x, gate, params
     raise AssertionError("no kink-free seed found")
 
 
 def test_gradcheck_channel_attention():
-    x, gate = _screened_case()
+    x, gate, _ = _screened_case()
     xt = Tensor(x.copy(), requires_grad=True)
     coeffs = Tensor(np.random.default_rng(42).uniform(0.5, 1.5, (1, 4, 1, 1)).astype(np.float32))
     gradcheck(lambda: (channel_attention(xt, gate) * coeffs).sum(), [xt])
 
 
 def test_gradcheck_spatial_attention():
-    x, gate = _screened_case()
+    x, gate, _ = _screened_case()
     xt = Tensor(x.copy(), requires_grad=True)
     coeffs = Tensor(np.random.default_rng(43).uniform(0.5, 1.5, (1, 1, 6, 6)).astype(np.float32))
     gradcheck(lambda: (spatial_attention(xt, gate) * coeffs).sum() / 36.0, [xt])
 
 
 def test_gradcheck_attend_wrt_input_params_and_gamma():
-    x, gate = _screened_case()
+    x, gate, params = _screened_case()
     xt = Tensor(x.copy(), requires_grad=True)
     coeffs = Tensor(np.random.default_rng(44).uniform(0.5, 1.5, (1, 4, 6, 6)).astype(np.float32))
-    params = list(gate.parameters().values())
-    gradcheck(lambda: (attend(xt, gate) * coeffs).sum() / 144.0, [xt] + params)
+    gradcheck(lambda: (attend(xt, gate) * coeffs).sum() / 144.0, [xt, *params.values()])

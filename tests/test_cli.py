@@ -604,6 +604,21 @@ class TestUsage:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("eval-saliency", "--seed", "-1"),
+        ("eval-saliency", "--borji-splits", "0"),
+        ("eval-scanpath", "--congruency-percentile", "0"),
+        ("eval-scanpath", "--congruency-percentile", "100"),
+        ("eval-scanpath", "--congruency-percentile", "nan"),
+    ])
+    def test_bad_eval_flag_exits_2_before_scoring(self, perfect, command, flag, value):
+        proc = run_module(command, "--manifest", str(perfect / "manifest.json"),
+                          "--pred-dir", str(perfect / "pred"), f"{flag}={value}")
+        assert proc.returncode == 2
+        assert proc.stdout == ""  # no report, not even its header
+        [line] = proc.stderr.splitlines()
+        assert line.startswith(f"salypath {command}: error: {flag} must be")
+
     def test_console_script_installed(self, tmp_path):
         proc = subprocess.run(
             ["salypath", "gen-synth", "--n", "2", "--seed", "0",

@@ -287,10 +287,11 @@ def test_gamma_zero_equals_attention_disabled(rng):
     np.testing.assert_array_equal(m_on.data, m_off.data)
     np.testing.assert_array_equal(p_on.data, p_off.data)
 
-    # and the same-model override agrees
-    m_ov, p_ov = on.forward_tensors(x, use_attention=False)
-    np.testing.assert_array_equal(m_on.data, m_ov.data)
-    np.testing.assert_array_equal(p_on.data, p_ov.data)
+    # and bypassing the gate on the same model agrees
+    bott = on.encode(x)
+    np.testing.assert_array_equal(on.decode(bott).data, m_on.data)
+    np.testing.assert_array_equal(
+        soft_argmax(on.scanpath_features(bott), on.config.beta).data, p_on.data)
 
 
 def test_parameter_names_cover_all_submodules():
@@ -300,8 +301,30 @@ def test_parameter_names_cover_all_submodules():
     assert "dec.out.bias" in names
     assert "head.9.weight" in names
     assert "att.gamma" in names
-    assert set(model.head_parameters()) == {n for n in names if n.startswith("head.")}
-    assert set(model.trunk_parameters()) == {n for n in names if not n.startswith("head.")}
+
+
+@pytest.mark.parametrize("attention", [True, False])
+def test_parameters_are_grouped_in_checkpoint_order(attention):
+    model = SalypathModel(ModelConfig.desk(attention_enabled=attention), seed=0)
+    names = list(model.parameters())
+    assert len(names) == len(set(names))
+    groups = [n.split(".", 1)[0] for n in names]
+    want = ["enc", "att", "dec", "head"] if attention else ["enc", "dec", "head"]
+    assert set(groups) == set(want)
+    assert groups == sorted(groups, key=want.index)
+    assert names[-2:] == ["head.9.weight", "head.9.bias"]
+
+
+@pytest.mark.parametrize("groups", [
+    ("enc", "att", "dec"),    # phase 1
+    ("head",),                # frozen phase 2
+    ("enc", "att", "head"),   # unfrozen phase 2
+])
+def test_group_filter_returns_the_prefix_set(groups):
+    model = SalypathModel(ModelConfig(**TINY), seed=0)
+    names = list(model.parameters())
+    assert list(model.parameters(groups)) == [
+        n for n in names if n.startswith(tuple(g + "." for g in groups))]
 
 
 # -- persistence -------------------------------------------------------------------
@@ -338,7 +361,6 @@ def test_fresh_weights_are_pinned():
 
 
 def test_load_draws_nothing_and_round_trips_bitwise(tmp_path, monkeypatch):
-    import salypath.attention
     import salypath.model
     import salypath.tensor
 
@@ -351,7 +373,7 @@ def test_load_draws_nothing_and_round_trips_bitwise(tmp_path, monkeypatch):
         raise AssertionError("SalypathModel.load drew random weights")
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
-    for module in (salypath.tensor, salypath.attention, salypath.model):
+    for module in (salypath.tensor, salypath.model):
         monkeypatch.setattr(module, "kaiming_uniform", no_draws)
     clone = SalypathModel.load(path)
     monkeypatch.undo()
@@ -490,13 +512,11 @@ def _relu_margins(model, x):
 
     worst = np.inf
     t = Tensor(x)
-    i = 0
-    for count, _ in model.config.encoder_blocks:
-        for _ in range(count):
-            pre = model.encoder[i](t)
+    for block in model.encoder:
+        for layer in block:
+            pre = layer(t)
             worst = min(worst, float(np.abs(pre.data).min()))
             t = pre.relu()
-            i += 1
         b, c, h, w = t.shape
         win = t.data.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4)
         top2 = np.sort(win, axis=-1)[:, -2:]

@@ -19,10 +19,11 @@ from salypath import trainer
 from salypath.checkpoint import load_checkpoint
 from salypath.data import generate_synthetic, load_manifest, save_manifest
 from salypath.errors import ConfigError, ContractError, NumericError, TrainingDiverged
-from salypath.losses import scanpath_loss
+from salypath.losses import saliency_loss, scanpath_loss
 from salypath.model import ModelConfig, SalypathModel, soft_argmax
 from salypath.tensor import Tensor, no_grad
 from salypath.trainer import Adam, SGD, TrainConfig, TrainReport, lr_schedule, train
+from salypath.types import FixationSet
 
 TINY = dict(
     input_size=(16, 16),
@@ -31,6 +32,10 @@ TINY = dict(
     attention_reduction=2,
     spatial_kernel=3,
 )
+
+
+TRUNK = ("enc", "att", "dec")
+HEAD = ("head",)
 
 
 def tiny_model(seed: int = 1) -> SalypathModel:
@@ -217,7 +222,7 @@ class TestTrainConfig:
 class TestPhase1:
     def test_loss_decreases_and_head_untouched(self, dataset):
         model = tiny_model()
-        head_before = snapshot(model.head_parameters())
+        head_before = snapshot(model.parameters(HEAD))
         cfg = TrainConfig(phase1_epochs=6, phase1_lr=1e-3, batch_size=4, seed=0)
         rep = train_only(1, model, dataset, cfg)
         assert rep.phase == 1
@@ -225,7 +230,7 @@ class TestPhase1:
         assert len(rep.epoch_losses) == 6
         assert rep.epoch_losses[-1] < rep.epoch_losses[0]
         assert rep.wall_time_s > 0
-        assert_bitwise_equal(snapshot(model.head_parameters()), head_before)
+        assert_bitwise_equal(snapshot(model.parameters(HEAD)), head_before)
 
     def test_lr_curve_follows_schedule_exactly(self, dataset):
         cfg = TrainConfig(phase1_epochs=5, phase1_lr=2e-3, lr_decay=0.8,
@@ -270,6 +275,22 @@ class TestPhase1:
         with pytest.raises(ContractError, match="empty dataset"):
             train_only(1, tiny_model(), empty, TrainConfig(phase1_epochs=1))
 
+    def test_nss_term_reads_the_fixation_indicator(self, dataset):
+        # the stored grid is the 0/1 indicator the loss reads, not the
+        # multiplicity grid, and the phase-1 loss is saliency_loss with it
+        model = tiny_model()
+        grids = [FixationSet.from_scanpaths(dataset.load_scanpaths(i), 16, 16).weights()
+                 for i in range(len(dataset))]
+        k = next(i for i, g in enumerate(grids) if g.max() > 1)  # a repeated fixation pixel
+        phase = trainer._Phase(model, trainer.prepare_samples(model, dataset), TrainConfig(), 1)
+        s = phase.samples[k]
+        assert np.array_equal(s.fixations, grids[k] > 0)
+        maps = model.decode(model.attend(model.encode(Tensor(s.image[None]))))
+        loss = phase._saliency_batch_loss([k]).item()
+        assert loss == saliency_loss(maps[0, 0], s.gt_map, grids[k] > 0).item()
+        counted = FixationSet.from_scanpaths(dataset.load_scanpaths(k), 16, 16)
+        assert loss != saliency_loss(maps[0, 0], s.gt_map, counted).item()
+
     def test_resampling_warns(self, tmp_path):
         man = generate_synthetic(2, seed=0, size=(24, 24), out_dir=tmp_path)
         cfg = TrainConfig(phase1_epochs=1, phase1_lr=1e-4, batch_size=2, seed=0)
@@ -282,24 +303,24 @@ class TestPhase1:
 class TestPhase2:
     def test_freeze_keeps_trunk_bitwise(self, dataset):
         model = tiny_model()
-        trunk_before = snapshot(model.trunk_parameters())
-        head_before = snapshot(model.head_parameters())
+        trunk_before = snapshot(model.parameters(TRUNK))
+        head_before = snapshot(model.parameters(HEAD))
         cfg = TrainConfig(phase2_epochs=5, phase2_lr=1e-3, batch_size=4, seed=0)
         rep = train_only(2, model, dataset, cfg)
         assert rep.phase == 2
         assert rep.epoch_losses[-1] < rep.epoch_losses[0]
-        assert_bitwise_equal(snapshot(model.trunk_parameters()), trunk_before)
-        moved = [k for k, v in model.head_parameters().items()
+        assert_bitwise_equal(snapshot(model.parameters(TRUNK)), trunk_before)
+        moved = [k for k, v in model.parameters(HEAD).items()
                  if not np.array_equal(v.data, head_before[k])]
         assert moved
 
     def test_unfrozen_trunk_moves(self, dataset):
         model = tiny_model()
-        trunk_before = snapshot(model.trunk_parameters())
+        trunk_before = snapshot(model.parameters(TRUNK))
         cfg = TrainConfig(phase2_epochs=3, phase2_lr=1e-3, batch_size=4,
                           seed=0, freeze_encoder_phase2=False)
         train_only(2, model, dataset, cfg)
-        moved = [k for k, v in model.trunk_parameters().items()
+        moved = [k for k, v in model.parameters(TRUNK).items()
                  if not np.array_equal(v.data, trunk_before[k])]
         assert moved
 
@@ -308,6 +329,20 @@ class TestPhase2:
                           batch_size=8, seed=0)
         with pytest.raises(TrainingDiverged, match="phase 2"):
             train_only(2, tiny_model(), dataset, cfg)
+
+    @pytest.mark.parametrize("overrides, groups", [
+        (dict(freeze_encoder_phase2=True), HEAD),
+        (dict(freeze_encoder_phase2=False), ("enc", "att", "head")),
+        (dict(joint_alternating=True), ("enc", "att", "head")),
+    ])
+    def test_trains_exactly_its_groups(self, dataset, overrides, groups):
+        model = tiny_model()
+        samples = trainer.prepare_samples(model, dataset)
+        cfg = TrainConfig(**overrides)
+        names = list(model.parameters())
+        for phase, want in ((1, TRUNK), (2, groups)):
+            got = list(trainer._Phase(model, samples, cfg, phase).params)
+            assert got == [n for n in names if n.split(".", 1)[0] in want]
 
     def test_no_matching_length_scanpaths_rejected(self, tmp_path):
         # head emits 8 points; a dataset of 6-point paths has nothing to fit
@@ -505,9 +540,9 @@ class TestFrozenBottleneck:
     def test_non_finite_trunk_still_diverges(self, dataset):
         model = tiny_model()
         model.parameters()["enc.b0.c0.weight"].data[0, 0, 0, 0] = np.nan
-        trunk_before = raw_bytes(model.trunk_parameters())
+        trunk_before = raw_bytes(model.parameters(TRUNK))
         cfg = TrainConfig(phase2_epochs=3, phase2_lr=1e-3, batch_size=4, seed=0)
         with pytest.raises(TrainingDiverged, match="phase 2 epoch 0") as exc:
             train_only(2, model, dataset, cfg)
         assert exc.value.report.epoch_losses == []
-        assert raw_bytes(model.trunk_parameters()) == trunk_before
+        assert raw_bytes(model.parameters(TRUNK)) == trunk_before
