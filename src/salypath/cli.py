@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -60,8 +61,11 @@ def cmd_train(args) -> int:
     conf = {"model": (ModelConfig.full_scale() if paper else ModelConfig.desk()).to_dict(),
             "train": (TrainConfig.full_scale() if paper else TrainConfig()).to_dict()}
     if args.config:
-        with open(args.config) as f:
-            doc = json.load(f)
+        try:
+            with open(args.config, encoding="utf-8") as f:
+                doc = json.load(f)
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise SalypathError(f"{args.config}: invalid JSON: {e}") from e
         if not isinstance(doc, dict):
             raise SalypathError(f"{args.config}: config is not a JSON object")
         for key, section in doc.items():
@@ -265,7 +269,9 @@ def cmd_gen_synth(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``main`` is its caller."""
     ap = argparse.ArgumentParser(
         prog="salypath",
         description="Saliency-map and scanpath prediction toolkit.",
@@ -280,14 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON with optional 'model'/'train' override sections")
     p.add_argument("--report", help="write the per-epoch training report JSON here")
     p.add_argument("--seed", type=int, default=None, help="override the training seed")
-    p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("predict", help="run one image through a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True, help="PPM stimulus")
     p.add_argument("--out-map", required=True, help="PGM saliency output")
     p.add_argument("--out-scanpath", required=True, help="CSV scanpath output")
-    p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("eval-saliency", help="score predicted maps against a manifest")
     p.add_argument("--manifest", required=True)
@@ -297,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="auc_borji base seed; record i uses seed+i")
     p.add_argument("--borji-splits", type=int, default=100)
-    p.set_defaults(fn=cmd_eval_saliency)
 
     p = sub.add_parser("eval-scanpath", help="score predicted scanpaths against a manifest")
     p.add_argument("--manifest", required=True)
@@ -307,11 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt-reduce", choices=["mean", "best"], default="mean",
                    help="score against all observers (mean) or the closest one (best)")
     p.add_argument("--congruency-percentile", type=float, default=80.0)
-    p.set_defaults(fn=cmd_eval_scanpath)
 
     p = sub.add_parser("stats", help="print scanpath length statistics as JSON")
     p.add_argument("--manifest", required=True)
-    p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("gen-synth", help="generate a deterministic synthetic dataset")
     p.add_argument("--n", type=int, required=True)
@@ -323,15 +324,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="len:weight pairs, e.g. 8:0.7,6:0.2,10:0.1")
     p.add_argument("--min-center-dist", type=float, default=0.0,
                    help="reject blob centers closer than this to the image center")
-    p.set_defaults(fn=cmd_gen_synth)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, not bound into the cached parser, so a wrapper put
+    # on the module (benchmarks/tracing.py does) is what runs
+    run = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
-    except (SalypathError, OSError, json.JSONDecodeError) as e:
+        return run(args)
+    except (SalypathError, OSError) as e:
         print(f"salypath {args.command}: error: {e}", file=sys.stderr)
         return 2
 

@@ -30,13 +30,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import ContractError, DimensionError, ManifestError
 from .types import SaliencyMap, Scanpath
 
 WARM = np.array([0.95, 0.45, 0.15], dtype=np.float64)
 COOL = np.array([0.10, 0.30, 0.55], dtype=np.float64)
+# synthetic blob centers are drawn uniformly from [_CENTER_LO, _CENTER_HI)^2
+_CENTER_LO, _CENTER_HI = 0.15, 0.85
 
 
 # -- PGM / PPM ----------------------------------------------------------
@@ -161,8 +162,11 @@ def write_scanpath_csv(path, xy_pixels, extra: dict[str, np.ndarray] | None = No
 def read_scanpath_csv(path) -> np.ndarray:
     """[N, 2] float64 pixel (x, y). Requires the index,x,y header; extra
     columns are ignored; indices must run 0..N-1."""
-    with open(path, "r", newline="") as f:
-        rows = list(csv.reader(f))
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+    except UnicodeDecodeError as e:
+        raise ManifestError(f"{path}: not UTF-8 text: {e}") from e
     if not rows:
         raise ManifestError(f"{path}: empty scanpath file")
     header = [c.strip().lower() for c in rows[0]]
@@ -264,11 +268,11 @@ def load_manifest(path) -> DatasetManifest:
     with their records (read-only), so they are not read twice."""
     path = Path(path)
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except OSError as e:
         raise ManifestError(f"{path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ManifestError(f"{path}: invalid JSON: {e}") from e
     for key in ("name", "width", "height", "records"):
         if key not in doc:
@@ -379,9 +383,15 @@ def generate_synthetic(n: int, seed: int, size: tuple[int, int] = (64, 64),
     size is (width, height). length_weights maps scanpath length ->
     unnormalized probability (default: every path has 8 points).
     min_center_dist rejects blob centers closer than this (normalized) to
-    the image center, for building deliberately off-center evaluation sets.
-    Deterministic: identical arguments produce byte-identical trees.
+    the image center, for building deliberately off-center evaluation sets;
+    centers are drawn from [0.15, 0.85)^2, so it must stay below the
+    corners' distance 0.35*sqrt(2) ~ 0.495. Arguments are checked before
+    anything is written. Deterministic: identical arguments produce
+    byte-identical trees.
     """
+    # only this function smooths, so other commands never load scipy.ndimage
+    from scipy.ndimage import gaussian_filter
+
     if out_dir is None:
         raise ContractError("generate_synthetic: out_dir is required")
     if n < 1:
@@ -391,6 +401,13 @@ def generate_synthetic(n: int, seed: int, size: tuple[int, int] = (64, 64),
         raise ContractError(f"generate_synthetic: size too small: {size}")
     if scanpaths_per_image < 1:
         raise ContractError("generate_synthetic: scanpaths_per_image must be >= 1")
+    if seed < 0:
+        raise ContractError(f"generate_synthetic: seed must be >= 0, got {seed}")
+    far = np.hypot(_CENTER_HI - 0.5, _CENTER_HI - 0.5)
+    if not 0.0 <= min_center_dist < far:  # NaN fails too
+        # no center could pass the rejection loop below, which would never end
+        raise ContractError("generate_synthetic: min_center_dist must be >= 0 and "
+                            f"below {far:.4f}, got {min_center_dist}")
     if length_weights:
         lens = sorted(length_weights)
         if any(l < 2 for l in lens):
@@ -415,7 +432,7 @@ def generate_synthetic(n: int, seed: int, size: tuple[int, int] = (64, 64),
         k = int(rng.integers(1, 4))
         centers = []
         while len(centers) < k:
-            cx, cy = rng.uniform(0.15, 0.85, size=2)
+            cx, cy = rng.uniform(_CENTER_LO, _CENTER_HI, size=2)
             if min_center_dist > 0.0 and np.hypot(cx - 0.5, cy - 0.5) < min_center_dist:
                 continue
             centers.append((cx, cy))

@@ -20,12 +20,17 @@ Design notes, load-bearing:
   adds into the output (``beta=1``; arrays it writes must be F-contiguous
   views, or f2py writes into a copy), and backward reads the same slices.
   Zero gaps between rows and planes serve as padding. Every stride, kernel
-  size and padding takes this one path; scipy's BLAS loads at the first conv.
+  size and padding takes this one path.
+* ``sgemm`` comes from scipy's BLAS extension module, loaded by file path at
+  the first conv (``_sgemm``). That skips ``scipy/linalg/__init__.py``, whose
+  imports cost a fresh process ~0.2 s on a 2-vCPU VM, and commands that
+  never convolve load no scipy BLAS at all.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -488,6 +493,41 @@ class ConvLayer:
         return conv2d(x, self)
 
 
+@functools.cache
+def _sgemm():
+    """scipy's float32 GEMM, loaded once per process from the extension file
+    ``scipy/linalg/_fblas<EXT_SUFFIX>``.
+
+    ``scipy.linalg.blas`` re-exports this module's functions, so this is the
+    very object ``scipy.linalg.blas.sgemm`` names, whichever is loaded
+    first (the module registers itself as ``scipy.linalg._fblas``). Going
+    through ``scipy.linalg`` would run its package ``__init__`` and its
+    ``scipy._lib._array_api`` chain: ~210-240 ms per process, against
+    3-5 ms for the file. ``_fblas`` is private scipy API. That is
+    acceptable because the dependency is pinned, not hidden: a test checks
+    that this is the public ``sgemm``, bit for bit, and a scipy that moves
+    or renames the file fails here, naming the path, with no fallback.
+    ``import scipy`` first sets up the library paths of scipy's bundled BLAS.
+    """
+    import importlib.machinery
+    import importlib.util
+    from pathlib import Path
+
+    import scipy
+
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    path = Path(scipy.__file__).parent / "linalg" / f"_fblas{suffix}"
+    if not path.is_file():
+        raise ImportError(f"conv2d: scipy's BLAS extension {path} does not exist",
+                          path=str(path))
+    spec = importlib.util.spec_from_file_location("scipy.linalg._fblas", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not hasattr(module, "sgemm"):
+        raise ImportError(f"conv2d: {path} holds no sgemm", path=str(path))
+    return module.sgemm
+
+
 # Bytes of grid rows one conv2d chunk touches (input and output; in backward
 # also the input gradient): small enough to stay in a core's L2 cache across
 # the kh*kw taps. On a 2 MiB-L2 Xeon, phase-1 conv time was flat from 128 KiB to 1 MiB.
@@ -523,8 +563,9 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
     writes with ``beta=0``). BLAS is column-major, so ``acc[lo:hi].T``, the
     grid slices' ``.T`` and ``wt[t].T`` are F-contiguous views, passed with
     no copy. Every ``c`` must be one: f2py's ``overwrite_c`` silently writes
-    into a copy of any other array. sgemm is imported at the first call, so
-    commands that never convolve do not load scipy.linalg.
+    into a copy of any other array. sgemm is loaded at the first call by
+    ``_sgemm``, straight from scipy's ``_fblas`` extension file, so no
+    process imports the ``scipy.linalg`` package for it.
 
     Backward scatters the output gradient onto the grid as ``gf[n, out_ch]``
     (zero in the cropped positions) and, per tap, accumulates
@@ -536,8 +577,7 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
     chunk run out of cache. The chunks are fixed by the shapes and run in
     order, so results are bitwise reproducible.
     """
-    from scipy.linalg.blas import sgemm
-
+    sgemm = _sgemm()
     x = _coerce(x)
     if x.ndim != 4:
         raise DimensionError(f"conv2d: input must have 4 axes [B,C,H,W], got {x.ndim}")

@@ -83,6 +83,8 @@ BAD_TRAIN_CONFIGS = [
     ({"model": [1]}, [], "config section 'model' is not an object"),
     ({}, ["--seed", "-1"], "seed must be >= 0"),
     ({"train": {"phase1_lr": float("nan")}}, [], "learning rates must be finite"),
+    (b'{"model": {"beta": 1.0}', [], "bad.json: invalid JSON"),
+    ('{"model": {"name": "caf\u00e9"}}'.encode("latin-1"), [], "bad.json: invalid JSON"),
 ]
 
 
@@ -92,12 +94,26 @@ TINY_TRAIN = dict(
 )
 
 
-def run_module(*argv: str) -> subprocess.CompletedProcess:
-    """``python -m salypath *argv`` in a fresh process, importing this tree."""
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh process that imports this tree. The
+    timeout turns a hang into a failure."""
     src = str(Path(salypath.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "salypath", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m salypath *argv`` in a fresh process, importing this tree."""
+    return _python("-m", "salypath", *argv)
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The names in ``sys.modules`` once ``code`` has run in a fresh process
+    that imports this tree."""
+    proc = _python("-c", code + "\nimport sys; print(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def tree_digest(root: Path) -> dict:
@@ -205,6 +221,23 @@ class TestGenSynth:
         assert err.count("\n") == 1 and "length" in err and "weights" in err
         assert not (tmp_path / "ds").exists()
 
+    @pytest.mark.parametrize("flag, value, error", [
+        ("--min-center-dist", "0.5", "min_center_dist"),
+        ("--min-center-dist", "inf", "min_center_dist"),
+        ("--min-center-dist", "nan", "min_center_dist"),
+        ("--min-center-dist", "-0.1", "min_center_dist"),
+        ("--seed", "-1", "seed must be >= 0"),
+    ])
+    def test_bad_flag_exits_2_before_writing(self, tmp_path, flag, value, error):
+        # no blob center can lie 0.5 or more from the image center: the
+        # generator once drew forever
+        proc = run_module("gen-synth", "--n", "1", "--size", "16x16",
+                          "--out", str(tmp_path / "ds"), f"{flag}={value}")
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("salypath gen-synth: error:") and error in line
+        assert not (tmp_path / "ds").exists()
+
 
 class TestStats:
     def test_reports_default_length(self, dataset, capsys):
@@ -220,6 +253,17 @@ class TestStats:
         rc = main(["stats", "--manifest", str(tmp_path / "nope.json")])
         assert rc == 2
         assert "nope.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("victim", ["manifest.json", "p1.csv"])
+    def test_non_utf8_input_exits_2_naming_it(self, perfect, tmp_path, capsys, victim):
+        root = tmp_path / "ds"
+        shutil.copytree(perfect, root)
+        raw = (root / victim).read_bytes()
+        (root / victim).write_bytes(raw.replace(b"\n", "\u00e9\n".encode("latin-1"), 1))
+        rc = main(["stats", "--manifest", str(root / "manifest.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{victim}: " in err
 
 
 # -- train --------------------------------------------------------------------
@@ -266,10 +310,11 @@ class TestTrain:
         "beta-null", "input_size-short", "attention_enabled-string", "unknown-field",
         "batch_size-string", "phase1_epochs-float", "kl_w-string",
         "freeze_encoder_phase2-string", "joint_alternating-string", "file-not-object",
-        "section-not-object", "negative-seed", "phase1_lr-nan"])
+        "section-not-object", "negative-seed", "phase1_lr-nan", "truncated-json",
+        "latin-1-text"])
     def test_bad_config_exits_2_with_one_line(self, dataset, tmp_path, doc, argv, error):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(doc))
+        cfg.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         out = tmp_path / "m.ckpt"
         proc = run_module("train", "--data", str(dataset / "manifest.json"),
                           "--out", str(out), "--config", str(cfg), *argv)
@@ -572,6 +617,21 @@ class TestEvalScanpath:
         _, rows = read_report(out)
         assert [r[0] for r in rows] == ["s1", "s2", "MEAN"]
 
+    def test_undecodable_prediction_fails_its_record_exit_1(self, perfect, tmp_path,
+                                                            capsys):
+        pred = tmp_path / "pred"
+        shutil.copytree(perfect / "pred", pred)
+        raw = (pred / "s1.csv").read_bytes()
+        (pred / "s1.csv").write_bytes(raw.replace(b"\n", "\u00e9\n".encode("latin-1"), 1))
+        out = tmp_path / "sp.csv"
+        rc = main(["eval-scanpath", "--manifest", str(perfect / "manifest.json"),
+                   "--pred-dir", str(pred), "--out", str(out)])
+        assert rc == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("failed record s1: ") and "not UTF-8" in line
+        _, rows = read_report(out)
+        assert [r[0] for r in rows] == ["s0", "s2", "MEAN"]
+
 
 # -- usage / plumbing -----------------------------------------------------------
 
@@ -627,3 +687,71 @@ class TestUsage:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "ds" / "manifest.json").exists()
+
+
+# -- cold start -------------------------------------------------------------------
+
+# Runs conv2d forward and backward (every sgemm call form it makes) at a desk
+# encoder shape and a 4x4 head shape, once with the sgemm that conv2d loads
+# by file path and once with the public scipy.linalg.blas.sgemm, in the
+# order given by FIRST.
+SGEMM_PIN = """
+import sys
+import numpy as np
+import salypath.tensor as tensor
+from salypath.tensor import ConvLayer, Tensor, conv2d
+
+if FIRST == "file":
+    mine = tensor._sgemm()
+    assert "scipy.linalg" not in sys.modules
+    from scipy.linalg.blas import sgemm as public
+else:
+    from scipy.linalg.blas import sgemm as public
+    mine = tensor._sgemm()
+
+def conv_bits(b, ci, co, hw):
+    rng = np.random.default_rng(ci * hw)
+    x = Tensor(rng.normal(size=(b, ci, hw, hw)), requires_grad=True)
+    layer = ConvLayer(Tensor(rng.normal(size=(co, ci, 3, 3)), requires_grad=True),
+                      Tensor(rng.normal(size=co), requires_grad=True), padding=1)
+    y = conv2d(x, layer)
+    (y * Tensor(rng.normal(size=y.shape))).sum().backward()
+    return b"".join(a.tobytes() for a in (y.data, x.grad, layer.weight.grad))
+
+for shape in [(16, 16, 16, 64), (16, 64, 64, 4)]:
+    got = conv_bits(*shape)
+    tensor._sgemm = lambda: public
+    want = conv_bits(*shape)
+    tensor._sgemm = lambda: mine
+    assert got == want, shape
+assert mine is public
+"""
+
+
+class TestColdStart:
+    def test_import_does_not_load_scipy_ndimage(self):
+        # only gen-synth smooths noise
+        assert "scipy.ndimage" not in loaded_modules("import salypath.cli")
+
+    def test_predict_loads_neither_scipy_linalg_nor_ndimage(self, trained, dataset,
+                                                           tmp_path):
+        image = load_manifest(dataset / "manifest.json").stimulus_path(0)
+        argv = ["predict", "--checkpoint", str(trained["ckpt"]), "--image", str(image),
+                "--out-map", str(tmp_path / "m.pgm"),
+                "--out-scanpath", str(tmp_path / "s.csv")]
+        mods = loaded_modules(f"from salypath.cli import main\nassert main({argv!r}) == 0")
+        assert "scipy.linalg._fblas" in mods  # the forward did convolve
+        assert not {"scipy.linalg", "scipy.ndimage"} & mods
+
+    @pytest.mark.parametrize("first", ["file", "public"])
+    def test_file_path_sgemm_is_the_public_one(self, first):
+        loaded_modules(f"FIRST = {first!r}\n" + SGEMM_PIN)
+
+    def test_missing_fblas_file_raises_naming_the_path(self, monkeypatch):
+        import importlib.machinery
+
+        from salypath.tensor import _sgemm
+
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".gone.so"])
+        with pytest.raises(ImportError, match=r"linalg[/\\]_fblas\.gone\.so does not exist"):
+            _sgemm.__wrapped__()  # the uncached loader: the process keeps its sgemm
