@@ -40,7 +40,6 @@ from .model import ModelConfig, SalypathModel, soft_argmax
 from .saliency_metrics import auc_borji, auc_judd, cc, kld, nss, sim
 from .scanpath_metrics import (
     MultiMatchScores,
-    SaccadeVector,
     align,
     congruency,
     multimatch,

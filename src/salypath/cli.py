@@ -218,21 +218,16 @@ def cmd_eval_scanpath(args) -> int:
             )
         pred = Scanpath.from_pixels(
             dio.read_scanpath_csv(p), manifest.width, manifest.height)
-        scored = [spm.multimatch(pred, g) for g in gts]
+        # one row per observer: the four MultiMatch scores and their mean
+        table = np.array([s.as_tuple() + (s.mean,)
+                          for s in (spm.multimatch(pred, g) for g in gts)])
         if args.gt_reduce == "best":
-            pick = max(scored, key=lambda s: s.mean)
-            mm = [pick.shape, pick.direction, pick.length, pick.position, pick.mean]
+            mm = table[np.argmax(table[:, -1])].tolist()  # first maximum
         else:
-            mm = [
-                float(np.mean([s.shape for s in scored])),
-                float(np.mean([s.direction for s in scored])),
-                float(np.mean([s.length for s in scored])),
-                float(np.mean([s.position for s in scored])),
-                float(np.mean([s.mean for s in scored])),
-            ]
+            # column by column, as np.mean of each list sums, bit for bit
+            mm = [float(np.mean(col)) for col in table.T]
         return [
-            manifest.image_id(i),
-            mm[0], mm[1], mm[2], mm[3], mm[4],
+            manifest.image_id(i), *mm,
             spm.nss_scanpath(pred, gt.values),
             spm.congruency(pred, gt.values, percentile=args.congruency_percentile),
         ]

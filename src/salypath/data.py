@@ -262,10 +262,12 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Parse and fully validate a manifest: every referenced file must
-    exist, every scanpath must parse with in-bounds coordinates. Errors
-    carry the record index and offending path. The parsed scanpaths stay
-    with their records (read-only), so they are not read twice."""
+    """Parse and fully validate a manifest: width and height must be JSON
+    integers, every referenced path a string naming an existing file, and
+    every scanpath must parse with in-bounds coordinates (NaN is not).
+    Errors are ManifestError and carry the key, or the record index and
+    offending path. The parsed scanpaths stay with their records
+    (read-only), so they are not read twice."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as f:
@@ -274,34 +276,44 @@ def load_manifest(path) -> DatasetManifest:
         raise ManifestError(f"{path}: {e}") from e
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ManifestError(f"{path}: invalid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ManifestError(f"{path}: manifest is not a JSON object")
     for key in ("name", "width", "height", "records"):
         if key not in doc:
             raise ManifestError(f"{path}: missing key {key!r}")
-    width, height = int(doc["width"]), int(doc["height"])
+    for key in ("width", "height"):
+        if type(doc[key]) is not int:  # also keeps JSON true/false out
+            raise ManifestError(f"{path}: {key!r} must be an integer, got {doc[key]!r}")
+    width, height = doc["width"], doc["height"]
     if width < 1 or height < 1:
         raise ManifestError(f"{path}: bad dimensions {width}x{height}")
+    if not isinstance(doc["records"], list):
+        raise ManifestError(f"{path}: 'records' must be a list, got {doc['records']!r}")
     root = path.parent
     records = []
     for ri, rec in enumerate(doc["records"]):
         try:
             stim, mp = rec["stimulus"], rec["map"]
-            sps = list(rec.get("scanpaths", []))
+            sps = rec.get("scanpaths", [])
         except (TypeError, KeyError) as e:
             raise ManifestError(f"{path}: record {ri}: malformed entry") from e
+        if not (isinstance(sps, list) and all(isinstance(r, str) for r in [stim, mp, *sps])):
+            raise ManifestError(f"{path}: record {ri}: malformed entry: stimulus, "
+                                "map and scanpaths must be path strings")
         for rel in [stim, mp] + sps:
-            if not (root / rel).exists():
+            if not (root / rel).is_file():
                 raise ManifestError(
-                    f"{path}: record {ri}: referenced path {rel!r} does not exist"
+                    f"{path}: record {ri}: referenced path {rel!r} does not exist as a file"
                 )
         pixels = {}
         for rel in sps:
             px = pixels[rel] = read_scanpath_csv(root / rel)
             px.flags.writeable = False
-            if (px[:, 0].min() < 0 or px[:, 0].max() > width - 1
-                    or px[:, 1].min() < 0 or px[:, 1].max() > height - 1):
+            # written so that a NaN coordinate fails it too
+            if not ((px >= 0) & (px <= (width - 1, height - 1))).all():
                 raise ManifestError(
                     f"{path}: record {ri}: scanpath {rel!r} has fixations "
-                    f"outside the {width}x{height} stimulus"
+                    f"that are NaN or outside the {width}x{height} stimulus"
                 )
         records.append(ManifestRecord(stimulus=stim, map=mp, scanpaths=sps,
                                       _pixels=pixels))

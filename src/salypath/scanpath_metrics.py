@@ -2,13 +2,14 @@
 scanpath NSS, and congruency.
 
 MultiMatch here works on normalized coordinates, so the screen diagonal is
-sqrt(2). Saccade vectors are the successive point differences, kept as
-[N-1, 2] start and displacement arrays; a saccade ends at start +
-displacement. The two saccade sequences are aligned on the lattice
-(0,0)..(n_a-1, n_b-1) by the cheapest monotone path, where stepping onto
-node (i, j) costs the vector difference ||u_i - v_j|| (the start node is
-free: it is part of every path). Allowed steps are (1,1), (1,0), (0,1);
-exact cost ties prefer them in that order. Scores are 1 -
+sqrt(2). A saccade is a successive point difference; ``to_saccades``
+gives a path's saccades as [N-1, 2] start and displacement arrays, and a
+saccade ends at start + displacement (there is no per-saccade object).
+The two saccade sequences are aligned on the lattice (0,0)..(n_a-1,
+n_b-1) by the cheapest monotone path, where stepping onto node (i, j)
+costs the vector difference ||u_i - v_j|| (the start node is free: it is
+part of every path). Allowed steps are (1,1), (1,0), (0,1); exact cost
+ties prefer them in that order. Scores are 1 -
 mean(difference)/normalizer over the aligned pairs, clamped to [0, 1];
 every aligned pair is scored in one array expression:
 
@@ -37,27 +38,6 @@ _STEPS = ((1, 1), (1, 0), (0, 1))  # preference order on ties
 
 
 @dataclass(frozen=True)
-class SaccadeVector:
-    """One saccade: start point and displacement, normalized units."""
-
-    start: tuple[float, float]
-    delta: tuple[float, float]
-
-    @property
-    def end(self) -> tuple[float, float]:
-        return (self.start[0] + self.delta[0], self.start[1] + self.delta[1])
-
-    @property
-    def amplitude(self) -> float:
-        return float(np.hypot(self.delta[0], self.delta[1]))
-
-    @property
-    def angle(self) -> float:
-        """atan2 angle in (-pi, pi]; the zero vector maps to 0."""
-        return float(np.arctan2(self.delta[1], self.delta[0]))
-
-
-@dataclass(frozen=True)
 class MultiMatchScores:
     shape: float
     direction: float
@@ -78,7 +58,7 @@ def _points(path) -> np.ndarray:
     return np.asarray(path, dtype=np.float64).reshape(-1, 2)
 
 
-def _saccade_arrays(path) -> tuple[np.ndarray, np.ndarray]:
+def to_saccades(path) -> tuple[np.ndarray, np.ndarray]:
     """[N-1, 2] start points and displacements of an N-point path; fewer
     than 2 points raise ContractError."""
     pts = _points(path)
@@ -89,27 +69,18 @@ def _saccade_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     return pts[:-1], np.diff(pts, axis=0)
 
 
-def to_saccades(path) -> list[SaccadeVector]:
-    """Successive differences of the fixation sequence. A path of N points
-    yields N-1 saccades; fewer than 2 points raise ContractError."""
-    starts, deltas = _saccade_arrays(path)
-    return [SaccadeVector(start=tuple(s), delta=tuple(d))
-            for s, d in zip(starts.tolist(), deltas.tolist())]
-
-
 def align(a, b) -> list[tuple[int, int]]:
     """Cheapest monotone lattice path from (0, 0) to (len(a)-1, len(b)-1).
 
-    ``a`` and ``b`` are saccade lists or [N, 2] displacement arrays.
-    Returns the visited (i, j) pairs including both endpoints. Implemented
-    as a backward DP on best remaining cost (python floats, row by row)
-    plus a greedy forward walk that prefers (1,1) then (1,0) then (0,1) on
-    exact ties.
+    ``a`` and ``b`` are [N, 2] saccade displacement arrays. Returns the
+    visited (i, j) pairs including both endpoints. Implemented as a
+    backward DP on best remaining cost (python floats, row by row) plus a
+    greedy forward walk that prefers (1,1) then (1,0) then (0,1) on exact
+    ties.
     """
     if not len(a) or not len(b):
         raise ContractError("align: empty saccade sequence")
-    ua, vb = (np.array(s if isinstance(s, np.ndarray) else [v.delta for v in s],
-                       dtype=np.float64).reshape(-1, 2) for s in (a, b))
+    ua, vb = (np.asarray(s, dtype=np.float64).reshape(-1, 2) for s in (a, b))
     na, nb = len(ua), len(vb)
     cost = np.linalg.norm(ua[:, None, :] - vb[None, :, :], axis=2).tolist()
     # to_go[i][j]: cost of stepping onto (i, j) plus the cheapest rest of
@@ -142,7 +113,7 @@ def multimatch(pred, gt) -> MultiMatchScores:
             raise ContractError(
                 f"multimatch: {name} path has all points identical, no extent"
             )
-        tracks.append(_saccade_arrays(pts))
+        tracks.append(to_saccades(pts))
     (start_a, da), (start_b, db) = tracks
     ia, ib = np.array(align(da, db)).T
 
@@ -163,15 +134,21 @@ def multimatch(pred, gt) -> MultiMatchScores:
     )
 
 
+def _gt_values(gt_map, caller: str) -> np.ndarray:
+    """The ground-truth map as a float64 [H, W] array."""
+    gm = gt_map.values if isinstance(gt_map, SaliencyMap) else np.asarray(gt_map)
+    gm = gm.astype(np.float64)
+    if gm.ndim != 2:
+        raise ContractError(f"{caller}: gt_map must be [H, W], got rank {gm.ndim}")
+    return gm
+
+
 def nss_scanpath(pred, gt_map) -> float:
     """Mean z-scored GT saliency at the predicted fixation pixels.
 
     Points denormalize by round(x*(W-1)), round(y*(H-1)) with clamping;
     repeated pixels count with multiplicity. Zero-variance map raises."""
-    gm = gt_map.values if isinstance(gt_map, SaliencyMap) else np.asarray(gt_map)
-    gm = gm.astype(np.float64)
-    if gm.ndim != 2:
-        raise ContractError(f"nss_scanpath: gt_map must be [H, W], got rank {gm.ndim}")
+    gm = _gt_values(gt_map, "nss_scanpath")
     pts = _points(pred)
     if pts.shape[0] == 0:
         raise ContractError("nss_scanpath: empty scanpath")
@@ -187,10 +164,7 @@ def nss_scanpath(pred, gt_map) -> float:
 def congruency(pred, gt_map, percentile: float = 80.0) -> float:
     """Fraction of predicted fixations landing on the thresholded GT
     region: pixels >= the given percentile of all map values."""
-    gm = gt_map.values if isinstance(gt_map, SaliencyMap) else np.asarray(gt_map)
-    gm = gm.astype(np.float64)
-    if gm.ndim != 2:
-        raise ContractError(f"congruency: gt_map must be [H, W], got rank {gm.ndim}")
+    gm = _gt_values(gt_map, "congruency")
     if not 0.0 < percentile < 100.0:
         raise ContractError(
             f"congruency: percentile must be in (0, 100), got {percentile}"

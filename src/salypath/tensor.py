@@ -483,12 +483,6 @@ class ConvLayer:
         return cls(make(f"{name}.weight", (out_ch, in_ch, kernel, kernel)),
                    make(f"{name}.bias", (out_ch,)), stride=stride, padding=padding)
 
-    def out_size(self, h: int, w: int) -> tuple[int, int]:
-        kh, kw = self.weight.shape[2], self.weight.shape[3]
-        oh = (h + 2 * self.padding - kh) // self.stride + 1
-        ow = (w + 2 * self.padding - kw) // self.stride + 1
-        return oh, ow
-
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self)
 

@@ -275,10 +275,8 @@ def test_criterion_5_multimatch_oracles(capsys):
         na, nb = int(rng.integers(2, 6)), int(rng.integers(2, 7))
         pa = rng.uniform(size=(na + 1, 2))
         pb = rng.uniform(size=(nb + 1, 2))
-        sa, sb = to_saccades(pa), to_saccades(pb)
-        got = align(sa, sb)
-        ua = [v.delta for v in sa]
-        vb = [v.delta for v in sb]
+        (_, ua), (_, vb) = to_saccades(pa), to_saccades(pb)
+        got = align(ua, vb)
         want_path, want_cost = align_oracle(ua, vb)
         got_cost = sum(float(np.linalg.norm(np.subtract(ua[i], vb[j])))
                        for i, j in got[1:])

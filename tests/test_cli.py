@@ -31,6 +31,8 @@ from salypath.data import (
     write_scanpath_csv,
 )
 from salypath.model import ModelConfig, SalypathModel
+from salypath.scanpath_metrics import multimatch
+from salypath.types import Scanpath
 
 # every ModelConfig field, so a checkpoint header built from it is complete
 TINY_MODEL = dict(
@@ -85,6 +87,22 @@ BAD_TRAIN_CONFIGS = [
     ({"train": {"phase1_lr": float("nan")}}, [], "learning rates must be finite"),
     (b'{"model": {"beta": 1.0}', [], "bad.json: invalid JSON"),
     ('{"model": {"name": "caf\u00e9"}}'.encode("latin-1"), [], "bad.json: invalid JSON"),
+]
+
+# (key path into the manifest document, value put there, text the one stderr
+# line must hold) of manifests that each once crashed `stats` with a
+# traceback, were read with a width or height the document did not hold, or
+# loaded with a directory where a file belongs
+MALFORMED_MANIFESTS = [
+    (("width",), "abc", "'width' must be an integer"),
+    (("width",), None, "'width' must be an integer"),
+    (("width",), 4.7, "'width' must be an integer"),
+    (("height",), True, "'height' must be an integer"),
+    ((), 5, "manifest is not a JSON object"),
+    (("records",), 5, "'records' must be a list"),
+    (("records", 0, "stimulus"), 5, "record 0: malformed entry"),
+    (("records", 1, "scanpaths"), "p1.csv", "record 1: malformed entry"),
+    (("records", 2, "map"), ".", "record 2: referenced path '.' does not exist as a file"),
 ]
 
 
@@ -264,6 +282,40 @@ class TestStats:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{victim}: " in err
+
+    @pytest.mark.parametrize("where, value, error", MALFORMED_MANIFESTS, ids=[
+        "width-string", "width-null", "width-float", "height-bool", "not-object",
+        "records-int", "stimulus-int", "scanpaths-string", "map-directory"])
+    def test_malformed_manifest_exits_2_with_one_line(self, perfect, tmp_path,
+                                                      where, value, error):
+        root = tmp_path / "ds"
+        shutil.copytree(perfect, root)
+        doc = json.loads((root / "manifest.json").read_text())
+        if where:
+            *parents, key = where
+            node = doc
+            for k in parents:
+                node = node[k]
+            node[key] = value
+        else:
+            doc = value
+        (root / "manifest.json").write_text(json.dumps(doc))
+        proc = run_module("stats", "--manifest", str(root / "manifest.json"))
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("salypath stats: error: ")
+        assert f"manifest.json: {error}" in line
+
+    def test_nan_fixation_exits_2_naming_record_and_csv(self, perfect, tmp_path):
+        root = tmp_path / "ds"
+        shutil.copytree(perfect, root)
+        px = read_scanpath_csv(root / "p1.csv")
+        px[1, 0] = np.nan
+        write_scanpath_csv(root / "p1.csv", px)
+        proc = run_module("stats", "--manifest", str(root / "manifest.json"))
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert "record 1: scanpath 'p1.csv' has fixations that are NaN" in line
 
 
 # -- train --------------------------------------------------------------------
@@ -591,6 +643,38 @@ class TestEvalScanpath:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("mode", ["mean", "best"])
+    def test_twelve_observers_reduce_like_per_score_lists(self, tmp_path, mode):
+        root = tmp_path / "ds"
+        assert main(["gen-synth", "--n", "4", "--seed", "5", "--size", "32x24",
+                     "--scanpaths-per-image", "12", "--out", str(root)]) == 0
+        man = load_manifest(root / "manifest.json")
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        rng = np.random.default_rng(12)
+        for i in range(len(man)):
+            write_scanpath_csv(pred / f"{man.image_id(i)}.csv",
+                               rng.uniform(0.0, 1.0, size=(8, 2)) * [31, 23])
+        out = tmp_path / "sp.csv"
+        assert main(["eval-scanpath", "--manifest", str(root / "manifest.json"),
+                     "--pred-dir", str(pred), "--out", str(out),
+                     "--gt-reduce", mode]) == 0
+        _, rows = read_report(out)
+        assert len(rows) == len(man) + 1
+        for i, row in enumerate(rows[:-1]):
+            path = Scanpath.from_pixels(read_scanpath_csv(pred / f"{row[0]}.csv"),
+                                        man.width, man.height)
+            scored = [multimatch(path, g) for g in man.load_scanpaths(i)]
+            assert len(scored) == 12
+            # the reductions as one np.mean per score list, or the first best
+            if mode == "best":
+                pick = max(scored, key=lambda s: s.mean)
+                want = [pick.shape, pick.direction, pick.length, pick.position, pick.mean]
+            else:
+                want = [float(np.mean([getattr(s, name) for s in scored]))
+                        for name in ("shape", "direction", "length", "position", "mean")]
+            assert [float(v) for v in row[1:6]] == want, row[0]
 
     def test_missing_prediction_listed_and_exit_1(self, perfect, tmp_path, capsys):
         pred = tmp_path / "pred"

@@ -10,7 +10,6 @@ from salypath.errors import ContractError
 from salypath.scanpath_metrics import (
     DIAG,
     MultiMatchScores,
-    SaccadeVector,
     align,
     congruency,
     multimatch,
@@ -57,20 +56,27 @@ def path_cost(ua, vb, path):
     return sum(float(np.linalg.norm(np.subtract(ua[i], vb[j]))) for i, j in path[1:])
 
 
+def saccade_geometry(starts, deltas):
+    """(amplitude, angle, end) of each saccade, one scalar np.hypot and
+    np.arctan2 call on python floats per saccade."""
+    return [(float(np.hypot(dx, dy)), float(np.arctan2(dy, dx)), (x + dx, y + dy))
+            for (x, y), (dx, dy) in zip(starts.tolist(), deltas.tolist())]
+
+
 def multimatch_loop(pred, gt):
-    """MultiMatch scored one aligned pair at a time on SaccadeVector
-    objects, kept as a bit-exact oracle for the array version."""
-    sa = to_saccades(pred)
-    sb = to_saccades(gt)
+    """MultiMatch scored one aligned pair at a time from per-saccade
+    scalars, kept as a bit-exact oracle for the array version."""
+    (sa, da), (sb, db) = to_saccades(pred), to_saccades(gt)
+    ga, gb = saccade_geometry(sa, da), saccade_geometry(sb, db)
     vec_d, len_d, ang_d, pos_d = [], [], [], []
-    for i, j in align(sa, sb):
-        u, v = sa[i], sb[j]
-        du = np.subtract(u.delta, v.delta)
+    for i, j in align(da, db):
+        (amp_u, ang_u, end_u), (amp_v, ang_v, end_v) = ga[i], gb[j]
+        du = np.subtract(da[i], db[j])
         vec_d.append(float(np.hypot(du[0], du[1])))
-        len_d.append(abs(u.amplitude - v.amplitude))
-        diff = abs(u.angle - v.angle) % (2.0 * np.pi)
+        len_d.append(abs(amp_u - amp_v))
+        diff = abs(ang_u - ang_v) % (2.0 * np.pi)
         ang_d.append(diff if diff <= np.pi else 2.0 * np.pi - diff)
-        pos_d.append(float(np.hypot(u.end[0] - v.end[0], u.end[1] - v.end[1])))
+        pos_d.append(float(np.hypot(end_u[0] - end_v[0], end_u[1] - end_v[1])))
 
     def score(diffs, norm):
         return float(np.clip(1.0 - np.mean(diffs) / norm, 0.0, 1.0))
@@ -83,63 +89,77 @@ def _random_path(rng, n=8):
     return rng.uniform(0.05, 0.95, size=(n, 2)).astype(np.float64)
 
 
+def _deltas(pts):
+    return to_saccades(np.array(pts, dtype=np.float64))[1]
+
+
+def _angles(deltas):
+    return np.arctan2(deltas[:, 1], deltas[:, 0])
+
+
 # -- saccade geometry ----------------------------------------------------------
 
 def test_single_saccade_east():
-    (v,) = to_saccades(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    assert v.amplitude == 1.0
-    assert v.angle == 0.0
-    assert v.start == (0.0, 0.0)
-    assert v.end == (1.0, 0.0)
+    starts, deltas = to_saccades(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    assert starts.tolist() == [[0.0, 0.0]]
+    assert deltas.tolist() == [[1.0, 0.0]]
+    assert np.hypot(*deltas.T).tolist() == [1.0]
+    assert _angles(deltas).tolist() == [0.0]
+    assert (starts + deltas).tolist() == [[1.0, 0.0]]
 
 
 def test_two_saccades_north_then_east():
-    vs = to_saccades(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-    assert len(vs) == 2
-    assert abs(vs[0].angle - np.pi / 2) < 1e-15
-    assert vs[1].angle == 0.0
+    ang = _angles(_deltas([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    assert ang.shape == (2,)
+    assert abs(ang[0] - np.pi / 2) < 1e-15
+    assert ang[1] == 0.0
 
 
 def test_saccades_chain_and_reconstruct(rng):
     pts = _random_path(rng, 8)
-    vs = to_saccades(pts)
-    assert len(vs) == 7
-    for a, b in zip(vs, vs[1:]):
-        assert np.allclose(a.end, b.start, atol=1e-15)
+    starts, deltas = to_saccades(pts)
+    assert starts.shape == deltas.shape == (7, 2)
+    # each saccade leaves from where the one before it ended
+    np.testing.assert_allclose((starts + deltas)[:-1], starts[1:], atol=1e-15)
     rebuilt = [pts[0]]
-    for v in vs:
-        rebuilt.append(np.add(rebuilt[-1], v.delta))
+    for d in deltas:
+        rebuilt.append(rebuilt[-1] + d)
     np.testing.assert_allclose(np.array(rebuilt), pts, atol=1e-12)
 
 
 def test_saccade_amplitude_is_hypot(rng):
-    for v in to_saccades(_random_path(rng, 5)):
-        assert v.amplitude == pytest.approx(np.hypot(*v.delta), abs=1e-15)
+    # the array amplitude is the per-saccade scalar hypot, bit for bit
+    deltas = _deltas(_random_path(rng, 5))
+    assert np.hypot(*deltas.T).tolist() == [float(np.hypot(dx, dy))
+                                           for dx, dy in deltas.tolist()]
+    np.testing.assert_allclose(np.hypot(*deltas.T), np.linalg.norm(deltas, axis=1),
+                               atol=1e-15)
 
 
 def test_to_saccades_needs_two_points():
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="at least 2 points, got 1"):
         to_saccades(np.array([[0.5, 0.5]]))
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="at least 2 points, got 0"):
         to_saccades(np.zeros((0, 2)))
 
 
 def test_zero_saccade_is_legal_with_angle_zero():
-    vs = to_saccades(np.array([[0.3, 0.3], [0.3, 0.3], [0.6, 0.3]]))
-    assert vs[0].amplitude == 0.0
-    assert vs[0].angle == 0.0
+    deltas = _deltas([[0.3, 0.3], [0.3, 0.3], [0.6, 0.3]])
+    assert deltas[0].tolist() == [0.0, 0.0]
+    assert np.hypot(*deltas.T)[0] == 0.0
+    assert _angles(deltas)[0] == 0.0
 
 
 # -- alignment ---------------------------------------------------------------------
 
 def test_align_identical_single_saccades():
-    a = to_saccades(np.array([[0.0, 0.0], [0.5, 0.5]]))
+    a = _deltas([[0.0, 0.0], [0.5, 0.5]])
     assert align(a, a) == [(0, 0)]
 
 
 def test_align_one_vs_two():
-    a = to_saccades(np.array([[0.0, 0.0], [0.5, 0.5]]))
-    b = to_saccades(np.array([[0.0, 0.0], [0.2, 0.1], [0.5, 0.5]]))
+    a = _deltas([[0.0, 0.0], [0.5, 0.5]])
+    b = _deltas([[0.0, 0.0], [0.2, 0.1], [0.5, 0.5]])
     assert align(a, b) == [(0, 0), (0, 1)]
 
 
@@ -147,13 +167,9 @@ def test_align_matches_exhaustive_oracle(rng):
     for trial in range(30):
         na = int(rng.integers(2, 6))
         nb = int(rng.integers(2, 7))
-        pa = _random_path(rng, na + 1)
-        pb = _random_path(rng, nb + 1)
-        sa = to_saccades(pa)
-        sb = to_saccades(pb)
-        got = align(sa, sb)
-        ua = [s.delta for s in sa]
-        vb = [s.delta for s in sb]
+        ua = _deltas(_random_path(rng, na + 1))
+        vb = _deltas(_random_path(rng, nb + 1))
+        got = align(ua, vb)
         want, want_cost = align_oracle(ua, vb)
         assert path_cost(ua, vb, got) == pytest.approx(want_cost, abs=1e-12)
         assert got == want, trial
@@ -177,21 +193,22 @@ def test_align_exact_ties_follow_step_preference(rng):
 
 def test_align_output_is_monotone(rng):
     for _ in range(10):
-        sa = to_saccades(_random_path(rng, 6))
-        sb = to_saccades(_random_path(rng, 9))
-        path = align(sa, sb)
+        da = _deltas(_random_path(rng, 6))
+        db = _deltas(_random_path(rng, 9))
+        path = align(da, db)
         assert path[0] == (0, 0)
-        assert path[-1] == (len(sa) - 1, len(sb) - 1)
+        assert path[-1] == (len(da) - 1, len(db) - 1)
         for (i0, j0), (i1, j1) in zip(path, path[1:]):
             assert (i1 - i0, j1 - j0) in {(1, 0), (0, 1), (1, 1)}
 
 
 def test_align_rejects_empty():
-    a = to_saccades(np.array([[0.0, 0.0], [0.5, 0.5]]))
-    with pytest.raises(ContractError):
-        align(a, [])
-    with pytest.raises(ContractError):
-        align([], a)
+    a = _deltas([[0.0, 0.0], [0.5, 0.5]])
+    for empty in ([], np.zeros((0, 2))):
+        with pytest.raises(ContractError, match="empty saccade sequence"):
+            align(a, empty)
+        with pytest.raises(ContractError, match="empty saccade sequence"):
+            align(empty, a)
 
 
 # -- multimatch ----------------------------------------------------------------------
@@ -306,11 +323,15 @@ def test_multimatch_bit_exact_on_scanpath_objects(rng):
     assert multimatch(a, b).as_tuple() == multimatch_loop(a, b)
 
 
-def test_align_takes_arrays_or_saccade_lists(rng):
+def test_align_reads_displacement_array_likes(rng):
+    # nested lists and float32 arrays align as their float64 arrays do
     for _ in range(10):
         pa, pb = _random_path(rng, 7), _random_path(rng, 11)
-        assert align(np.diff(pa, axis=0), np.diff(pb, axis=0)) == \
-            align(to_saccades(pa), to_saccades(pb))
+        da, db = np.diff(pa, axis=0), np.diff(pb, axis=0)
+        want = align(da, db)
+        assert align(da.tolist(), db.tolist()) == want
+        fa, fb = da.astype(np.float32), db.astype(np.float32)
+        assert align(fa, fb) == align(fa.astype(np.float64), fb.astype(np.float64))
 
 
 def test_multimatch_identical_guard_is_exact_equality(rng):
