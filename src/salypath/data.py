@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DimensionError, ManifestError
-from .types import SaliencyMap, Scanpath
+from .types import SaliencyMap, Scanpath, map_values, path_points
 
 WARM = np.array([0.95, 0.45, 0.15], dtype=np.float64)
 COOL = np.array([0.10, 0.30, 0.55], dtype=np.float64)
@@ -73,36 +73,44 @@ def _read_pnm_tokens(raw: bytes, path, n_header_tokens: int) -> tuple[list[int],
     return tokens, i + 1
 
 
-def write_pgm(path, values) -> None:
-    """8-bit binary PGM from a [H, W] array of values in [0, 1]."""
-    v = values.values if isinstance(values, SaliencyMap) else np.asarray(values)
-    if v.ndim != 2:
-        raise DimensionError(f"write_pgm: values must be [H, W], got rank {v.ndim}")
-    q = np.rint(np.clip(v, 0.0, 1.0) * 255.0).astype(np.uint8)
-    h, w = q.shape
+def _write_pnm(path, magic: bytes, hwc: np.ndarray) -> None:
+    """8-bit binary PNM from an [H, W] or [H, W, C] array of values in [0, 1]."""
+    q = np.rint(np.clip(hwc, 0.0, 1.0) * 255.0).astype(np.uint8)
+    h, w = q.shape[:2]
     with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (w, h))
+        f.write(b"%s\n%d %d\n255\n" % (magic, w, h))
         f.write(q.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    """[H, W] float32 in [0, 1] (value/255)."""
+def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
+    """[H, W, channels] float32 in [0, 1] (value/255) of a maxval-255 PNM."""
     with open(path, "rb") as f:
         raw = f.read()
-    if raw[:2] != b"P5":
-        raise ManifestError(f"{path}: not a binary PGM (magic {raw[:2]!r})")
+    if raw[:2] != magic:
+        kind = "PGM" if channels == 1 else "PPM"
+        raise ManifestError(f"{path}: not a binary {kind} (magic {raw[:2]!r})")
     (w, h, maxval), off = _read_pnm_tokens(raw[2:], path, 3)
     off += 2
     if maxval != 255:
         raise ManifestError(f"{path}: unsupported maxval {maxval}, expected 255")
-    need = w * h
+    need = w * h * channels
     payload = raw[off:off + need]
     if len(payload) != need:
         raise ManifestError(
             f"{path}: payload has {len(payload)} bytes, expected {need}"
         )
-    img = np.frombuffer(payload, dtype=np.uint8).reshape(h, w)
-    return (img.astype(np.float32) / np.float32(255.0))
+    img = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, channels)
+    return img.astype(np.float32) / np.float32(255.0)
+
+
+def write_pgm(path, values) -> None:
+    """8-bit binary PGM from a [H, W] map of values in [0, 1]."""
+    _write_pnm(path, b"P5", map_values(values, "write_pgm"))
+
+
+def read_pgm(path) -> np.ndarray:
+    """[H, W] float32 in [0, 1] (value/255)."""
+    return _read_pnm(path, b"P5", 1)[:, :, 0]
 
 
 def write_ppm(path, rgb) -> None:
@@ -110,32 +118,12 @@ def write_ppm(path, rgb) -> None:
     v = np.asarray(rgb)
     if v.ndim != 3 or v.shape[0] != 3:
         raise DimensionError(f"write_ppm: rgb must be [3, H, W], got {v.shape}")
-    q = np.rint(np.clip(v, 0.0, 1.0) * 255.0).astype(np.uint8)
-    h, w = q.shape[1], q.shape[2]
-    inter = np.ascontiguousarray(q.transpose(1, 2, 0))  # H, W, 3 interleaved
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (w, h))
-        f.write(inter.tobytes())
+    _write_pnm(path, b"P6", v.transpose(1, 2, 0))  # H, W, 3 interleaved
 
 
 def read_ppm(path) -> np.ndarray:
     """[3, H, W] float32 in [0, 1]."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:2] != b"P6":
-        raise ManifestError(f"{path}: not a binary PPM (magic {raw[:2]!r})")
-    (w, h, maxval), off = _read_pnm_tokens(raw[2:], path, 3)
-    off += 2
-    if maxval != 255:
-        raise ManifestError(f"{path}: unsupported maxval {maxval}, expected 255")
-    need = w * h * 3
-    payload = raw[off:off + need]
-    if len(payload) != need:
-        raise ManifestError(
-            f"{path}: payload has {len(payload)} bytes, expected {need}"
-        )
-    img = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1)
-    return img.astype(np.float32) / np.float32(255.0)
+    return _read_pnm(path, b"P6", 3).transpose(2, 0, 1)
 
 
 # -- scanpath CSV ---------------------------------------------------------
@@ -147,7 +135,7 @@ def _fmt(x: float) -> str:
 def write_scanpath_csv(path, xy_pixels, extra: dict[str, np.ndarray] | None = None) -> None:
     """Write pixel-coordinate fixations. ``extra`` appends named float
     columns (e.g. normalized coordinates) after x and y."""
-    pts = np.asarray(xy_pixels, dtype=np.float64).reshape(-1, 2)
+    pts = path_points(xy_pixels, "write_scanpath_csv")
     cols = list((extra or {}).items())
     with open(path, "w", newline="") as f:
         wr = csv.writer(f)
@@ -262,12 +250,12 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Parse and fully validate a manifest: width and height must be JSON
-    integers, every referenced path a string naming an existing file, and
-    every scanpath must parse with in-bounds coordinates (NaN is not).
-    Errors are ManifestError and carry the key, or the record index and
-    offending path. The parsed scanpaths stay with their records
-    (read-only), so they are not read twice."""
+    """Parse and fully validate a manifest: name must be a JSON string,
+    width and height JSON integers, every referenced path a string naming
+    an existing file, and every scanpath must parse with in-bounds
+    coordinates (NaN is not). Errors are ManifestError and carry the key,
+    or the record index and offending path. The parsed scanpaths stay with
+    their records (read-only), so they are not read twice."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as f:
@@ -281,9 +269,10 @@ def load_manifest(path) -> DatasetManifest:
     for key in ("name", "width", "height", "records"):
         if key not in doc:
             raise ManifestError(f"{path}: missing key {key!r}")
-    for key in ("width", "height"):
-        if type(doc[key]) is not int:  # also keeps JSON true/false out
-            raise ManifestError(f"{path}: {key!r} must be an integer, got {doc[key]!r}")
+    for key, tp, what in (("name", str, "a string"), ("width", int, "an integer"),
+                          ("height", int, "an integer")):
+        if type(doc[key]) is not tp:  # also keeps JSON true/false out of int
+            raise ManifestError(f"{path}: {key!r} must be {what}, got {doc[key]!r}")
     width, height = doc["width"], doc["height"]
     if width < 1 or height < 1:
         raise ManifestError(f"{path}: bad dimensions {width}x{height}")
@@ -318,7 +307,7 @@ def load_manifest(path) -> DatasetManifest:
         records.append(ManifestRecord(stimulus=stim, map=mp, scanpaths=sps,
                                       _pixels=pixels))
     return DatasetManifest(
-        name=str(doc["name"]), width=width, height=height,
+        name=doc["name"], width=width, height=height,
         records=records, root=root,
     )
 
@@ -348,9 +337,7 @@ def length_stats(manifest: DatasetManifest) -> dict:
 
 def resample_map(values, target_w: int, target_h: int) -> np.ndarray:
     """Bilinear, corner-anchored resample of a [H, W] array."""
-    v = values.values if isinstance(values, SaliencyMap) else np.asarray(values)
-    if v.ndim != 2:
-        raise DimensionError(f"resample_map: values must be [H, W], got rank {v.ndim}")
+    v = map_values(values, "resample_map")
     h, w = v.shape
     if (h, w) == (target_h, target_w):
         return v.astype(np.float32).copy()

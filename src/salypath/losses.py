@@ -3,12 +3,17 @@
 Saliency loss: 0.6 * KL + 0.3 * MSE - 0.1 * NSS over predicted vs ground
 truth maps, the NSS term evaluated at ground-truth fixation points when
 they are supplied and otherwise at the pixels at or above the 90th
-percentile of the GT map. A zero-variance prediction makes the NSS term 0
+percentile of the GT map. Fixations are a FixationSet or a Scanpath, each
+pixel counted with multiplicity, or an [H, W] array read as a 0/1
+indicator (nonzero is fixated), unlike the [K, 2] points of the metrics. A zero-variance prediction makes the NSS term 0
 with a RuntimeWarning (training must not crash on a flat early map; the
 evaluation metric in saliency_metrics raises instead).
 
 Scanpath loss: mean squared distance over corresponding points,
 sum_i ||p_i - q_i||^2 / N by default (``divisor="coords"`` divides by 2N).
+
+Maps and paths are read by ``types.map_values`` and ``types.path_points``;
+a Tensor argument passes through unchanged, so its graph is kept.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
 from .tensor import Tensor
-from .types import FixationSet, SaliencyMap, Scanpath, norm_to_pixel
+from .types import FixationSet, Scanpath, map_values, path_points
 
 KL_EPS = 1e-8
 
@@ -37,16 +42,13 @@ class LossWeights:
                 raise ConfigError(f"LossWeights: {nm} must be finite and >= 0")
 
 
-def _as_map_tensor(x) -> Tensor:
-    if isinstance(x, SaliencyMap):
-        return Tensor(x.values)
+def _as_tensor(x, read, caller: str) -> Tensor:
+    """``x`` checked by the types reader ``read``; a caller's Tensor passes
+    through unchanged, so its graph is kept."""
     if isinstance(x, Tensor):
-        t = x
-    else:
-        t = Tensor(np.asarray(x, dtype=np.float32))
-    if t.ndim != 2:
-        raise DimensionError(f"expected a [H, W] map, got rank {t.ndim}")
-    return t
+        read(x.data, caller)
+        return x
+    return Tensor(np.asarray(read(x, caller), dtype=np.float32))
 
 
 def kldiv(pred, gt, eps: float = KL_EPS) -> Tensor:
@@ -55,8 +57,8 @@ def kldiv(pred, gt, eps: float = KL_EPS) -> Tensor:
     Both maps are normalized by (sum + eps); eps guards the log ratio on
     both sides. Identical maps give exactly 0.
     """
-    p_t = _as_map_tensor(pred)
-    g_t = _as_map_tensor(gt)
+    p_t = _as_tensor(pred, map_values, "kldiv")
+    g_t = _as_tensor(gt, map_values, "kldiv")
     if p_t.shape != g_t.shape:
         raise DimensionError(
             f"kldiv: pred {p_t.shape} vs gt {g_t.shape} shape mismatch"
@@ -69,8 +71,8 @@ def kldiv(pred, gt, eps: float = KL_EPS) -> Tensor:
 
 def mse_map(pred, gt) -> Tensor:
     """Mean squared error per pixel."""
-    p = _as_map_tensor(pred)
-    g = _as_map_tensor(gt)
+    p = _as_tensor(pred, map_values, "mse_map")
+    g = _as_tensor(gt, map_values, "mse_map")
     if p.shape != g.shape:
         raise DimensionError(
             f"mse_map: pred {p.shape} vs gt {g.shape} shape mismatch"
@@ -83,20 +85,13 @@ def _fixation_weights(fixations, shape: tuple[int, int]) -> np.ndarray:
     """Float [H, W] weight grid. A FixationSet or Scanpath counts each pixel
     with multiplicity; an array is read as a 0/1 indicator (``arr > 0``), so
     a multiplicity grid passed as an array loses its counts."""
-    h, w = shape
     if isinstance(fixations, Scanpath):
-        fixations = FixationSet(norm_to_pixel(fixations.points, w, h), (h, w))
+        fixations = FixationSet.from_scanpaths([fixations], shape[1], shape[0])
     if isinstance(fixations, FixationSet):
-        if fixations.shape != (h, w):
-            raise DimensionError(
-                f"fixations on grid {fixations.shape}, map is {(h, w)}"
-            )
-        return fixations.weights()
+        return fixations.on(shape).weights()
     arr = np.asarray(fixations)
-    if arr.shape != (h, w):
-        raise DimensionError(
-            f"fixation indicator shape {arr.shape}, map is {(h, w)}"
-        )
+    if arr.shape != shape:
+        raise DimensionError(f"fixation indicator shape {arr.shape}, map is {shape}")
     return (arr > 0).astype(np.float64)
 
 
@@ -107,7 +102,7 @@ def nss_term(pred, fixations) -> Tensor:
     prediction has zero variance the term is 0.0 and a RuntimeWarning is
     emitted; an empty fixation set raises ContractError.
     """
-    t = _as_map_tensor(pred)
+    t = _as_tensor(pred, map_values, "nss_term")
     wgrid = _fixation_weights(fixations, t.shape)
     total = wgrid.sum()
     if total <= 0:
@@ -129,8 +124,8 @@ def nss_term(pred, fixations) -> Tensor:
 def saliency_loss(pred, gt_map, gt_fixations=None,
                   weights: LossWeights = LossWeights()) -> Tensor:
     """Weighted KL + MSE - NSS objective for the map branch."""
-    p = _as_map_tensor(pred)
-    g = _as_map_tensor(gt_map)
+    p = _as_tensor(pred, map_values, "saliency_loss")
+    g = _as_tensor(gt_map, map_values, "saliency_loss")
     if gt_fixations is None:
         vals = g.data
         thr = np.percentile(vals, 90.0)
@@ -139,23 +134,14 @@ def saliency_loss(pred, gt_map, gt_fixations=None,
     return loss - weights.nss_w * nss_term(p, gt_fixations)
 
 
-def _as_points_tensor(x) -> Tensor:
-    if isinstance(x, Scanpath):
-        return Tensor(x.points)
-    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
-    if t.ndim != 2 or t.shape[1] != 2:
-        raise DimensionError(f"expected [N, 2] points, got {t.shape}")
-    return t
-
-
 def scanpath_loss(pred, gt, divisor: str = "points") -> Tensor:
     """Mean squared pointwise distance between two equal-length paths.
 
     divisor="points" averages over N points (a single-point path (0,0) vs
     (1,1) scores 2.0); divisor="coords" averages over all 2N coordinates.
     """
-    p = _as_points_tensor(pred)
-    g = _as_points_tensor(gt)
+    p = _as_tensor(pred, path_points, "scanpath_loss")
+    g = _as_tensor(gt, path_points, "scanpath_loss")
     if p.shape[0] != g.shape[0]:
         raise ContractError(
             f"scanpath_loss: length mismatch, pred has {p.shape[0]} points, "

@@ -6,6 +6,10 @@ all-zero maps where a distribution is required) raise ContractError:
 evaluation never silently masks a broken input, unlike the training
 losses which must stay robust.
 
+Maps are SaliencyMaps or [H, W] array-likes. Fixations are a FixationSet
+on the map's grid or a [K, 2] array-like of integer (row, col) pixels;
+duplicates count with multiplicity.
+
 When prediction and ground truth resolutions differ, callers are expected
 to resample the prediction to the GT grid first (data.resample_map); the
 CLI does this automatically.
@@ -16,41 +20,23 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .types import FixationSet, SaliencyMap
+from .types import FixationSet, map_values
 
 __all__ = [
     "auc_judd", "auc_borji", "nss", "cc", "sim", "kld",
 ]
 
 
-def _as_map(x) -> np.ndarray:
-    if isinstance(x, SaliencyMap):
-        v = x.values
-    else:
-        v = np.asarray(x)
-    if v.ndim != 2:
-        raise DimensionError(f"expected a [H, W] map, got rank {v.ndim}")
-    return v.astype(np.float64)
-
-
 def _fix_points(fixations, shape: tuple[int, int]) -> np.ndarray:
-    if isinstance(fixations, FixationSet):
-        if fixations.shape != shape:
-            raise DimensionError(
-                f"fixations on grid {fixations.shape}, map is {shape}"
-            )
-        pts = fixations.points
-    else:
-        pts = np.asarray(fixations, dtype=np.int64).reshape(-1, 2)
-        fs = FixationSet(pts, shape)  # bounds check
-        pts = fs.points
+    fs = fixations if isinstance(fixations, FixationSet) else FixationSet(fixations, shape)
+    pts = fs.on(shape).points
     if pts.shape[0] == 0:
         raise ContractError("empty fixation set")
     return pts
 
 
 def _pair(pred, gt_map, name: str) -> tuple[np.ndarray, np.ndarray]:
-    p, g = _as_map(pred), _as_map(gt_map)
+    p, g = (map_values(m, name).astype(np.float64) for m in (pred, gt_map))
     if p.shape != g.shape:
         raise DimensionError(f"{name}: pred {p.shape} vs gt {g.shape} shape mismatch")
     return p, g
@@ -58,7 +44,7 @@ def _pair(pred, gt_map, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _pos_neg(pred, fixations, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Map values at the fixations (with multiplicity) and off them."""
-    m = _as_map(pred)
+    m = map_values(pred, name).astype(np.float64)
     pts = _fix_points(fixations, m.shape)
     fixated = np.zeros(m.shape, dtype=bool)
     fixated[pts[:, 0], pts[:, 1]] = True
@@ -117,7 +103,7 @@ def nss(pred, fixations) -> float:
     """Mean standardized (z-scored, population std) saliency at the
     fixation points. Duplicated fixations count with multiplicity.
     Zero-variance prediction raises ContractError."""
-    m = _as_map(pred)
+    m = map_values(pred, "nss").astype(np.float64)
     pts = _fix_points(fixations, m.shape)
     std = m.std()
     if std == 0.0:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .types import SaliencyMap, Scanpath, norm_to_pixel
+from .types import map_values, norm_to_pixel, path_points
 
 DIAG = float(np.sqrt(2.0))
 
@@ -52,16 +52,10 @@ class MultiMatchScores:
         return (self.shape, self.direction, self.length, self.position)
 
 
-def _points(path) -> np.ndarray:
-    if isinstance(path, Scanpath):
-        return path.points.astype(np.float64)
-    return np.asarray(path, dtype=np.float64).reshape(-1, 2)
-
-
 def to_saccades(path) -> tuple[np.ndarray, np.ndarray]:
     """[N-1, 2] start points and displacements of an N-point path; fewer
     than 2 points raise ContractError."""
-    pts = _points(path)
+    pts = path_points(path, "to_saccades")
     if pts.shape[0] < 2:
         raise ContractError(
             f"to_saccades: need at least 2 points, got {pts.shape[0]}"
@@ -108,7 +102,7 @@ def multimatch(pred, gt) -> MultiMatchScores:
     raises ContractError."""
     tracks = []
     for name, p in (("pred", pred), ("gt", gt)):
-        pts = _points(p)
+        pts = path_points(p, "multimatch")
         if pts.shape[0] >= 2 and (pts == pts[0]).all():
             raise ContractError(
                 f"multimatch: {name} path has all points identical, no extent"
@@ -134,22 +128,13 @@ def multimatch(pred, gt) -> MultiMatchScores:
     )
 
 
-def _gt_values(gt_map, caller: str) -> np.ndarray:
-    """The ground-truth map as a float64 [H, W] array."""
-    gm = gt_map.values if isinstance(gt_map, SaliencyMap) else np.asarray(gt_map)
-    gm = gm.astype(np.float64)
-    if gm.ndim != 2:
-        raise ContractError(f"{caller}: gt_map must be [H, W], got rank {gm.ndim}")
-    return gm
-
-
 def nss_scanpath(pred, gt_map) -> float:
     """Mean z-scored GT saliency at the predicted fixation pixels.
 
     Points denormalize by round(x*(W-1)), round(y*(H-1)) with clamping;
     repeated pixels count with multiplicity. Zero-variance map raises."""
-    gm = _gt_values(gt_map, "nss_scanpath")
-    pts = _points(pred)
+    gm = map_values(gt_map, "nss_scanpath").astype(np.float64)
+    pts = path_points(pred, "nss_scanpath")
     if pts.shape[0] == 0:
         raise ContractError("nss_scanpath: empty scanpath")
     std = gm.std()
@@ -164,12 +149,12 @@ def nss_scanpath(pred, gt_map) -> float:
 def congruency(pred, gt_map, percentile: float = 80.0) -> float:
     """Fraction of predicted fixations landing on the thresholded GT
     region: pixels >= the given percentile of all map values."""
-    gm = _gt_values(gt_map, "congruency")
+    gm = map_values(gt_map, "congruency").astype(np.float64)
     if not 0.0 < percentile < 100.0:
         raise ContractError(
             f"congruency: percentile must be in (0, 100), got {percentile}"
         )
-    pts = _points(pred)
+    pts = path_points(pred, "congruency")
     if pts.shape[0] == 0:
         raise ContractError("congruency: empty scanpath")
     thr = np.percentile(gm, percentile)

@@ -109,6 +109,12 @@ class Tensor:
 
     # -- graph plumbing ------------------------------------------------
 
+    @property
+    def _needs_grad(self) -> bool:
+        """Whether backward() passes a gradient into this node: a leaf that
+        requires one, or an op output that hands it on to its parents."""
+        return self.requires_grad or self._vjp is not None
+
     def _track(self, out_data, parents, vjp) -> "Tensor":
         out = Tensor(out_data)
         if _grad_enabled and any(p.requires_grad for p in parents):
@@ -155,7 +161,7 @@ class Tensor:
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None:
                     continue
-                if not (parent.requires_grad or parent._vjp is not None):
+                if not parent._needs_grad:
                     continue
                 pid = id(parent)
                 if pid in flows:
@@ -611,8 +617,7 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
     np.add(grid, layer.bias.data[:, None, None], out=out_data)
 
     def vjp(g):
-        # the rule backward() uses to drop a parent's gradient
-        need_dx = x.requires_grad or x._vjp is not None
+        need_dx = x._needs_grad
         gf = np.zeros((b, hp, wp, out_ch), dtype=np.float32)
         gf[crop] = g.transpose(0, 2, 3, 1)
         gf = gf.reshape(n, out_ch)

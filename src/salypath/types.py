@@ -7,6 +7,10 @@ Coordinate conventions, used consistently everywhere:
   The inverse divides by (size - 1).
 * Saliency maps are [H, W] float32 arrays with values in [0, 1].
 * Fixation sets are integer (row, col) pixel locations on a stated grid.
+
+Every loss, metric and writer reads its map and path arguments through
+``map_values`` and ``path_points``, and checks a FixationSet's grid with
+``FixationSet.on``, so each input kind has one rule and one error.
 """
 
 from __future__ import annotations
@@ -21,17 +25,35 @@ import numpy as np
 from .errors import ConfigError, ContractError, DimensionError
 
 
-def norm_to_pixel(points: np.ndarray, width: int, height: int) -> np.ndarray:
+def map_values(x, caller: str) -> np.ndarray:
+    """The values of a SaliencyMap or an array-like map, uncast; anything
+    but [H, W] raises DimensionError naming ``caller``."""
+    v = x.values if isinstance(x, SaliencyMap) else np.asarray(x)
+    if v.ndim != 2:
+        raise DimensionError(f"{caller}: expected a [H, W] map, got shape {v.shape}")
+    return v
+
+
+def path_points(x, caller: str) -> np.ndarray:
+    """The points of a Scanpath or an array-like path as float64; anything
+    but [N, 2] raises DimensionError naming ``caller``."""
+    pts = np.asarray(x.points if isinstance(x, Scanpath) else x, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DimensionError(f"{caller}: expected [N, 2] points, got shape {pts.shape}")
+    return pts
+
+
+def norm_to_pixel(points, width: int, height: int) -> np.ndarray:
     """Map normalized (x, y) points to integer (row, col) pixels."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    pts = path_points(points, "norm_to_pixel")
     cols = np.clip(np.round(pts[:, 0] * (width - 1)), 0, width - 1).astype(np.int64)
     rows = np.clip(np.round(pts[:, 1] * (height - 1)), 0, height - 1).astype(np.int64)
     return np.stack([rows, cols], axis=1)
 
 
-def pixel_to_norm(xy_pixels: np.ndarray, width: int, height: int) -> np.ndarray:
+def pixel_to_norm(xy_pixels, width: int, height: int) -> np.ndarray:
     """Map pixel (x, y) coordinates to normalized [0,1]^2 (x, y)."""
-    pts = np.asarray(xy_pixels, dtype=np.float64).reshape(-1, 2)
+    pts = path_points(xy_pixels, "pixel_to_norm")
     sx = max(width - 1, 1)
     sy = max(height - 1, 1)
     out = np.stack([pts[:, 0] / sx, pts[:, 1] / sy], axis=1)
@@ -45,11 +67,7 @@ class Scanpath:
     points: np.ndarray  # [N, 2] float32
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float32)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise DimensionError(
-                f"Scanpath: points must be [N, 2], got {pts.shape}"
-            )
+        pts = path_points(self.points, "Scanpath").astype(np.float32)
         if pts.shape[0] < 1:
             raise ContractError("Scanpath: need at least one point")
         if np.nanmin(pts) < 0.0 or np.nanmax(pts) > 1.0 or not np.isfinite(pts).all():
@@ -78,9 +96,7 @@ class SaliencyMap:
     values: np.ndarray  # [H, W] float32
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float32)
-        if v.ndim != 2:
-            raise DimensionError(f"SaliencyMap: values must be [H, W], got {v.shape}")
+        v = np.asarray(map_values(self.values, "SaliencyMap"), dtype=np.float32)
         if v.shape[0] < 1 or v.shape[1] < 1:
             raise DimensionError(f"SaliencyMap: empty extent in shape {v.shape}")
         if not np.isfinite(v).all():
@@ -134,10 +150,15 @@ class FixationSet:
     @classmethod
     def from_scanpaths(cls, paths, width: int, height: int) -> "FixationSet":
         """Pool every point of every scanpath into one fixation multiset."""
-        chunks = [norm_to_pixel(p.points if isinstance(p, Scanpath) else p, width, height)
-                  for p in paths]
+        chunks = [norm_to_pixel(p, width, height) for p in paths]
         pts = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 2), np.int64)
         return cls(pts, (height, width))
+
+    def on(self, shape: tuple[int, int]) -> "FixationSet":
+        """This set, after checking that its grid is ``shape``."""
+        if self.shape != tuple(shape):
+            raise DimensionError(f"fixations on grid {self.shape}, map is {tuple(shape)}")
+        return self
 
     def weights(self) -> np.ndarray:
         """Float [H, W] grid counting fixations per pixel (multiplicity)."""

@@ -91,9 +91,10 @@ BAD_TRAIN_CONFIGS = [
 
 # (key path into the manifest document, value put there, text the one stderr
 # line must hold) of manifests that each once crashed `stats` with a
-# traceback, were read with a width or height the document did not hold, or
-# loaded with a directory where a file belongs
+# traceback, were read with a name, width or height the document did not
+# hold, or loaded with a directory where a file belongs
 MALFORMED_MANIFESTS = [
+    (("name",), None, "'name' must be a string"),
     (("width",), "abc", "'width' must be an integer"),
     (("width",), None, "'width' must be an integer"),
     (("width",), 4.7, "'width' must be an integer"),
@@ -284,8 +285,8 @@ class TestStats:
         assert err.count("\n") == 1 and f"{victim}: " in err
 
     @pytest.mark.parametrize("where, value, error", MALFORMED_MANIFESTS, ids=[
-        "width-string", "width-null", "width-float", "height-bool", "not-object",
-        "records-int", "stimulus-int", "scanpaths-string", "map-directory"])
+        "name-null", "width-string", "width-null", "width-float", "height-bool",
+        "not-object", "records-int", "stimulus-int", "scanpaths-string", "map-directory"])
     def test_malformed_manifest_exits_2_with_one_line(self, perfect, tmp_path,
                                                       where, value, error):
         root = tmp_path / "ds"

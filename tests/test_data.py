@@ -9,6 +9,7 @@ oracle, and the generator against its documented distributional guarantees.
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,32 +94,6 @@ class TestPgm:
         write_pgm(p, np.zeros((2, 3)))
         assert p.read_bytes() == b"P5\n3 2\n255\n" + bytes(6)
 
-    def test_comment_in_header_is_skipped(self, tmp_path):
-        p = tmp_path / "cm.pgm"
-        p.write_bytes(b"P5\n# made elsewhere\n2 2\n255\n" + bytes([0, 85, 170, 255]))
-        back = read_pgm(p)
-        assert np.array_equal(
-            back, np.array([[0, 85], [170, 255]], dtype=np.float32) / 255
-        )
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "bad.pgm"
-        p.write_bytes(b"P2\n2 2\n255\n0 0 0 0")
-        with pytest.raises(ManifestError, match="not a binary PGM"):
-            read_pgm(p)
-
-    def test_wrong_maxval_rejected(self, tmp_path):
-        p = tmp_path / "mx.pgm"
-        p.write_bytes(b"P5\n2 2\n128\n" + bytes(4))
-        with pytest.raises(ManifestError, match="maxval 128"):
-            read_pgm(p)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        p = tmp_path / "tr.pgm"
-        p.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
-        with pytest.raises(ManifestError, match="7 bytes, expected 16"):
-            read_pgm(p)
-
     def test_rank_mismatch_rejected(self, tmp_path):
         with pytest.raises(DimensionError, match=r"\[H, W\]"):
             write_pgm(tmp_path / "r.pgm", np.zeros((2, 2, 2)))
@@ -145,21 +120,48 @@ class TestPpm:
         write_ppm(p, vals)
         assert p.read_bytes().endswith(bytes([255, 0, 0, 0, 0, 255]))
 
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "bad.ppm"
-        p.write_bytes(b"P5\n1 1\n255\n\x00")
-        with pytest.raises(ManifestError, match="not a binary PPM"):
-            read_ppm(p)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        p = tmp_path / "tr.ppm"
-        p.write_bytes(b"P6\n2 2\n255\n" + bytes(11))
-        with pytest.raises(ManifestError, match="11 bytes, expected 12"):
-            read_ppm(p)
-
     def test_shape_rejected(self, tmp_path):
         with pytest.raises(DimensionError, match=r"\[3, H, W\]"):
             write_ppm(tmp_path / "r.ppm", np.zeros((1, 4, 4)))
+
+
+# -- PNM header (one codec reads both) ----------------------------------------
+
+@pytest.fixture(params=[
+    SimpleNamespace(read=read_pgm, magic=b"P5", channels=1, other=b"P2", kind="PGM"),
+    SimpleNamespace(read=read_ppm, magic=b"P6", channels=3, other=b"P5", kind="PPM"),
+], ids=["P5", "P6"])
+def pnm(request):
+    return request.param
+
+
+class TestPnmHeader:
+    def test_comment_in_header_is_skipped(self, tmp_path, pnm):
+        raw = np.arange(4 * pnm.channels, dtype=np.uint8) * 20
+        p = tmp_path / "cm.pnm"
+        p.write_bytes(pnm.magic + b"\n# made elsewhere\n2 2\n255\n" + raw.tobytes())
+        got = pnm.read(p).reshape(pnm.channels, 2, 2)  # PGM reads [H, W], PPM [3, H, W]
+        want = raw.reshape(2, 2, pnm.channels).transpose(2, 0, 1) / np.float32(255)
+        assert np.array_equal(got, want)
+
+    def test_bad_magic_rejected(self, tmp_path, pnm):
+        p = tmp_path / "bad.pnm"
+        p.write_bytes(pnm.other + b"\n2 2\n255\n" + bytes(4 * pnm.channels))
+        with pytest.raises(ManifestError, match=f"not a binary {pnm.kind}"):
+            pnm.read(p)
+
+    def test_wrong_maxval_rejected(self, tmp_path, pnm):
+        p = tmp_path / "mx.pnm"
+        p.write_bytes(pnm.magic + b"\n2 2\n128\n" + bytes(4 * pnm.channels))
+        with pytest.raises(ManifestError, match="maxval 128"):
+            pnm.read(p)
+
+    def test_truncated_payload_rejected(self, tmp_path, pnm):
+        need = 16 * pnm.channels
+        p = tmp_path / "tr.pnm"
+        p.write_bytes(pnm.magic + b"\n4 4\n255\n" + bytes(need - 1))
+        with pytest.raises(ManifestError, match=f"{need - 1} bytes, expected {need}"):
+            pnm.read(p)
 
 
 # -- scanpath CSV ---------------------------------------------------------

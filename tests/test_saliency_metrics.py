@@ -397,3 +397,11 @@ def test_metrics_reject_non_2d(rng):
         auc_judd(np.zeros((2, 2, 2)), np.array([[0, 0]]))
     with pytest.raises(DimensionError):
         cc(np.zeros(4), np.zeros(4))
+
+
+def test_fixation_arrays_must_be_k_by_2(rng):
+    m = rng.uniform(size=(4, 4))
+    with pytest.raises(DimensionError, match=r"\[K, 2\]"):
+        auc_judd(m, np.array([1, 2, 3, 0]))  # not two (row, col) points
+    with pytest.raises(DimensionError, match=r"\[K, 2\]"):
+        nss(m, [[1, 2, 3], [0, 1, 2]])  # not three points
