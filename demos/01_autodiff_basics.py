@@ -18,7 +18,8 @@ rng = np.random.default_rng(0)
 x = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
 w = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
 
-loss = ((x * w).sigmoid() ** 2).mean()
+y = (x * w).sigmoid()
+loss = (y * y).mean()
 loss.backward()
 print("loss        =", loss.item())
 print("x.grad shape:", x.grad.shape, " w.grad shape:", w.grad.shape)
@@ -27,7 +28,8 @@ print("x.grad shape:", x.grad.shape, " w.grad shape:", w.grad.shape)
 # float32 forward pass agree to ~1e-4 relative; good enough to catch any
 # real chain-rule mistake.
 def f():
-    return ((x * w).sigmoid() ** 2).mean().item()
+    y = (x * w).sigmoid()
+    return (y * y).mean().item()
 
 eps = 1e-3
 orig = float(w.data[1, 0])

@@ -318,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length-weights", default=None,
                    help="len:weight pairs, e.g. 8:0.7,6:0.2,10:0.1")
     p.add_argument("--min-center-dist", type=float, default=0.0,
-                   help="reject blob centers closer than this to the image center")
+                   help="reject blob centers closer than this to the image "
+                        "center, at most 0.48")
     return ap
 
 

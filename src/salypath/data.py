@@ -38,6 +38,9 @@ WARM = np.array([0.95, 0.45, 0.15], dtype=np.float64)
 COOL = np.array([0.10, 0.30, 0.55], dtype=np.float64)
 # synthetic blob centers are drawn uniformly from [_CENTER_LO, _CENTER_HI)^2
 _CENTER_LO, _CENTER_HI = 0.15, 0.85
+# largest min_center_dist: 0.19 % of [0.15, 0.85)^2 lies this far from the
+# center (~540 draws per blob); the corners' 0.35*sqrt(2) ~ 0.495 leaves none
+_MAX_CENTER_DIST = 0.48
 
 
 # -- PGM / PPM ----------------------------------------------------------
@@ -93,6 +96,8 @@ def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
     off += 2
     if maxval != 255:
         raise ManifestError(f"{path}: unsupported maxval {maxval}, expected 255")
+    if w < 1 or h < 1:
+        raise ManifestError(f"{path}: empty image {w}x{h}")
     need = w * h * channels
     payload = raw[off:off + need]
     if len(payload) != need:
@@ -383,8 +388,8 @@ def generate_synthetic(n: int, seed: int, size: tuple[int, int] = (64, 64),
     unnormalized probability (default: every path has 8 points).
     min_center_dist rejects blob centers closer than this (normalized) to
     the image center, for building deliberately off-center evaluation sets;
-    centers are drawn from [0.15, 0.85)^2, so it must stay below the
-    corners' distance 0.35*sqrt(2) ~ 0.495. Arguments are checked before
+    centers are rejection-sampled from [0.15, 0.85)^2, so it must be at most
+    0.48, where 0.19 % of the square still passes. Arguments are checked before
     anything is written. Deterministic: identical arguments produce
     byte-identical trees.
     """
@@ -402,11 +407,10 @@ def generate_synthetic(n: int, seed: int, size: tuple[int, int] = (64, 64),
         raise ContractError("generate_synthetic: scanpaths_per_image must be >= 1")
     if seed < 0:
         raise ContractError(f"generate_synthetic: seed must be >= 0, got {seed}")
-    far = np.hypot(_CENTER_HI - 0.5, _CENTER_HI - 0.5)
-    if not 0.0 <= min_center_dist < far:  # NaN fails too
-        # no center could pass the rejection loop below, which would never end
+    if not 0.0 <= min_center_dist <= _MAX_CENTER_DIST:  # NaN fails too
+        # beyond it the rejection loop below would (almost) never end
         raise ContractError("generate_synthetic: min_center_dist must be >= 0 and "
-                            f"below {far:.4f}, got {min_center_dist}")
+                            f"at most {_MAX_CENTER_DIST}, got {min_center_dist}")
     if length_weights:
         lens = sorted(length_weights)
         if any(l < 2 for l in lens):

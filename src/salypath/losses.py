@@ -3,17 +3,16 @@
 Saliency loss: 0.6 * KL + 0.3 * MSE - 0.1 * NSS over predicted vs ground
 truth maps, the NSS term evaluated at ground-truth fixation points when
 they are supplied and otherwise at the pixels at or above the 90th
-percentile of the GT map. Fixations are a FixationSet or a Scanpath, each
-pixel counted with multiplicity, or an [H, W] array read as a 0/1
-indicator (nonzero is fixated), unlike the [K, 2] points of the metrics. A zero-variance prediction makes the NSS term 0
+percentile of the GT map. A zero-variance prediction makes the NSS term 0
 with a RuntimeWarning (training must not crash on a flat early map; the
 evaluation metric in saliency_metrics raises instead).
 
 Scanpath loss: mean squared distance over corresponding points,
 sum_i ||p_i - q_i||^2 / N by default (``divisor="coords"`` divides by 2N).
 
-Maps and paths are read by ``types.map_values`` and ``types.path_points``;
-a Tensor argument passes through unchanged, so its graph is kept.
+Maps, paths and fixations are read by ``types.map_values``,
+``types.path_points`` and ``types.fixation_set``, as in the metrics; a
+Tensor argument passes through unchanged, so its graph is kept.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
 from .tensor import Tensor
-from .types import FixationSet, Scanpath, map_values, path_points
+from .types import FixationSet, fixation_set, map_values, path_points
 
 KL_EPS = 1e-8
 
@@ -81,20 +80,6 @@ def mse_map(pred, gt) -> Tensor:
     return (d * d).mean()
 
 
-def _fixation_weights(fixations, shape: tuple[int, int]) -> np.ndarray:
-    """Float [H, W] weight grid. A FixationSet or Scanpath counts each pixel
-    with multiplicity; an array is read as a 0/1 indicator (``arr > 0``), so
-    a multiplicity grid passed as an array loses its counts."""
-    if isinstance(fixations, Scanpath):
-        fixations = FixationSet.from_scanpaths([fixations], shape[1], shape[0])
-    if isinstance(fixations, FixationSet):
-        return fixations.on(shape).weights()
-    arr = np.asarray(fixations)
-    if arr.shape != shape:
-        raise DimensionError(f"fixation indicator shape {arr.shape}, map is {shape}")
-    return (arr > 0).astype(np.float64)
-
-
 def nss_term(pred, fixations) -> Tensor:
     """Differentiable NSS: mean standardized saliency at fixation points.
 
@@ -103,10 +88,7 @@ def nss_term(pred, fixations) -> Tensor:
     emitted; an empty fixation set raises ContractError.
     """
     t = _as_tensor(pred, map_values, "nss_term")
-    wgrid = _fixation_weights(fixations, t.shape)
-    total = wgrid.sum()
-    if total <= 0:
-        raise ContractError("nss_term: empty fixation set")
+    wgrid = fixation_set(fixations, t.shape, "nss_term").weights()
     mu = t.mean()
     var = ((t - mu) * (t - mu)).mean()
     if float(var.data) == 0.0:
@@ -118,7 +100,7 @@ def nss_term(pred, fixations) -> Tensor:
         return Tensor(np.float32(0.0))
     z = (t - mu) / var.sqrt()
     w_t = Tensor(wgrid.astype(np.float32))
-    return (z * w_t).sum() / np.float32(total)
+    return (z * w_t).sum() / np.float32(wgrid.sum())
 
 
 def saliency_loss(pred, gt_map, gt_fixations=None,
@@ -126,12 +108,13 @@ def saliency_loss(pred, gt_map, gt_fixations=None,
     """Weighted KL + MSE - NSS objective for the map branch."""
     p = _as_tensor(pred, map_values, "saliency_loss")
     g = _as_tensor(gt_map, map_values, "saliency_loss")
+    loss = weights.kl_w * kldiv(p, g) + weights.mse_w * mse_map(p, g)
     if gt_fixations is None:
         vals = g.data
         thr = np.percentile(vals, 90.0)
-        gt_fixations = (vals >= thr).astype(np.float64)
-    loss = weights.kl_w * kldiv(p, g) + weights.mse_w * mse_map(p, g)
-    return loss - weights.nss_w * nss_term(p, gt_fixations)
+        gt_fixations = FixationSet(np.argwhere(vals >= thr), vals.shape)
+    fix = fixation_set(gt_fixations, p.shape, "saliency_loss")
+    return loss - weights.nss_w * nss_term(p, fix)
 
 
 def scanpath_loss(pred, gt, divisor: str = "points") -> Tensor:

@@ -99,12 +99,6 @@ class ModelConfig:
     def bottleneck_channels(self) -> int:
         return self.encoder_blocks[-1][1]
 
-    @property
-    def bottleneck_size(self) -> tuple[int, int]:
-        h, w = self.input_size
-        div = 2 ** len(self.encoder_blocks)
-        return h // div, w // div
-
     @classmethod
     def desk(cls, **overrides) -> "ModelConfig":
         """Small configuration that trains in minutes on a CPU."""

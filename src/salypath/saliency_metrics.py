@@ -6,9 +6,10 @@ all-zero maps where a distribution is required) raise ContractError:
 evaluation never silently masks a broken input, unlike the training
 losses which must stay robust.
 
-Maps are SaliencyMaps or [H, W] array-likes. Fixations are a FixationSet
-on the map's grid or a [K, 2] array-like of integer (row, col) pixels;
-duplicates count with multiplicity.
+Maps, read by ``types.map_values``, are SaliencyMaps or [H, W]
+array-likes. Fixations, read by ``types.fixation_set`` as in the losses,
+are a FixationSet on the map's grid or a [K, 2] integer array-like of
+(row, col) pixels; duplicates count with multiplicity.
 
 When prediction and ground truth resolutions differ, callers are expected
 to resample the prediction to the GT grid first (data.resample_map); the
@@ -20,19 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .types import FixationSet, map_values
+from .types import fixation_set, map_values
 
 __all__ = [
     "auc_judd", "auc_borji", "nss", "cc", "sim", "kld",
 ]
-
-
-def _fix_points(fixations, shape: tuple[int, int]) -> np.ndarray:
-    fs = fixations if isinstance(fixations, FixationSet) else FixationSet(fixations, shape)
-    pts = fs.on(shape).points
-    if pts.shape[0] == 0:
-        raise ContractError("empty fixation set")
-    return pts
 
 
 def _pair(pred, gt_map, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -45,7 +38,7 @@ def _pair(pred, gt_map, name: str) -> tuple[np.ndarray, np.ndarray]:
 def _pos_neg(pred, fixations, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Map values at the fixations (with multiplicity) and off them."""
     m = map_values(pred, name).astype(np.float64)
-    pts = _fix_points(fixations, m.shape)
+    pts = fixation_set(fixations, m.shape, name).points
     fixated = np.zeros(m.shape, dtype=bool)
     fixated[pts[:, 0], pts[:, 1]] = True
     if fixated.all():
@@ -99,17 +92,25 @@ def auc_borji(pred, fixations, n_splits: int = 100, rng_seed: int | None = None)
     return float(_roc_areas(pos, negs).mean())
 
 
+def nss_at(values, fixations, caller: str) -> float:
+    """Mean of the z-scored (population std) map ``values`` at the
+    fixations, with multiplicity: ``nss`` of a prediction, and
+    ``nss_scanpath`` of the GT map. A zero-variance map raises
+    ContractError naming ``caller``."""
+    m = map_values(values, caller).astype(np.float64)
+    pts = fixation_set(fixations, m.shape, caller).points
+    std = m.std()
+    if std == 0.0:
+        raise ContractError(f"{caller}: map has zero variance")
+    z = (m - m.mean()) / std
+    return float(z[pts[:, 0], pts[:, 1]].mean())
+
+
 def nss(pred, fixations) -> float:
     """Mean standardized (z-scored, population std) saliency at the
     fixation points. Duplicated fixations count with multiplicity.
     Zero-variance prediction raises ContractError."""
-    m = map_values(pred, "nss").astype(np.float64)
-    pts = _fix_points(fixations, m.shape)
-    std = m.std()
-    if std == 0.0:
-        raise ContractError("nss: prediction has zero variance")
-    z = (m - m.mean()) / std
-    return float(z[pts[:, 0], pts[:, 1]].mean())
+    return nss_at(pred, fixations, "nss")
 
 
 def cc(pred, gt_map) -> float:

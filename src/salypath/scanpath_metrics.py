@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
+from .saliency_metrics import nss_at
 from .types import map_values, norm_to_pixel, path_points
 
 DIAG = float(np.sqrt(2.0))
@@ -129,21 +130,14 @@ def multimatch(pred, gt) -> MultiMatchScores:
 
 
 def nss_scanpath(pred, gt_map) -> float:
-    """Mean z-scored GT saliency at the predicted fixation pixels.
+    """NSS of the GT map at the predicted fixation pixels: the mean
+    z-scored GT saliency there.
 
     Points denormalize by round(x*(W-1)), round(y*(H-1)) with clamping;
     repeated pixels count with multiplicity. Zero-variance map raises."""
-    gm = map_values(gt_map, "nss_scanpath").astype(np.float64)
-    pts = path_points(pred, "nss_scanpath")
-    if pts.shape[0] == 0:
-        raise ContractError("nss_scanpath: empty scanpath")
-    std = gm.std()
-    if std == 0.0:
-        raise ContractError("nss_scanpath: ground-truth map has zero variance")
-    h, w = gm.shape
-    rc = norm_to_pixel(pts, w, h)
-    z = (gm - gm.mean()) / std
-    return float(z[rc[:, 0], rc[:, 1]].mean())
+    h, w = map_values(gt_map, "nss_scanpath").shape
+    pixels = norm_to_pixel(path_points(pred, "nss_scanpath"), w, h)
+    return nss_at(gt_map, pixels, "nss_scanpath")
 
 
 def congruency(pred, gt_map, percentile: float = 80.0) -> float:

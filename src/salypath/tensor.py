@@ -95,10 +95,6 @@ class Tensor:
             )
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Same values, no history, no grad requirement."""
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         head = f"Tensor(shape={self.shape}"
         if self.name:
@@ -213,23 +209,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         return self._track(-self.data, (self,), lambda g: (-g,))
 
-    def __pow__(self, exponent) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise ContractError("pow: exponent must be a python scalar")
-        c = float(exponent)
-        a = self.data
-        out = a ** np.float32(c)
-        def vjp(g):
-            return (g * np.float32(c) * a ** np.float32(c - 1.0),)
-        return self._track(out, (self,), vjp)
-
     # -- elementwise functions ------------------------------------------
-
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-        def vjp(g):
-            return (g * out_data,)
-        return self._track(out_data, (self,), vjp)
 
     def log(self) -> "Tensor":
         a = self.data

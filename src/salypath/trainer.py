@@ -170,7 +170,7 @@ class Adam:
 class _Sample:
     image: np.ndarray            # [3, H, W] float32 at model input size
     gt_map: np.ndarray           # [H, W] float32 at model input size
-    fixations: np.ndarray | None  # [H, W] float64 0/1 fixation indicator, or None
+    fixations: FixationSet | None  # distinct fixated pixels, or None
     paths: np.ndarray            # [S, L, 2] float32 normalized, L = head length
 
 
@@ -195,8 +195,9 @@ def prepare_samples(model: SalypathModel, manifest: DatasetManifest) -> list[_Sa
         paths = manifest.load_scanpaths(i)
         fix = None
         if paths:
-            # the NSS term reads an array as a 0/1 indicator, so store that
-            fix = (FixationSet.from_scanpaths(paths, w, h).weights() > 0).astype(np.float64)
+            # each fixated pixel once: the NSS term weighs a pixel 0 or 1
+            counts = FixationSet.from_scanpaths(paths, w, h).weights()
+            fix = FixationSet(np.argwhere(counts), (h, w))
         keep = [p.points for p in paths if len(p) == head_len]
         pts = (np.stack(keep).astype(np.float32) if keep
                else np.zeros((0, head_len, 2), dtype=np.float32))

@@ -8,9 +8,9 @@ Coordinate conventions, used consistently everywhere:
 * Saliency maps are [H, W] float32 arrays with values in [0, 1].
 * Fixation sets are integer (row, col) pixel locations on a stated grid.
 
-Every loss, metric and writer reads its map and path arguments through
-``map_values`` and ``path_points``, and checks a FixationSet's grid with
-``FixationSet.on``, so each input kind has one rule and one error.
+Every loss, metric and writer reads its map, path and fixation arguments
+through ``map_values``, ``path_points`` and ``fixation_set``, so each input
+kind has one rule and one error.
 """
 
 from __future__ import annotations
@@ -41,6 +41,28 @@ def path_points(x, caller: str) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DimensionError(f"{caller}: expected [N, 2] points, got shape {pts.shape}")
     return pts
+
+
+def _pixel_points(x, caller: str) -> np.ndarray:
+    """An array-like of integer (row, col) pixels as int64; anything but
+    [K, 2] integers (a float mask, say) raises DimensionError naming
+    ``caller``."""
+    pts = np.asarray(x)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.dtype.kind not in "iu":
+        raise DimensionError(f"{caller}: expected [K, 2] integer (row, col) pixels, "
+                             f"got {pts.dtype} {pts.shape}")
+    return pts.astype(np.int64)
+
+
+def fixation_set(x, shape: tuple[int, int], caller: str) -> "FixationSet":
+    """A FixationSet, or [K, 2] integer (row, col) pixels, on the grid
+    ``shape``. Another form or grid raises DimensionError, and an empty set
+    ContractError, naming ``caller``."""
+    if not isinstance(x, FixationSet):
+        x = FixationSet(_pixel_points(x, caller), shape)
+    if not len(x.on(shape, caller)):
+        raise ContractError(f"{caller}: empty fixation set")
+    return x
 
 
 def norm_to_pixel(points, width: int, height: int) -> np.ndarray:
@@ -123,12 +145,7 @@ class FixationSet:
     shape: tuple[int, int]  # (H, W)
 
     def __post_init__(self):
-        pts = np.asarray(self.points)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise DimensionError(
-                f"FixationSet: points must be [K, 2], got {pts.shape}"
-            )
-        pts = pts.astype(np.int64)
+        pts = _pixel_points(self.points, "FixationSet")
         h, w = int(self.shape[0]), int(self.shape[1])
         if h < 1 or w < 1:
             raise DimensionError(f"FixationSet: bad grid shape {self.shape}")
@@ -154,10 +171,11 @@ class FixationSet:
         pts = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 2), np.int64)
         return cls(pts, (height, width))
 
-    def on(self, shape: tuple[int, int]) -> "FixationSet":
+    def on(self, shape: tuple[int, int], caller: str) -> "FixationSet":
         """This set, after checking that its grid is ``shape``."""
         if self.shape != tuple(shape):
-            raise DimensionError(f"fixations on grid {self.shape}, map is {tuple(shape)}")
+            raise DimensionError(
+                f"{caller}: fixations on grid {self.shape}, map is {tuple(shape)}")
         return self
 
     def weights(self) -> np.ndarray:

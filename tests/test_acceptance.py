@@ -128,7 +128,8 @@ def test_criterion_1_gradient_suite(capsys):
         gt = rng.uniform(0.1, 1.0, (5, 5)).astype(np.float32)
         fix = np.zeros((5, 5))
         fix[rng.integers(0, 5, 2), rng.integers(0, 5, 2)] = 1.0
-        worst = max(worst, gradcheck(lambda: saliency_loss(pred, gt, fix), [pred]))
+        worst = max(worst, gradcheck(lambda: saliency_loss(pred, gt, np.argwhere(fix)),
+                                     [pred]))
 
         pts = Tensor(rng.uniform(0.1, 0.9, (8, 2)).astype(np.float32),
                      requires_grad=True)

@@ -245,11 +245,12 @@ class TestGenSynth:
         ("--min-center-dist", "inf", "min_center_dist"),
         ("--min-center-dist", "nan", "min_center_dist"),
         ("--min-center-dist", "-0.1", "min_center_dist"),
+        ("--min-center-dist", "0.4949", "min_center_dist"),
         ("--seed", "-1", "seed must be >= 0"),
     ])
     def test_bad_flag_exits_2_before_writing(self, tmp_path, flag, value, error):
-        # no blob center can lie 0.5 or more from the image center: the
-        # generator once drew forever
+        # no blob center can lie 0.5 or more from the image center, and
+        # almost none 0.4949: the generator once drew forever
         proc = run_module("gen-synth", "--n", "1", "--size", "16x16",
                           "--out", str(tmp_path / "ds"), f"{flag}={value}")
         assert proc.returncode == 2
@@ -485,6 +486,16 @@ class TestPredict:
         assert len(lines) == 1 and lines[0].startswith("salypath predict: error:"), lines
         assert error in lines[0]
 
+    def test_zero_width_image_exits_2_with_one_line(self, trained, tmp_path):
+        (tmp_path / "img.ppm").write_bytes(b"P6\n0 16\n255\n")
+        proc = run_module(
+            "predict", "--checkpoint", str(trained["ckpt"]), "--image", str(tmp_path / "img.ppm"),
+            "--out-map", str(tmp_path / "m.pgm"), "--out-scanpath", str(tmp_path / "p.csv"))
+        assert proc.returncode == 2, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("salypath predict: error:") and "empty image 0x16" in line
+        assert not (tmp_path / "m.pgm").exists()
+
     def test_size_mismatch_resamples_with_warning(self, trained, tmp_path, capsys):
         write_ppm(tmp_path / "big.ppm", np.zeros((3, 24, 24), dtype=np.float32))
         rc = main(["predict", "--checkpoint", str(trained["ckpt"]),
@@ -562,7 +573,8 @@ class TestEvalSaliency:
         (lambda p: p.write_bytes(p.read_bytes()[:-20]), "payload has"),
         (lambda p: write_pgm(p, np.full((8, 8), 0.5)), "zero variance"),
         (lambda p: (p.unlink(), p.mkdir()), "Is a directory"),
-    ], ids=["truncated", "constant", "directory"])
+        (lambda p: p.write_bytes(b"P5\n0 16\n255\n"), "empty image 0x16"),
+    ], ids=["truncated", "constant", "directory", "zero-width"])
     def test_unscorable_prediction_fails_its_record_exit_1(
             self, perfect, tmp_path, capsys, damage, reason):
         intact = tmp_path / "intact.csv"

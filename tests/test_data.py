@@ -156,6 +156,14 @@ class TestPnmHeader:
         with pytest.raises(ManifestError, match="maxval 128"):
             pnm.read(p)
 
+    @pytest.mark.parametrize("size", [b"0 16", b"16 0"])
+    def test_zero_extent_rejected(self, tmp_path, pnm, size):
+        # once read as a (16, 0) map that crashed resample_map downstream
+        p = tmp_path / "empty.pnm"
+        p.write_bytes(pnm.magic + b"\n" + size + b"\n255\n")
+        with pytest.raises(ManifestError, match="empty image"):
+            pnm.read(p)
+
     def test_truncated_payload_rejected(self, tmp_path, pnm):
         need = 16 * pnm.channels
         p = tmp_path / "tr.pnm"

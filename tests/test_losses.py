@@ -116,7 +116,7 @@ def test_nss_hand_value_sqrt3():
     pred = np.array([[1.0, 0.0], [0.0, 0.0]], np.float32)
     # mean 1/4, population var 3/16, z(0,0) = (3/4)/(sqrt(3)/4) = sqrt(3)
     for fixations in (
-        np.array([[1.0, 0.0], [0.0, 0.0]]),
+        np.argwhere(np.array([[1.0, 0.0], [0.0, 0.0]])),
         FixationSet(np.array([[0, 0]]), (2, 2)),
     ):
         got = float(nss_term(pred, fixations).data)
@@ -128,20 +128,20 @@ def test_nss_constant_pred_warns_and_is_zero():
     mask = np.zeros((3, 3))
     mask[1, 1] = 1
     with pytest.warns(RuntimeWarning):
-        val = nss_term(pred, mask)
+        val = nss_term(pred, np.argwhere(mask))
     assert float(val.data) == 0.0
 
 
 def test_nss_all_pixels_fixated_is_zero(rng):
     pred = rng.uniform(size=(4, 4)).astype(np.float32)
-    got = float(nss_term(pred, np.ones((4, 4))).data)
+    got = float(nss_term(pred, np.argwhere(np.ones((4, 4)))).data)
     assert abs(got) < 1e-6
 
 
 def test_nss_empty_fixations_raises(rng):
     pred = rng.uniform(size=(3, 3)).astype(np.float32)
     with pytest.raises(ContractError):
-        nss_term(pred, np.zeros((3, 3)))
+        nss_term(pred, np.argwhere(np.zeros((3, 3))))
 
 
 def test_nss_counts_multiplicity():
@@ -156,7 +156,7 @@ def test_nss_matches_oracle(rng):
     pred = rng.uniform(size=(6, 6)).astype(np.float32)
     mask = (rng.uniform(size=(6, 6)) > 0.7).astype(np.float64)
     mask[0, 0] = 1.0
-    got = float(nss_term(pred, mask).data)
+    got = float(nss_term(pred, np.argwhere(mask)).data)
     np.testing.assert_allclose(got, nss_oracle(pred, mask), rtol=1e-4, atol=1e-6)
 
 
@@ -166,8 +166,8 @@ def test_saliency_loss_collapses_to_nss_when_pred_equals_gt(rng):
     gt = rng.uniform(0.1, 1.0, (4, 4)).astype(np.float32)
     mask = np.zeros((4, 4))
     mask[np.unravel_index(np.argmax(gt), (4, 4))] = 1
-    loss = float(saliency_loss(gt, gt.copy(), mask).data)
-    nss = float(nss_term(gt, mask).data)
+    loss = float(saliency_loss(gt, gt.copy(), np.argwhere(mask)).data)
+    nss = float(nss_term(gt, np.argwhere(mask)).data)
     assert float(kldiv(gt, gt.copy()).data) == 0.0
     assert float(mse_map(gt, gt.copy()).data) == 0.0
     np.testing.assert_allclose(loss, -0.1 * nss, rtol=1e-6)
@@ -178,7 +178,7 @@ def test_saliency_loss_weights_select_terms(rng):
     gt = rng.uniform(0.1, 1.0, (4, 4)).astype(np.float32)
     mask = np.zeros((4, 4))
     mask[2, 1] = 1
-    only_kl = saliency_loss(pred, gt, mask, LossWeights(1.0, 0.0, 0.0))
+    only_kl = saliency_loss(pred, gt, np.argwhere(mask), LossWeights(1.0, 0.0, 0.0))
     assert float(only_kl.data) == float(kldiv(pred, gt).data)
 
 
@@ -189,7 +189,7 @@ def test_saliency_loss_matches_term_sum_oracle(rng):
     mask[3, 3] = 1.0
     want = (0.6 * kldiv_oracle(pred, gt) + 0.3 * mse_oracle(pred, gt)
             - 0.1 * nss_oracle(pred, mask))
-    got = float(saliency_loss(pred, gt, mask).data)
+    got = float(saliency_loss(pred, gt, np.argwhere(mask)).data)
     np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-6)
 
 
@@ -197,7 +197,7 @@ def test_saliency_loss_default_fixations_are_top_decile(rng):
     pred = rng.uniform(0.1, 1.0, (10, 10)).astype(np.float32)
     gt = rng.uniform(0.1, 1.0, (10, 10)).astype(np.float32)
     thr = np.percentile(gt, 90.0)
-    explicit = saliency_loss(pred, gt, (gt >= thr).astype(np.float64))
+    explicit = saliency_loss(pred, gt, np.argwhere(gt >= thr))
     implicit = saliency_loss(pred, gt)
     assert float(explicit.data) == float(implicit.data)
 
@@ -268,7 +268,7 @@ def test_gradcheck_saliency_loss_wrt_pred(rng):
     mask = np.zeros((4, 4))
     mask[1, 2] = 1
     mask[3, 0] = 1
-    gradcheck(lambda: saliency_loss(pred, gt, mask), [pred])
+    gradcheck(lambda: saliency_loss(pred, gt, np.argwhere(mask)), [pred])
 
 
 def test_gradcheck_scanpath_loss_wrt_pred(rng):

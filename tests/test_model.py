@@ -50,11 +50,9 @@ def test_config_rejects(overrides):
 
 def test_config_presets():
     desk = ModelConfig.desk()
-    assert desk.bottleneck_size == (4, 4)
     assert desk.bottleneck_channels == 64
     full = ModelConfig.full_scale()
     assert full.input_size == (224, 320)
-    assert full.bottleneck_size == (7, 10)
     assert full.bottleneck_channels == 512
     assert len(full.head_channels) == 10 and full.head_channels[-1] == 8
 

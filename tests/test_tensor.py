@@ -330,7 +330,8 @@ def test_conv_input_without_grad_keeps_parameter_grads():
     for needs in (True, False):
         x = Tensor(xs, requires_grad=needs)
         layer.weight.grad = layer.bias.grad = None
-        (conv2d(x, layer) ** 2).sum().backward()
+        y = conv2d(x, layer)
+        (y * y).sum().backward()
         assert (x.grad is not None) == needs
         grads.append((layer.weight.grad, layer.bias.grad))
     for a, b in zip(*grads):
@@ -602,7 +603,7 @@ def test_gradcheck_arithmetic_ops():
         b = Tensor(away_from_zero(rng, (3, 4), min_abs=0.2), requires_grad=True)
         check_op(lambda: (a * b + a - b) / (b * b + 1.0), [a, b], seed + 1000)
         c = Tensor(rng.uniform(0.2, 2.0, (2, 5)).astype(np.float32), requires_grad=True)
-        check_op(lambda: c.log() + c.sqrt() + (c ** 1.5) + (-c).exp(), [c], seed + 1500)
+        check_op(lambda: c.log() + c.sqrt() + (-c).sigmoid(), [c], seed + 1500)
 
 
 def test_gradcheck_activations():

@@ -276,18 +276,19 @@ class TestPhase1:
             train_only(1, tiny_model(), empty, TrainConfig(phase1_epochs=1))
 
     def test_nss_term_reads_the_fixation_indicator(self, dataset):
-        # the stored grid is the 0/1 indicator the loss reads, not the
-        # multiplicity grid, and the phase-1 loss is saliency_loss with it
+        # the stored set holds each fixated pixel once, so the loss weighs a
+        # pixel 0 or 1, not by multiplicity; the phase-1 loss is
+        # saliency_loss with it
         model = tiny_model()
         grids = [FixationSet.from_scanpaths(dataset.load_scanpaths(i), 16, 16).weights()
                  for i in range(len(dataset))]
         k = next(i for i, g in enumerate(grids) if g.max() > 1)  # a repeated fixation pixel
         phase = trainer._Phase(model, trainer.prepare_samples(model, dataset), TrainConfig(), 1)
         s = phase.samples[k]
-        assert np.array_equal(s.fixations, grids[k] > 0)
+        assert np.array_equal(s.fixations.weights(), grids[k] > 0)
         maps = model.decode(model.attend(model.encode(Tensor(s.image[None]))))
         loss = phase._saliency_batch_loss([k]).item()
-        assert loss == saliency_loss(maps[0, 0], s.gt_map, grids[k] > 0).item()
+        assert loss == saliency_loss(maps[0, 0], s.gt_map, np.argwhere(grids[k])).item()
         counted = FixationSet.from_scanpaths(dataset.load_scanpaths(k), 16, 16)
         assert loss != saliency_loss(maps[0, 0], s.gt_map, counted).item()
 
@@ -456,7 +457,7 @@ class PerBatchFrozenPhase(trainer._Phase):
         assert self.freeze
         with no_grad():
             bott = model.attend(model.encode(x))
-        bott = bott.detach()
+        bott = Tensor(bott.data)
         feats = model.scanpath_features(bott)
         points = soft_argmax(feats, model.config.beta)
         total = None

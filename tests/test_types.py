@@ -1,6 +1,6 @@
 """One reader per input kind: every public function that takes a saliency
-map or a point path reads it through ``salypath.types``, so a wrong shape
-raises the same DimensionError, naming the function that was called."""
+map, a point path or fixations reads it through ``salypath.types``, so a
+wrong form raises the same error, naming the function that was called."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ import pytest
 from salypath import data, losses
 from salypath import saliency_metrics as sm
 from salypath import scanpath_metrics as spm
-from salypath.errors import DimensionError
+from salypath.errors import ContractError, DimensionError
+from salypath.types import FixationSet
 
 MAP = np.linspace(0.0, 1.0, 16).reshape(4, 4)
 RANK3 = np.full((4, 4, 2), 0.5)
@@ -27,7 +28,7 @@ MAP_CALLS = {
     "congruency": lambda tmp: spm.congruency(PATH, RANK3),
     "kldiv": lambda tmp: losses.kldiv(RANK3, MAP),
     "mse_map": lambda tmp: losses.mse_map(RANK3, MAP),
-    "nss_term": lambda tmp: losses.nss_term(RANK3, MAP > 0.5),
+    "nss_term": lambda tmp: losses.nss_term(RANK3, FIX),
     "saliency_loss": lambda tmp: losses.saliency_loss(RANK3, MAP),
     "write_pgm": lambda tmp: data.write_pgm(tmp / "m.pgm", RANK3),
     "resample_map": lambda tmp: data.resample_map(RANK3, 2, 2),
@@ -51,3 +52,25 @@ def test_wrong_shape_raises_dimension_error_naming_the_function(tmp_path, name, 
     with pytest.raises(DimensionError, match=rf"^{name}: {message}"):
         call(tmp_path)
     assert not list(tmp_path.iterdir())  # nothing written
+
+
+FIXATION_CALLS = {
+    "auc_judd": sm.auc_judd,
+    "auc_borji": lambda m, fix: sm.auc_borji(m, fix, rng_seed=0),
+    "nss": sm.nss,
+    "nss_term": losses.nss_term,
+    "saliency_loss": lambda m, fix: losses.saliency_loss(m, m, fix),
+}
+
+
+@pytest.mark.parametrize("name", FIXATION_CALLS)
+def test_fixations_read_as_integer_points_on_the_map_grid(name):
+    call = FIXATION_CALLS[name]
+    mask = np.zeros((4, 2))  # a float [H, 2] indicator, not pixel indices
+    mask[1, 0] = 1.0
+    with pytest.raises(DimensionError, match=rf"^{name}: expected \[K, 2\] integer"):
+        call(MAP, mask)
+    with pytest.raises(DimensionError, match=rf"^{name}: fixations on grid \(5, 4\)"):
+        call(MAP, FixationSet(FIX, (5, 4)))
+    with pytest.raises(ContractError, match=rf"^{name}: empty fixation set"):
+        call(MAP, FixationSet(np.zeros((0, 2), np.int64), (4, 4)))
