@@ -48,10 +48,11 @@ print(f"w.grad[1,0] analytic {w.grad[1, 0]:+.6f}  numeric {numeric:+.6f}")
 
 # The conv/pool path used by the encoder. Gradients flow through the
 # shift-and-GEMM convolution and 2x2 max pooling the same way; backward()
-# leaves .grad on intermediates as well as leaves.
+# leaves .grad on intermediates as well as leaves. relu=True applies the
+# ReLU inside conv2d: one graph node and one output buffer instead of two.
 img = Tensor(rng.normal(size=(1, 3, 8, 8)).astype(np.float32), requires_grad=True)
 layer = ConvLayer.init(3, 4, 3, rng, padding=1)
-pre = conv2d(img, layer).relu()
+pre = conv2d(img, layer, relu=True)
 pooled = maxpool2(pre)
 print("\nconv->relu->pool:", img.shape, "->", pooled.shape)
 
@@ -63,3 +64,14 @@ print("d(sum)/d(img) mean |g| =", float(np.abs(img.grad).mean()))
 # where relu already zeroed the winner).
 frac = float((pre.grad != 0).mean())
 print(f"fraction of pre-pool activations with nonzero grad = {frac:.3f} (max 0.25)")
+
+# The fused form is the same arithmetic as conv2d(...).relu(), and its
+# gradient mask out > 0 holds exactly where the pre-activation's a > 0
+# does, so both forms agree bit for bit, gradients included.
+fused_grad = img.grad
+img.grad = None
+unfused = conv2d(img, layer).relu()
+maxpool2(unfused).sum().backward()
+same = (pre.data.tobytes() == unfused.data.tobytes()
+        and fused_grad.tobytes() == img.grad.tobytes())
+print("conv2d(img, layer, relu=True) and conv2d(img, layer).relu() agree bitwise:", same)

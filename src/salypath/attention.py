@@ -60,7 +60,7 @@ class AttentionGate:
         self.gamma = make("att.gamma", ())
 
     def _mlp(self, d: Tensor) -> Tensor:
-        return self.ch_mlp[1](self.ch_mlp[0](d).relu())
+        return self.ch_mlp[1](self.ch_mlp[0](d, relu=True))
 
 
 def channel_attention(x: Tensor, gate: AttentionGate) -> Tensor:

@@ -230,7 +230,7 @@ class SalypathModel:
         self._check_input(x)
         for block in self.encoder:
             for layer in block:
-                x = layer(x).relu()
+                x = layer(x, relu=True)
             x = maxpool2(x)
         return x
 
@@ -245,14 +245,14 @@ class SalypathModel:
         for block in self.decoder:
             x = upsample2(x)
             for layer in block:
-                x = layer(x).relu()
+                x = layer(x, relu=True)
         return self.dec_out(x).sigmoid()
 
     def scanpath_features(self, bottleneck: Tensor) -> Tensor:
         """Attended bottleneck -> [B, 8, h, w] fixation feature planes."""
         x = bottleneck
         for layer in self.head[:-1]:
-            x = layer(x).relu()
+            x = layer(x, relu=True)
         return self.head[-1](x)
 
     def forward_tensors(self, x: Tensor) -> tuple[Tensor, Tensor]:

@@ -21,6 +21,12 @@ Design notes, load-bearing:
   views, or f2py writes into a copy), and backward reads the same slices.
   Zero gaps between rows and planes serve as padding. Every stride, kernel
   size and padding takes this one path.
+* A conv site holds only its input and its output until backward: the vjp
+  refills the padded grid from ``x.data``. ``conv2d(x, layer, relu=True)``
+  clamps the output in place and masks the gradient with ``out > 0``,
+  which holds exactly where the pre-activation's ``a > 0`` does (NaN and
+  -0.0 included), so it gives ``conv2d(x, layer).relu()``'s bits with one
+  output buffer, not two.
 * ``sgemm`` comes from scipy's BLAS extension module, loaded by file path at
   the first conv (``_sgemm``). That skips ``scipy/linalg/__init__.py``, whose
   imports cost a fresh process ~0.2 s on a 2-vCPU VM, and commands that
@@ -469,8 +475,8 @@ class ConvLayer:
         return cls(make(f"{name}.weight", (out_ch, in_ch, kernel, kernel)),
                    make(f"{name}.bias", (out_ch,)), stride=stride, padding=padding)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self)
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return conv2d(x, self, relu)
 
 
 @functools.cache
@@ -514,8 +520,9 @@ def _sgemm():
 _CONV_CHUNK_BYTES = 512 * 1024
 
 
-def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
-    """Batched 2-D cross-correlation by shift-and-GEMM.
+def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
+    """Batched 2-D cross-correlation by shift-and-GEMM, with an optional
+    ReLU epilogue.
 
     x: [B, C, H, W]. Output: [B, out_ch, OH, OW] with
     OH = (H + 2p - kh)//s + 1.
@@ -546,6 +553,18 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
     into a copy of any other array. sgemm is loaded at the first call by
     ``_sgemm``, straight from scipy's ``_fblas`` extension file, so no
     process imports the ``scipy.linalg`` package for it.
+
+    With ``relu``, the output is clamped in place
+    (``np.maximum(out, 0, out=out)``, ``Tensor.relu``'s arithmetic) and
+    backward masks the output gradient with ``out > 0``. That holds exactly
+    where the pre-activation's ``a > 0`` does (NaN fails both; -0.0 and 0.0
+    clamp to a zero), so the output, the masked gradient and the bias
+    gradient summed from it have the bits of ``conv2d(x, layer).relu()``.
+
+    The vjp keeps only ``x`` and the output: backward refills the grid from
+    ``x.data`` with forward's zero fill and copy, one copy per call instead
+    of a padded copy of every conv input held until backward (the
+    recompute-for-memory trade of Chen et al. 2016, arXiv 1604.06174).
 
     Backward scatters the output gradient onto the grid as ``gf[n, out_ch]``
     (zero in the cropped positions) and, per tap, accumulates
@@ -584,8 +603,12 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
     chunks = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
     crop = (slice(None), slice(0, h + 2 * p - kh + 1, s), slice(0, w + 2 * p - kw + 1, s))
 
-    xf = np.zeros((n + max(lead, tail), c), dtype=np.float32)
-    xf[lead:lead + n].reshape(b, hp, wp, c)[:, :h, :w] = x.data.transpose(0, 2, 3, 1)
+    def padded() -> np.ndarray:
+        xf = np.zeros((n + max(lead, tail), c), dtype=np.float32)
+        xf[lead:lead + n].reshape(b, hp, wp, c)[:, :h, :w] = x.data.transpose(0, 2, 3, 1)
+        return xf
+
+    xf = padded()
     acc = np.empty((n, out_ch), dtype=np.float32)
     for lo, hi in chunks:
         for t, off in enumerate(offsets):
@@ -595,9 +618,15 @@ def conv2d(x: Tensor, layer: ConvLayer) -> Tensor:
     # explicit C-order output: a ufunc would keep the grid's pixel-major strides
     out_data = np.empty(grid.shape, dtype=np.float32)
     np.add(grid, layer.bias.data[:, None, None], out=out_data)
+    if relu:
+        np.maximum(out_data, 0, out=out_data)
+    # the vjp must not name xf, acc or grid: each would stay alive until backward
 
     def vjp(g):
+        if relu:
+            g = g * (out_data > 0)
         need_dx = x._needs_grad
+        xf = padded()
         gf = np.zeros((b, hp, wp, out_ch), dtype=np.float32)
         gf[crop] = g.transpose(0, 2, 3, 1)
         gf = gf.reshape(n, out_ch)

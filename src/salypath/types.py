@@ -43,23 +43,30 @@ def path_points(x, caller: str) -> np.ndarray:
     return pts
 
 
-def _pixel_points(x, caller: str) -> np.ndarray:
-    """An array-like of integer (row, col) pixels as int64; anything but
-    [K, 2] integers (a float mask, say) raises DimensionError naming
+def _pixel_points(x, shape: tuple[int, int], caller: str) -> np.ndarray:
+    """An array-like of integer (row, col) pixels on the (H, W) grid
+    ``shape`` as int64. Anything but [K, 2] integers (a float mask, say)
+    raises DimensionError, and a pixel off the grid ContractError, naming
     ``caller``."""
     pts = np.asarray(x)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.dtype.kind not in "iu":
         raise DimensionError(f"{caller}: expected [K, 2] integer (row, col) pixels, "
                              f"got {pts.dtype} {pts.shape}")
-    return pts.astype(np.int64)
+    pts = pts.astype(np.int64)
+    if pts.shape[0] > 0:
+        for axis, (side, extent) in enumerate((("row", "height"), ("col", "width"))):
+            if pts[:, axis].min() < 0 or pts[:, axis].max() >= shape[axis]:
+                raise ContractError(
+                    f"{caller}: {side} out of bounds for {extent} {shape[axis]}")
+    return pts
 
 
 def fixation_set(x, shape: tuple[int, int], caller: str) -> "FixationSet":
     """A FixationSet, or [K, 2] integer (row, col) pixels, on the grid
     ``shape``. Another form or grid raises DimensionError, and an empty set
-    ContractError, naming ``caller``."""
+    or a pixel off the grid ContractError, naming ``caller``."""
     if not isinstance(x, FixationSet):
-        x = FixationSet(_pixel_points(x, caller), shape)
+        x = FixationSet(_pixel_points(x, shape, caller), shape)
     if not len(x.on(shape, caller)):
         raise ContractError(f"{caller}: empty fixation set")
     return x
@@ -145,20 +152,10 @@ class FixationSet:
     shape: tuple[int, int]  # (H, W)
 
     def __post_init__(self):
-        pts = _pixel_points(self.points, "FixationSet")
         h, w = int(self.shape[0]), int(self.shape[1])
         if h < 1 or w < 1:
             raise DimensionError(f"FixationSet: bad grid shape {self.shape}")
-        if pts.shape[0] > 0:
-            if pts[:, 0].min() < 0 or pts[:, 0].max() >= h:
-                raise ContractError(
-                    f"FixationSet: row out of bounds for height {h}"
-                )
-            if pts[:, 1].min() < 0 or pts[:, 1].max() >= w:
-                raise ContractError(
-                    f"FixationSet: col out of bounds for width {w}"
-                )
-        self.points = pts
+        self.points = _pixel_points(self.points, (h, w), "FixationSet")
         self.shape = (h, w)
 
     def __len__(self) -> int:

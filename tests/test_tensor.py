@@ -1,6 +1,8 @@
 """Tensor core: op semantics against independent oracles, autodiff against
 central finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,11 +234,11 @@ def test_conv_matches_loop_oracle():
         np.testing.assert_allclose(got, want, atol=1e-5, err_msg=str(case))
 
 
-def _conv_with_grads(x, w, bias, stride, padding, g):
+def _conv_with_grads(x, w, bias, stride, padding, g, op=conv2d):
     xt = Tensor(x, requires_grad=True)
     layer = ConvLayer(Tensor(w, requires_grad=True), Tensor(bias, requires_grad=True),
                       stride=stride, padding=padding)
-    y = conv2d(xt, layer)
+    y = op(xt, layer)
     (y * Tensor(g)).sum().backward()
     return y.data, xt.grad, layer.weight.grad, layer.bias.grad
 
@@ -355,6 +357,79 @@ def test_conv_repeat_calls_are_bitwise_identical():
         runs.append([y.data.copy()] + [t.grad.copy() for t in (x, layer.weight, layer.bias)])
     for a, b in zip(*runs):
         assert a.tobytes() == b.tobytes()
+
+
+def _fused(x, layer):
+    return conv2d(x, layer, relu=True)
+
+
+def _unfused(x, layer):
+    return conv2d(x, layer).relu()
+
+
+def _assert_same_bits(got, want, case):
+    for name, a, b in zip(("out", "dx", "dw", "db"), got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (case, name)
+
+
+def test_conv_fused_relu_bitwise_matches_unfused():
+    # the random cases are the loop-oracle test's (same seed); the last
+    # case splits its grid into several chunks
+    rng = np.random.default_rng(7)
+    chunked = [(4, 16, 16, 40, 40, (3, 3), 1, 1)]
+    for case in random_conv_cases(rng) + CONV_EDGE_CASES + chunked:
+        args = _oracle_inputs(rng, case)
+        _assert_same_bits(_conv_with_grads(*args, op=_fused),
+                          _conv_with_grads(*args, op=_unfused), case)
+
+
+def test_conv_fused_relu_bitwise_at_zeros_and_nan():
+    # all-zero windows give pre-activations equal to the bias: exact +0.0
+    # from a 0.0 and a -0.0 bias; the NaN input spreads to its 3x3
+    # neighbourhood. BLAS sums signed-zero products to +0.0, so no conv
+    # pre-activation is -0.0; the mask rule out > 0 <=> a > 0 is checked
+    # on such values directly below.
+    rng = np.random.default_rng(23)
+    x, w, _, s, p, g = _oracle_inputs(rng, (2, 2, 3, 5, 6, (3, 3), 1, 1))
+    x[:, :, :, :3] = 0.0
+    x[0, 1, 1, 1] = -0.0
+    x[1, 0, 3, 4] = np.nan
+    bias = np.array([0.0, -0.0, 0.5], np.float32)
+    pre = conv2d(Tensor(x), ConvLayer(Tensor(w), Tensor(bias), stride=s, padding=p)).data
+    assert (pre == 0).any() and np.isnan(pre).any() and (pre < 0).any()
+    _assert_same_bits(_conv_with_grads(x, w, bias, s, p, g, op=_fused),
+                      _conv_with_grads(x, w, bias, s, p, g, op=_unfused), "zeros/nan")
+
+    a = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-45, -1e-45, 1.5, -1.5],
+                 np.float32)
+    out = a.copy()
+    np.maximum(out, 0, out=out)
+    assert out.tobytes() == Tensor(a).relu().data.tobytes()
+    np.testing.assert_array_equal(out > 0, a > 0)
+
+
+def test_conv_sites_retain_only_their_outputs():
+    # Between forward and backward a conv site may hold its output and
+    # small per-layer arrays, not its padded grid, accumulator or a second
+    # (pre-activation) output: two chained sites leave about two
+    # activations live. Keeping the grid as well reads over six.
+    rng = np.random.default_rng(31)
+    layers = [ConvLayer(Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32) * 0.1,
+                               requires_grad=True),
+                        Tensor(np.zeros(16, np.float32), requires_grad=True), padding=1)
+              for _ in range(2)]
+    x = Tensor(rng.normal(size=(4, 16, 32, 32)).astype(np.float32), requires_grad=True)
+    layers[0](x, relu=True)  # loads sgemm outside the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = layers[1](layers[0](x, relu=True), relu=True)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 2.5 * x.data.nbytes, held / x.data.nbytes
+    y.sum().backward()
+    assert x.grad is not None and layers[0].weight.grad is not None
 
 
 def test_conv_channel_mismatch_names_axis():
@@ -628,6 +703,21 @@ def test_gradcheck_reductions_and_shapes():
         check_op(lambda: x[1, :, 1:3], [x], seed + 3500)
 
 
+def check_conv(rng, x, layer, seed):
+    """Gradcheck ``conv2d(x, layer)``, then its fused-ReLU form. For the
+    fused form ``x`` is redrawn until no pre-activation lies within 5e-3 of
+    the kink, beyond what a 1e-3 probe step moves one at these scales."""
+    params = [x, layer.weight, layer.bias]
+    check_op(lambda: conv2d(x, layer), params, seed)
+    for _ in range(20):
+        if np.abs(conv2d(x, layer).data).min() >= 5e-3:
+            break
+        x.data[...] = rng.normal(size=x.shape)
+    else:
+        raise AssertionError("no kink-free input found for the fused gradcheck")
+    check_op(lambda: conv2d(x, layer, relu=True), params, seed)
+
+
 def test_gradcheck_conv2d():
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -638,7 +728,7 @@ def test_gradcheck_conv2d():
                    requires_grad=True)
         b = Tensor(rng.normal(size=3).astype(np.float32) * 0.1, requires_grad=True)
         layer = ConvLayer(w, b, stride=s, padding=max(p, 1 if s == 1 else p))
-        check_op(lambda: conv2d(x, layer), [x, w, b], seed + 4000)
+        check_conv(rng, x, layer, seed + 4000)
     for i, (bs, c, o, h, ww, k, s, p) in enumerate(CONV_EDGE_CASES):
         if bs * c * h * ww > 4096:
             continue  # two forwards per input element; the oracles cover it
@@ -648,7 +738,7 @@ def test_gradcheck_conv2d():
                    requires_grad=True)
         b = Tensor(rng.normal(size=o).astype(np.float32) * 0.1, requires_grad=True)
         layer = ConvLayer(w, b, stride=s, padding=p)
-        check_op(lambda: conv2d(x, layer), [x, w, b], 4200 + i)
+        check_conv(rng, x, layer, 4200 + i)
 
 
 def test_gradcheck_pooling_and_upsampling():

@@ -74,3 +74,14 @@ def test_fixations_read_as_integer_points_on_the_map_grid(name):
         call(MAP, FixationSet(FIX, (5, 4)))
     with pytest.raises(ContractError, match=rf"^{name}: empty fixation set"):
         call(MAP, FixationSet(np.zeros((0, 2), np.int64), (4, 4)))
+
+
+@pytest.mark.parametrize("name", FIXATION_CALLS)
+def test_off_map_pixels_raise_naming_the_function(name):
+    call = FIXATION_CALLS[name]
+    with pytest.raises(ContractError, match=rf"^{name}: row out of bounds for height 4"):
+        call(MAP, np.array([[9, 0]]))
+    with pytest.raises(ContractError, match=rf"^{name}: col out of bounds for width 4"):
+        call(MAP, np.array([[1, 2], [0, -1]]))
+    with pytest.raises(ContractError, match=r"^FixationSet: row out of bounds for height 4"):
+        FixationSet(np.array([[4, 0]]), (4, 4))
