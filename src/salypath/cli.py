@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="len:weight pairs, e.g. 8:0.7,6:0.2,10:0.1")
     p.add_argument("--min-center-dist", type=float, default=0.0,
                    help="reject blob centers closer than this to the image "
-                        "center, at most 0.48")
+                        f"center, at most {dio.MAX_CENTER_DIST}")
     return ap
 
 

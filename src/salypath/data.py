@@ -40,7 +40,7 @@ COOL = np.array([0.10, 0.30, 0.55], dtype=np.float64)
 _CENTER_LO, _CENTER_HI = 0.15, 0.85
 # largest min_center_dist: 0.19 % of [0.15, 0.85)^2 lies this far from the
 # center (~540 draws per blob); the corners' 0.35*sqrt(2) ~ 0.495 leaves none
-_MAX_CENTER_DIST = 0.48
+MAX_CENTER_DIST = 0.48
 
 
 # -- PGM / PPM ----------------------------------------------------------
@@ -379,8 +379,7 @@ def resample_stimulus(rgb: np.ndarray, target_w: int, target_h: int) -> np.ndarr
 def generate_synthetic(n: int, seed: int, size: tuple[int, int] = (64, 64),
                        out_dir=None, scanpaths_per_image: int = 2,
                        length_weights: dict[int, float] | None = None,
-                       min_center_dist: float = 0.0,
-                       name: str = "synthetic") -> DatasetManifest:
+                       min_center_dist: float = 0.0) -> DatasetManifest:
     """Write ``n`` stimulus/map/scanpath triples plus manifest.json under
     ``out_dir`` and return the loaded manifest.
 
@@ -389,9 +388,8 @@ def generate_synthetic(n: int, seed: int, size: tuple[int, int] = (64, 64),
     min_center_dist rejects blob centers closer than this (normalized) to
     the image center, for building deliberately off-center evaluation sets;
     centers are rejection-sampled from [0.15, 0.85)^2, so it must be at most
-    0.48, where 0.19 % of the square still passes. Arguments are checked before
-    anything is written. Deterministic: identical arguments produce
-    byte-identical trees.
+    MAX_CENTER_DIST. Arguments are checked before anything is written.
+    Deterministic: identical arguments produce byte-identical trees.
     """
     # only this function smooths, so other commands never load scipy.ndimage
     from scipy.ndimage import gaussian_filter
@@ -407,10 +405,10 @@ def generate_synthetic(n: int, seed: int, size: tuple[int, int] = (64, 64),
         raise ContractError("generate_synthetic: scanpaths_per_image must be >= 1")
     if seed < 0:
         raise ContractError(f"generate_synthetic: seed must be >= 0, got {seed}")
-    if not 0.0 <= min_center_dist <= _MAX_CENTER_DIST:  # NaN fails too
+    if not 0.0 <= min_center_dist <= MAX_CENTER_DIST:  # NaN fails too
         # beyond it the rejection loop below would (almost) never end
         raise ContractError("generate_synthetic: min_center_dist must be >= 0 and "
-                            f"at most {_MAX_CENTER_DIST}, got {min_center_dist}")
+                            f"at most {MAX_CENTER_DIST}, got {min_center_dist}")
     if length_weights:
         lens = sorted(length_weights)
         if any(l < 2 for l in lens):
@@ -481,7 +479,7 @@ def generate_synthetic(n: int, seed: int, size: tuple[int, int] = (64, 64),
             scanpaths=sp_rel,
         ))
 
-    manifest = DatasetManifest(name=name, width=w, height=h,
+    manifest = DatasetManifest(name="synthetic", width=w, height=h,
                                records=records, root=out_dir)
     save_manifest(manifest, out_dir / "manifest.json")
     return load_manifest(out_dir / "manifest.json")

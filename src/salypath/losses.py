@@ -8,7 +8,7 @@ with a RuntimeWarning (training must not crash on a flat early map; the
 evaluation metric in saliency_metrics raises instead).
 
 Scanpath loss: mean squared distance over corresponding points,
-sum_i ||p_i - q_i||^2 / N by default (``divisor="coords"`` divides by 2N).
+sum_i ||p_i - q_i||^2 / N.
 
 Maps, paths and fixations are read by ``types.map_values``,
 ``types.path_points`` and ``types.fixation_set``, as in the metrics; a
@@ -26,6 +26,7 @@ from .errors import ConfigError, ContractError, DimensionError
 from .tensor import Tensor
 from .types import FixationSet, fixation_set, map_values, path_points
 
+# guards both sides of the KL log ratio; ``saliency_metrics.kld`` uses it too
 KL_EPS = 1e-8
 
 
@@ -50,11 +51,11 @@ def _as_tensor(x, read, caller: str) -> Tensor:
     return Tensor(np.asarray(read(x, caller), dtype=np.float32))
 
 
-def kldiv(pred, gt, eps: float = KL_EPS) -> Tensor:
+def kldiv(pred, gt) -> Tensor:
     """KL divergence of the GT distribution from the prediction.
 
-    Both maps are normalized by (sum + eps); eps guards the log ratio on
-    both sides. Identical maps give exactly 0.
+    Both maps are normalized by (sum + KL_EPS); KL_EPS guards the log ratio
+    on both sides. Identical maps give exactly 0.
     """
     p_t = _as_tensor(pred, map_values, "kldiv")
     g_t = _as_tensor(gt, map_values, "kldiv")
@@ -62,10 +63,10 @@ def kldiv(pred, gt, eps: float = KL_EPS) -> Tensor:
         raise DimensionError(
             f"kldiv: pred {p_t.shape} vs gt {g_t.shape} shape mismatch"
         )
-    p = p_t / (p_t.sum() + eps)
-    g = g_t.data / (g_t.data.sum() + np.float32(eps))  # constant side
+    p = p_t / (p_t.sum() + KL_EPS)
+    g = g_t.data / (g_t.data.sum() + np.float32(KL_EPS))  # constant side
     g_c = Tensor(g)
-    return (g_c * (((g_c + eps) / (p + eps)).log())).sum()
+    return (g_c * (((g_c + KL_EPS) / (p + KL_EPS)).log())).sum()
 
 
 def mse_map(pred, gt) -> Tensor:
@@ -117,12 +118,10 @@ def saliency_loss(pred, gt_map, gt_fixations=None,
     return loss - weights.nss_w * nss_term(p, fix)
 
 
-def scanpath_loss(pred, gt, divisor: str = "points") -> Tensor:
-    """Mean squared pointwise distance between two equal-length paths.
-
-    divisor="points" averages over N points (a single-point path (0,0) vs
-    (1,1) scores 2.0); divisor="coords" averages over all 2N coordinates.
-    """
+def scanpath_loss(pred, gt) -> Tensor:
+    """Mean squared pointwise distance between two equal-length paths,
+    averaged over their N points: a single-point path (0,0) vs (1,1)
+    scores 2.0."""
     p = _as_tensor(pred, path_points, "scanpath_loss")
     g = _as_tensor(gt, path_points, "scanpath_loss")
     if p.shape[0] != g.shape[0]:
@@ -130,8 +129,5 @@ def scanpath_loss(pred, gt, divisor: str = "points") -> Tensor:
             f"scanpath_loss: length mismatch, pred has {p.shape[0]} points, "
             f"gt has {g.shape[0]}"
         )
-    if divisor not in ("points", "coords"):
-        raise ConfigError(f"scanpath_loss: unknown divisor {divisor!r}")
-    n = p.shape[0] if divisor == "points" else 2 * p.shape[0]
     d = p - g
-    return (d * d).sum() / np.float32(n)
+    return (d * d).sum() / np.float32(p.shape[0])

@@ -105,15 +105,10 @@ class ModelConfig:
         return cls(**overrides)
 
     @classmethod
-    def full_scale(cls, **overrides) -> "ModelConfig":
+    def full_scale(cls) -> "ModelConfig":
         """VGG-16 scale encoder at 224x320 input (the published geometry)."""
-        args = dict(
-            input_size=(224, 320),
-            encoder_blocks=FULL_BLOCKS,
-            head_channels=FULL_HEAD,
-        )
-        args.update(overrides)
-        return cls(**args)
+        return cls(input_size=(224, 320), encoder_blocks=FULL_BLOCKS,
+                   head_channels=FULL_HEAD)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError
+from .losses import KL_EPS
 from .types import fixation_set, map_values
 
 __all__ = [
@@ -135,11 +136,11 @@ def sim(pred, gt_map) -> float:
     return float(np.minimum(p / psum, g / gsum).sum())
 
 
-def kld(pred, gt_map, eps: float = 1e-8) -> float:
+def kld(pred, gt_map) -> float:
     """KL divergence of GT from prediction; the same definition as the
-    training loss (normalize by sum+eps, eps inside the log ratio), run in
-    float64 for evaluation-grade precision."""
+    training loss (normalize by sum + KL_EPS, KL_EPS inside the log ratio),
+    run in float64 for evaluation-grade precision."""
     p, g = _pair(pred, gt_map, "kld")
-    pn = p / (p.sum() + eps)
-    gn = g / (g.sum() + eps)
-    return float((gn * np.log((gn + eps) / (pn + eps))).sum())
+    pn = p / (p.sum() + KL_EPS)
+    gn = g / (g.sum() + KL_EPS)
+    return float((gn * np.log((gn + KL_EPS) / (pn + KL_EPS))).sum())

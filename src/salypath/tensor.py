@@ -19,8 +19,9 @@ Design notes, load-bearing:
   tap is one BLAS ``sgemm`` with a contiguous shifted slice of the grid that
   adds into the output (``beta=1``; arrays it writes must be F-contiguous
   views, or f2py writes into a copy), and backward reads the same slices.
-  Zero gaps between rows and planes serve as padding. Every stride, kernel
-  size and padding takes this one path.
+  Zero gaps between rows and planes serve as padding. Every kernel size
+  and padding takes this one path. Convs are stride 1: the model
+  downsamples by pooling alone.
 * A conv site holds only its input and its output until backward: the vjp
   refills the padded grid from ``x.data``. ``conv2d(x, layer, relu=True)``
   clamps the output in place and masks the gradient with ``out > 0``,
@@ -381,8 +382,8 @@ def softmax2d(x: Tensor, beta: float = 1.0) -> Tensor:
 
     Accepts [H,W], [C,H,W] or [B,C,H,W]; the plane is always the trailing
     two axes. Shift-by-max keeps the exponentials bounded for any finite
-    input. Raises NumericError on non-finite input, ContractError on
-    beta <= 0.
+    input. Raises NumericError on non-finite input, ContractError unless
+    0 < beta < inf.
     """
     x = _coerce(x)
     if x.ndim < 2:
@@ -390,8 +391,8 @@ def softmax2d(x: Tensor, beta: float = 1.0) -> Tensor:
     if not np.isfinite(x.data).all():
         raise NumericError("softmax2d: input contains non-finite values")
     beta = float(beta)
-    if beta <= 0:
-        raise ContractError(f"softmax2d: beta must be > 0, got {beta}")
+    if not 0 < beta < float("inf"):  # NaN fails too
+        raise ContractError(f"softmax2d: beta must be finite and > 0, got {beta}")
     z = np.float32(beta) * x.data
     z = z - z.max(axis=(-2, -1), keepdims=True)
     e = np.exp(z)
@@ -435,13 +436,14 @@ def recording(make: ParamMaker, made: dict[str, Tensor]) -> ParamMaker:
 
 class ConvLayer:
     """2-D convolution parameters: weight [out_ch, in_ch, kh, kw], bias
-    [out_ch], plus integer stride and symmetric zero padding.
+    [out_ch], plus symmetric zero padding (an int, not a float or a bool).
+    The stride is 1.
 
     Convolution here is cross-correlation (no kernel flip), the standard
     deep-learning convention.
     """
 
-    def __init__(self, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0):
+    def __init__(self, weight: Tensor, bias: Tensor, padding: int = 0):
         if weight.ndim != 4:
             raise DimensionError(
                 f"ConvLayer: weight must have 4 axes, got {weight.ndim}"
@@ -451,29 +453,27 @@ class ConvLayer:
                 f"ConvLayer: bias shape {bias.shape} does not match "
                 f"out_channels {weight.shape[0]} on axis 0"
             )
-        if int(stride) < 1:
-            raise ConfigError(f"ConvLayer: stride must be >= 1, got {stride}")
-        if int(padding) < 0:
+        if isinstance(padding, bool) or not isinstance(padding, (int, np.integer)):
+            raise ConfigError(f"ConvLayer: padding must be an int, got {padding!r}")
+        if padding < 0:
             raise ConfigError(f"ConvLayer: padding must be >= 0, got {padding}")
         self.weight = weight
         self.bias = bias
-        self.stride = int(stride)
         self.padding = int(padding)
 
     @classmethod
     def init(cls, in_ch: int, out_ch: int, kernel: int, rng: np.random.Generator,
-             stride: int = 1, padding: int = 0) -> "ConvLayer":
+             padding: int = 0) -> "ConvLayer":
         """Kaiming-uniform fan-in init (bound sqrt(6/fan_in)), zero bias."""
-        return cls.build(kaiming_uniform(rng), "", in_ch, out_ch, kernel,
-                         stride=stride, padding=padding)
+        return cls.build(kaiming_uniform(rng), "", in_ch, out_ch, kernel, padding=padding)
 
     @classmethod
     def build(cls, make: ParamMaker, name: str, in_ch: int, out_ch: int, kernel: int,
-              stride: int = 1, padding: int = 0) -> "ConvLayer":
+              padding: int = 0) -> "ConvLayer":
         """Layer whose ``<name>.weight`` and ``<name>.bias`` come from ``make``,
         weight first."""
         return cls(make(f"{name}.weight", (out_ch, in_ch, kernel, kernel)),
-                   make(f"{name}.bias", (out_ch,)), stride=stride, padding=padding)
+                   make(f"{name}.bias", (out_ch,)), padding=padding)
 
     def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
         return conv2d(x, self, relu)
@@ -525,13 +525,13 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
     ReLU epilogue.
 
     x: [B, C, H, W]. Output: [B, out_ch, OH, OW] with
-    OH = (H + 2p - kh)//s + 1.
+    OH = H + 2p - kh + 1.
 
     The input is written once into a pixel-major flat grid of zeros,
     ``xf[B*Hp*Wp + max(lead, tail), C]``: image rows are ``Wp = W + gw``
     positions wide, planes ``Hp = H + gh`` rows tall, and pixel (b, i, j)
     sits at position ``lead + b*Hp*Wp + i*Wp + j`` with ``lead = p*Wp + p``
-    and ``tail = (kh-1)*Wp + kw-1``. At stride 1, the output at position
+    and ``tail = (kh-1)*Wp + kw-1``. The output at position
     ``q = b*Hp*Wp + i*Wp + j`` is the sum over taps (ki, kj) of
     ``W[:, :, ki, kj] @ xf[q + ki*Wp + kj]``, so each tap is one GEMM of
     the weight slice with a contiguous shifted slice of the grid, and no
@@ -541,9 +541,9 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
     a read up to p past any edge of a row or plane lands in the zero gap it
     shares with its neighbour, or in the grid's leading or trailing zeros,
     where a padded image needs 2p (a 4x4 plane takes 25 positions, not 36).
-    The second term keeps a row as wide as the stride-1 output when p > k-1.
+    The second term keeps a row as wide as the output when p > k-1.
     Positions past an image's last valid output row or column are computed
-    and cropped. Stride s > 1 keeps every s-th row and column.
+    and cropped.
 
     Each tap is one scipy BLAS ``sgemm`` that adds its product straight into
     the accumulator ``acc[n, out_ch]`` (``beta=1``; a chunk's first tap
@@ -586,7 +586,7 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
         raise DimensionError(
             f"conv2d: input axis 1 has {c} channels, layer expects {in_ch}"
         )
-    s, p = layer.stride, layer.padding
+    p = layer.padding
     if h + 2 * p < kh or w + 2 * p < kw:
         raise DimensionError(
             f"conv2d: padded input {h + 2 * p}x{w + 2 * p} smaller than kernel {kh}x{kw}"
@@ -601,7 +601,7 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
     per_col = 4 * (out_ch + 2 * c)
     step = max(1, _CONV_CHUNK_BYTES // (per_col * plane)) * plane
     chunks = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
-    crop = (slice(None), slice(0, h + 2 * p - kh + 1, s), slice(0, w + 2 * p - kw + 1, s))
+    crop = (slice(None), slice(0, h + 2 * p - kh + 1), slice(0, w + 2 * p - kw + 1))
 
     def padded() -> np.ndarray:
         xf = np.zeros((n + max(lead, tail), c), dtype=np.float32)

@@ -55,7 +55,6 @@ class TrainConfig:
     optimizer: str = "adam"
     seed: int = 0
     freeze_encoder_phase2: bool = True
-    divisor: str = "points"
     loss_weights: LossWeights = field(default_factory=LossWeights)
     joint_alternating: bool = False
 
@@ -76,15 +75,11 @@ class TrainConfig:
             raise ConfigError(
                 f"TrainConfig: optimizer must be adam or sgd, got {self.optimizer!r}"
             )
-        if self.divisor not in ("points", "coords"):
-            raise ConfigError(f"TrainConfig: unknown divisor {self.divisor!r}")
 
     @classmethod
-    def full_scale(cls, **overrides) -> "TrainConfig":
+    def full_scale(cls) -> "TrainConfig":
         """The published schedule: tiny lrs, meant for dataset-scale runs."""
-        args = dict(phase1_lr=1e-7, phase2_lr=1e-5)
-        args.update(overrides)
-        return cls(**args)
+        return cls(phase1_lr=1e-7, phase2_lr=1e-5)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -131,20 +126,20 @@ class SGD:
 
 
 class Adam:
-    """Adam with bias correction; defaults beta1=0.9, beta2=0.999, eps=1e-8.
-    With those, the very first step moves each weight by about lr."""
+    """Adam with bias correction, with Kingma & Ba's (2015) suggested
+    BETA1, BETA2 and EPS as constants. The very first step moves each
+    weight by about lr."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self):
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, Tensor], lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for name, p in params.items():
@@ -160,7 +155,7 @@ class Adam:
             self._v[name] = v
             mhat = m / np.float32(c1)
             vhat = v / np.float32(c2)
-            p.data = p.data - np.float32(lr) * mhat / (np.sqrt(vhat) + np.float32(self.eps))
+            p.data = p.data - np.float32(lr) * mhat / (np.sqrt(vhat) + np.float32(self.EPS))
 
 
 # -- data staging ------------------------------------------------------------
@@ -290,7 +285,7 @@ class _Phase:
             s = self.samples[k]
             per_gt = None
             for gt_path in s.paths:
-                lg = scanpath_loss(points[i], gt_path, divisor=self.config.divisor)
+                lg = scanpath_loss(points[i], gt_path)
                 per_gt = lg if per_gt is None else per_gt + lg
             li = per_gt / np.float32(len(s.paths))
             total = li if total is None else total + li

@@ -81,8 +81,11 @@ def norm_to_pixel(points, width: int, height: int) -> np.ndarray:
 
 
 def pixel_to_norm(xy_pixels, width: int, height: int) -> np.ndarray:
-    """Map pixel (x, y) coordinates to normalized [0,1]^2 (x, y)."""
+    """Map pixel (x, y) coordinates to normalized [0,1]^2 (x, y), clipping
+    finite ones; a NaN or infinite coordinate raises ContractError."""
     pts = path_points(xy_pixels, "pixel_to_norm")
+    if not np.isfinite(pts).all():
+        raise ContractError("pixel_to_norm: pixel coordinates must be finite")
     sx = max(width - 1, 1)
     sy = max(height - 1, 1)
     out = np.stack([pts[:, 0] / sx, pts[:, 1] / sy], axis=1)

@@ -87,6 +87,7 @@ BAD_TRAIN_CONFIGS = [
     ({"train": {"phase1_lr": float("nan")}}, [], "learning rates must be finite"),
     (b'{"model": {"beta": 1.0}', [], "bad.json: invalid JSON"),
     ('{"model": {"name": "caf\u00e9"}}'.encode("latin-1"), [], "bad.json: invalid JSON"),
+    ({"train": {"divisor": "points"}}, [], "TrainConfig.divisor"),
 ]
 
 # (key path into the manifest document, value put there, text the one stderr
@@ -365,7 +366,7 @@ class TestTrain:
         "batch_size-string", "phase1_epochs-float", "kl_w-string",
         "freeze_encoder_phase2-string", "joint_alternating-string", "file-not-object",
         "section-not-object", "negative-seed", "phase1_lr-nan", "truncated-json",
-        "latin-1-text"])
+        "latin-1-text", "divisor-removed-field"])
     def test_bad_config_exits_2_with_one_line(self, dataset, tmp_path, doc, argv, error):
         cfg = tmp_path / "bad.json"
         cfg.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
@@ -701,16 +702,21 @@ class TestEvalScanpath:
         _, rows = read_report(out)
         assert [r[0] for r in rows] == ["s0", "s1", "MEAN"]
 
+    @pytest.mark.parametrize("text,error", [
+        ("x,y\n1.0\n", "header must start with index,x,y"),
+        ("index,x,y\n0,inf,3.0\n1,2.0,-inf\n", "pixel_to_norm: pixel coordinates must be finite"),
+    ], ids=["bad-header", "infinite-coordinates"])
     def test_malformed_prediction_fails_its_record_exit_1(self, perfect, tmp_path,
-                                                           capsys):
+                                                           capsys, text, error):
         pred = tmp_path / "pred"
         shutil.copytree(perfect / "pred", pred)
-        (pred / "s0.csv").write_text("x,y\n1.0\n")
+        (pred / "s0.csv").write_text(text)
         out = tmp_path / "sp.csv"
         rc = main(["eval-scanpath", "--manifest", str(perfect / "manifest.json"),
                    "--pred-dir", str(pred), "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("failed record s0: ")
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("failed record s0: ") and error in line
         _, rows = read_report(out)
         assert [r[0] for r in rows] == ["s1", "s2", "MEAN"]
 

@@ -224,7 +224,6 @@ def test_scanpath_loss_unit_diagonal_single_point():
     p = np.array([[0.0, 0.0]], np.float32)
     q = np.array([[1.0, 1.0]], np.float32)
     assert float(scanpath_loss(p, q).data) == 2.0
-    assert float(scanpath_loss(p, q, divisor="coords").data) == 1.0
 
 
 def test_scanpath_loss_matches_loop_oracle(rng):
@@ -256,8 +255,6 @@ def test_scanpath_loss_errors(rng):
     q = rng.uniform(size=(5, 2)).astype(np.float32)
     with pytest.raises(ContractError, match="length"):
         scanpath_loss(p, q)
-    with pytest.raises(ConfigError):
-        scanpath_loss(p, p, divisor="pixels")
 
 
 # -- gradients -------------------------------------------------------------------------

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from salypath.checkpoint import load_checkpoint, save_checkpoint
-from salypath.errors import CheckpointError, ConfigError, DimensionError
+from salypath.errors import CheckpointError, ConfigError, ContractError, DimensionError
 from salypath.model import ModelConfig, SalypathModel, soft_argmax
-from salypath.tensor import Tensor
+from salypath.tensor import Tensor, softmax2d
 from salypath.types import SaliencyMap, Scanpath
 
 from conftest import distinct_values, gradcheck
@@ -168,6 +168,15 @@ def test_soft_argmax_translation_equivariance():
     pb = soft_argmax(Tensor(shifted[None, None]), beta=1.0).data[0, 0]
     assert abs((pb[0] - pa[0]) - 1.0 / 8.0) < 1e-6
     assert abs(pb[1] - pa[1]) < 1e-7
+
+
+@pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+def test_softmax_and_soft_argmax_reject_nonfinite_beta(beta):
+    x = Tensor(np.zeros((1, 2, 3, 3), np.float32))
+    with pytest.raises(ContractError, match="softmax2d: beta must be finite and > 0"):
+        softmax2d(x, beta)
+    with pytest.raises(ContractError, match="softmax2d: beta must be finite and > 0"):
+        soft_argmax(x, beta)
 
 
 def test_soft_argmax_rejects_empty_plane():

@@ -173,7 +173,6 @@ class TestTrainConfig:
         dict(lr_decay=1.5),
         dict(batch_size=0),
         dict(optimizer="rmsprop"),
-        dict(divisor="rows"),
         dict(seed=-1),
         dict(phase1_lr=float("nan")),
         dict(phase2_lr=float("inf")),
@@ -465,7 +464,7 @@ class PerBatchFrozenPhase(trainer._Phase):
             s = self.samples[k]
             per_gt = None
             for gt_path in s.paths:
-                lg = scanpath_loss(points[i], gt_path, divisor=self.config.divisor)
+                lg = scanpath_loss(points[i], gt_path)
                 per_gt = lg if per_gt is None else per_gt + lg
             li = per_gt / np.float32(len(s.paths))
             total = li if total is None else total + li
