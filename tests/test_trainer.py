@@ -173,6 +173,7 @@ class TestTrainConfig:
         dict(lr_decay=1.5),
         dict(batch_size=0),
         dict(optimizer="rmsprop"),
+        dict(phase2_epochs=-1),
         dict(seed=-1),
         dict(phase1_lr=float("nan")),
         dict(phase2_lr=float("inf")),
