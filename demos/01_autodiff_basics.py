@@ -47,9 +47,9 @@ print(f"w.grad[1,0] analytic {w.grad[1, 0]:+.6f}  numeric {numeric:+.6f}")
 # conv2d is the one matmul-shaped workhorse.
 
 # The conv/pool path used by the encoder. Gradients flow through the
-# shift-and-GEMM convolution and 2x2 max pooling the same way; backward()
-# leaves .grad on intermediates as well as leaves. relu=True applies the
-# ReLU inside conv2d: one graph node and one output buffer instead of two.
+# shift-and-GEMM convolution and 2x2 max pooling the same way. relu=True
+# applies the ReLU inside conv2d: one graph node and one output buffer
+# instead of two.
 img = Tensor(rng.normal(size=(1, 3, 8, 8)).astype(np.float32), requires_grad=True)
 layer = ConvLayer.init(3, 4, 3, rng, padding=1)
 pre = conv2d(img, layer, relu=True)
@@ -59,10 +59,14 @@ print("\nconv->relu->pool:", img.shape, "->", pooled.shape)
 pooled.sum().backward()
 print("d(sum)/d(img) mean |g| =", float(np.abs(img.grad).mean()))
 
-# Max pooling routes gradient only to the winner of each 2x2 window, so
-# at most a quarter of the pre-pool activations see any gradient (less
-# where relu already zeroed the winner).
-frac = float((pre.grad != 0).mean())
+# Only leaves keep .grad: pre is an op output, so its gradient lived only
+# inside that backward pass. To look at it, wrap the activation's array in
+# a leaf of a second graph. Max pooling routes gradient only to the
+# winner of each 2x2 window, so at most a quarter of the pre-pool
+# activations see any gradient (less where relu already zeroed the winner).
+act = Tensor(pre.data, requires_grad=True)
+maxpool2(act).sum().backward()
+frac = float((act.grad != 0).mean())
 print(f"fraction of pre-pool activations with nonzero grad = {frac:.3f} (max 0.25)")
 
 # The fused form is the same arithmetic as conv2d(...).relu(), and its

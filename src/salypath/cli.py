@@ -51,12 +51,22 @@ def _workers(n_tasks: int) -> int:
     return max(1, min(n_tasks, cap_n))
 
 
+def _check_out_paths(*paths) -> None:
+    """Fail before any work when an output path cannot be written as a file."""
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir():
+            raise SalypathError(f"cannot write {path}: it is a directory")
+        if not path.parent.is_dir():
+            raise SalypathError(f"cannot write {path}: {path.parent} is not a directory")
+
+
 def _curve(losses: list[float]) -> str:
     """First -> last epoch loss, or '-' for a phase that ran no epochs."""
     return f"{losses[0]:.4f} -> {losses[-1]:.4f}" if losses else "-"
 
 
 def cmd_train(args) -> int:
+    _check_out_paths(args.out, args.report)
     paper = args.preset == "paper"
     conf = {"model": (ModelConfig.full_scale() if paper else ModelConfig.desk()).to_dict(),
             "train": (TrainConfig.full_scale() if paper else TrainConfig()).to_dict()}
@@ -98,6 +108,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_out_paths(args.out_map, args.out_scanpath)
     model = SalypathModel.load(args.checkpoint)
     h, w = model.config.input_size
     img = dio.read_ppm(args.image)
@@ -138,6 +149,8 @@ def _score_records(manifest, pred_dir: Path, suffix: str, score, out,
     """Score each record that has a ``<image_id><suffix>`` prediction on a
     thread pool and write the report in manifest order.
 
+    Two records with one image id would be scored against one prediction
+    file: that raises SalypathError naming both, before anything is scored.
     A missing prediction, or a record whose scoring raises SalypathError or
     OSError (unreadable prediction, constant map, a directory in place of a
     file, ...), is named on stderr and left out of the report; either makes
@@ -145,8 +158,15 @@ def _score_records(manifest, pred_dir: Path, suffix: str, score, out,
     """
     missing = []
     jobs = []
+    first: dict[str, int] = {}
     for i in range(len(manifest)):
-        p = pred_dir / f"{manifest.image_id(i)}{suffix}"
+        image_id = manifest.image_id(i)
+        j = first.setdefault(image_id, i)
+        if j != i:
+            raise SalypathError(
+                f"records {j} ({manifest.records[j].stimulus}) and {i} "
+                f"({manifest.records[i].stimulus}) share image id {image_id!r}")
+        p = pred_dir / f"{image_id}{suffix}"
         if not p.exists():
             missing.append(str(p))
         else:
@@ -173,6 +193,7 @@ def _score_records(manifest, pred_dir: Path, suffix: str, score, out,
 
 
 def cmd_eval_saliency(args) -> int:
+    _check_out_paths(args.out)
     if args.seed < 0:
         raise SalypathError(f"--seed must be >= 0, got {args.seed}")
     if args.borji_splits < 1:
@@ -203,6 +224,7 @@ def cmd_eval_saliency(args) -> int:
 
 
 def cmd_eval_scanpath(args) -> int:
+    _check_out_paths(args.out)
     if not 0.0 < args.congruency_percentile < 100.0:
         raise SalypathError("--congruency-percentile must be in (0, 100), "
                             f"got {args.congruency_percentile}")

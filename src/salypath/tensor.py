@@ -8,9 +8,10 @@ Design notes, load-bearing:
 * Graphs are built eagerly: every op returns a new Tensor holding references
   to its parents and a closure that maps the output gradient to parent
   gradients. ``backward()`` walks the graph once in reverse topological
-  order. Per-pass gradients live in a side table and are added into ``.grad``
-  at visit time, so calling ``backward()`` twice accumulates exactly instead
-  of double-counting through interior nodes.
+  order. Only leaves keep a gradient: ``.grad`` fills on tensors that
+  require one and have no vjp (parameters, inputs). An op output's gradient
+  lives in the pass's side table until its vjp has run, so calling
+  ``backward()`` twice accumulates exactly twice.
 * Ties in max-style reductions route the gradient to the first index in
   row-major order (numpy argmax convention). Constant windows therefore send
   their whole gradient to the top-left cell.
@@ -71,7 +72,7 @@ def _as_f32(data) -> np.ndarray:
 class Tensor:
     """A float32 array plus optional autodiff bookkeeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = _as_f32(data)
@@ -112,12 +113,6 @@ class Tensor:
 
     # -- graph plumbing ------------------------------------------------
 
-    @property
-    def _needs_grad(self) -> bool:
-        """Whether backward() passes a gradient into this node: a leaf that
-        requires one, or an op output that hands it on to its parents."""
-        return self.requires_grad or self._vjp is not None
-
     def _track(self, out_data, parents, vjp) -> "Tensor":
         out = Tensor(out_data)
         if _grad_enabled and any(p.requires_grad for p in parents):
@@ -129,8 +124,8 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode pass from this scalar.
 
-        Populates ``.grad`` (adding to any existing value) on every
-        reachable tensor with ``requires_grad``.
+        Adds into ``.grad`` on every reachable leaf (no vjp) with
+        ``requires_grad``; an op output keeps no ``.grad``.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -157,14 +152,12 @@ class Tensor:
             g = flows.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                node.grad = g.copy() if node.grad is None else node.grad + g
             if node._vjp is None:
+                if node.requires_grad:
+                    node.grad = g.copy() if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None:
-                    continue
-                if not parent._needs_grad:
+                if pg is None or not parent.requires_grad:
                     continue
                 pid = id(parent)
                 if pid in flows:
@@ -625,7 +618,7 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
     def vjp(g):
         if relu:
             g = g * (out_data > 0)
-        need_dx = x._needs_grad
+        need_dx = x.requires_grad
         xf = padded()
         gf = np.zeros((b, hp, wp, out_ch), dtype=np.float32)
         gf[crop] = g.transpose(0, 2, 3, 1)

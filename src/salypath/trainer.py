@@ -12,6 +12,8 @@ One epoch loop serves both phases and both schedules. ``train()`` builds
 each phase's state once (optimizer, shuffling Generator, report), so in
 alternating mode each phase's optimizer moments and shuffle stream carry
 over from round to round exactly as they do across sequential epochs.
+A batch's forward, backward and optimizer step run in one call that
+returns the float loss, so a step's graph is freed before the next batch.
 
 Bookkeeping rules: lr for epoch e is exactly base * decay**e; shuffling
 comes from one seeded Generator per phase, so a rerun with the same seed
@@ -291,6 +293,20 @@ class _Phase:
             total = li if total is None else total + li
         return total / np.float32(len(idx))
 
+    def _step(self, idx, lr: float) -> float:
+        """One batch's forward, backward and optimizer step; returns its loss."""
+        for p in self.params.values():
+            p.grad = None
+        # non-finite activations surface in the forward pass before the loss does
+        loss = (self._saliency_batch_loss(idx) if self.phase == 1
+                else self._scanpath_batch_loss(idx))
+        val = loss.item()
+        if not np.isfinite(val):
+            raise NumericError(f"loss went non-finite ({val})")
+        loss.backward()
+        self.optimizer.step(self.params, lr)
+        return val
+
     def run_epoch(self, epoch: int) -> None:
         """Shuffle, take one optimizer step per batch, record the epoch's
         loss and lr, and checkpoint."""
@@ -306,18 +322,7 @@ class _Phase:
                 self.bott = self._attended_bottlenecks()
             for lo in range(0, len(self.samples), bs):
                 idx = order[lo:lo + bs]
-                for p in self.params.values():
-                    p.grad = None
-                # non-finite activations surface in the forward pass before
-                # the loss does
-                loss = (self._saliency_batch_loss(idx) if self.phase == 1
-                        else self._scanpath_batch_loss(idx))
-                val = loss.item()
-                if not np.isfinite(val):
-                    raise NumericError(f"loss went non-finite ({val})")
-                loss.backward()
-                self.optimizer.step(self.params, lr)
-                epoch_loss += val * len(idx)
+                epoch_loss += self._step(idx, lr) * len(idx)
         except NumericError as e:
             report.wall_time_s += time.perf_counter() - start
             raise TrainingDiverged(

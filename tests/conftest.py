@@ -74,6 +74,18 @@ def away_from_zero(rng: np.random.Generator, shape, min_abs: float = 0.01,
     return x.astype(np.float32)
 
 
+def graph_nodes(root: Tensor) -> list[Tensor]:
+    """Every tensor reachable from ``root`` through its parents, root first."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

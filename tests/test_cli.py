@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import salypath
+from salypath import cli
 from salypath.cli import SALIENCY_COLS, SCANPATH_COLS, main
 from salypath.data import (
     DatasetManifest,
@@ -379,6 +380,23 @@ class TestTrain:
         assert error in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_missing_output_dir_exits_2_before_training(self, dataset, trained, tmp_path,
+                                                       capsys, monkeypatch, flag):
+        calls = []
+        real = cli.train
+        monkeypatch.setattr(cli, "train", lambda *a, **k: calls.append(1) or real(*a, **k))
+        outs = {"--out": tmp_path / "m.ckpt", "--report": tmp_path / "r.json"}
+        outs[flag] = tmp_path / "nodir" / outs[flag].name
+        rc = main(["train", "--data", str(dataset / "manifest.json"),
+                   "--config", str(trained["config"]),
+                   *(a for f, v in outs.items() for a in (f, str(v)))])
+        assert rc == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"salypath train: error: cannot write {outs[flag]}: "
+                        f"{outs[flag].parent} is not a directory")
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
     def test_partial_loss_weights_merge_onto_the_preset(self, dataset, tmp_path):
         ckpts = []
         for weights in ({"kl_w": 0.5}, {"kl_w": 0.5, "mse_w": 0.3, "nss_w": 0.1}):
@@ -460,6 +478,37 @@ class TestPredict:
         for row in rows:
             assert float(row[3]) == 0.375 and float(row[4]) == 0.375
             assert float(row[1]) == pytest.approx(0.375 * 15)
+
+    @pytest.mark.parametrize("flag", ["--out-map", "--out-scanpath"])
+    def test_missing_output_dir_exits_2_before_forward(self, trained, dataset, tmp_path,
+                                                       capsys, monkeypatch, flag):
+        calls = []
+        forward = SalypathModel.forward
+        monkeypatch.setattr(SalypathModel, "forward",
+                            lambda self, img: calls.append(1) or forward(self, img))
+        outs = {"--out-map": tmp_path / "m.pgm", "--out-scanpath": tmp_path / "p.csv"}
+        outs[flag] = tmp_path / "nodir" / outs[flag].name
+        rc = main(["predict", "--checkpoint", str(trained["ckpt"]),
+                   "--image", str(load_manifest(dataset / "manifest.json").stimulus_path(0)),
+                   *(a for f, v in outs.items() for a in (f, str(v)))])
+        assert rc == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"salypath predict: error: cannot write {outs[flag]}: "
+                        f"{outs[flag].parent} is not a directory")
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
+    def test_output_path_that_is_a_directory_exits_2_writing_nothing(
+            self, trained, dataset, tmp_path, capsys):
+        (tmp_path / "p.csv").mkdir()
+        rc = main(["predict", "--checkpoint", str(trained["ckpt"]),
+                   "--image", str(load_manifest(dataset / "manifest.json").stimulus_path(0)),
+                   "--out-map", str(tmp_path / "m.pgm"),
+                   "--out-scanpath", str(tmp_path / "p.csv")])
+        assert rc == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"salypath predict: error: cannot write {tmp_path / 'p.csv'}: "
+                        "it is a directory")
+        assert not (tmp_path / "m.pgm").exists()
 
     def test_missing_checkpoint_exits_2_naming_path(self, tmp_path, capsys):
         rc = main(["predict", "--checkpoint", str(tmp_path / "absent.ckpt"),
@@ -781,6 +830,45 @@ class TestUsage:
         assert proc.stdout == ""  # no report, not even its header
         [line] = proc.stderr.splitlines()
         assert line.startswith(f"salypath {command}: error: {flag} must be")
+
+    @pytest.mark.parametrize("command", ["eval-saliency", "eval-scanpath"])
+    def test_missing_output_dir_exits_2_before_scoring(self, perfect, tmp_path, capsys,
+                                                       monkeypatch, command):
+        calls = []
+        real = cli._score_records
+        monkeypatch.setattr(cli, "_score_records",
+                            lambda *a: calls.append(1) or real(*a))
+        out = tmp_path / "nodir" / "r.csv"
+        rc = main([command, "--manifest", str(perfect / "manifest.json"),
+                   "--pred-dir", str(perfect / "pred"), "--out", str(out)])
+        assert rc == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"salypath {command}: error: cannot write {out}: "
+                        f"{out.parent} is not a directory")
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["eval-saliency", "eval-scanpath"])
+    def test_records_sharing_an_image_id_exit_2_naming_both(self, perfect, tmp_path,
+                                                            capsys, command):
+        # a/s0.ppm and b/s0.ppm would both be scored against pred/s0.*
+        root = tmp_path / "ds"
+        for sub in ("a", "b"):
+            (root / sub).mkdir(parents=True)
+            for ext in ("ppm", "pgm"):
+                shutil.copy(perfect / f"s0.{ext}", root / sub / f"s0.{ext}")
+        shutil.copy(perfect / "p0.csv", root / "p0.csv")
+        records = [ManifestRecord(stimulus=f"{sub}/s0.ppm", map=f"{sub}/s0.pgm",
+                                  scanpaths=["p0.csv"]) for sub in ("a", "b")]
+        save_manifest(DatasetManifest(name="dup", width=8, height=8, records=records,
+                                      root=root), root / "manifest.json")
+        out = tmp_path / "r.csv"
+        rc = main([command, "--manifest", str(root / "manifest.json"),
+                   "--pred-dir", str(perfect / "pred"), "--out", str(out)])
+        assert rc == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"salypath {command}: error: records 0 (a/s0.ppm) and "
+                        "1 (b/s0.ppm) share image id 's0'")
+        assert not out.exists()
 
     def test_console_script_installed(self, tmp_path):
         proc = subprocess.run(

@@ -19,7 +19,7 @@ from salypath.tensor import (
     upsample2,
 )
 
-from conftest import distinct_values, away_from_zero, gradcheck
+from conftest import distinct_values, away_from_zero, gradcheck, graph_nodes
 
 
 # -- oracles (independent, float64, loop-based) ---------------------------
@@ -350,6 +350,25 @@ def test_conv_input_without_grad_keeps_parameter_grads():
         assert a.tobytes() == b.tobytes()
 
 
+def test_conv_input_from_an_op_still_returns_dx():
+    # the conv's input is an op output, not a leaf: it must still hand dx
+    # back so the leaf behind it gets a gradient, and keep no .grad itself
+    rng = np.random.default_rng(43)
+    x = Tensor(rng.normal(size=(2, 3, 5, 6)).astype(np.float32), requires_grad=True)
+    layer = ConvLayer(Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32),
+                             requires_grad=True),
+                      Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True),
+                      padding=1)
+    h = x * 2.0
+    y = conv2d(h, layer)
+    g = rng.normal(size=y.shape).astype(np.float32)
+    dx = y._vjp(g)[0]
+    assert dx is not None and dx.shape == h.shape
+    (y * Tensor(g)).sum().backward()
+    assert h.grad is None and y.grad is None
+    assert x.grad.tobytes() == (dx * np.float32(2.0)).tobytes()
+
+
 def test_conv_repeat_calls_are_bitwise_identical():
     rng = np.random.default_rng(12)
     x = Tensor(rng.normal(size=(3, 4, 10, 7)).astype(np.float32), requires_grad=True)
@@ -607,6 +626,28 @@ def test_backward_repeated_on_same_graph_no_double_count():
     loss.backward()
     # two passes over one graph accumulate exactly twice the true gradient
     np.testing.assert_allclose(x.grad, np.array([12.0], np.float32))
+
+
+def test_backward_keeps_grad_on_leaves_only():
+    # one graph through every op of the module: after backward only the
+    # leaves that ask for a gradient hold one; op outputs and constants do not
+    rng = np.random.default_rng(41)
+    x = Tensor(away_from_zero(rng, (2, 3, 4, 4)), requires_grad=True)
+    layer = ConvLayer(Tensor(rng.normal(size=(2, 3, 3, 3)).astype(np.float32),
+                             requires_grad=True),
+                      Tensor(np.zeros(2, np.float32), requires_grad=True), padding=1)
+    scale = Tensor(np.float32(1.5), requires_grad=True)
+    y = upsample2(softmax2d(maxpool2(conv2d(x, layer, relu=True)) * scale - 0.5))
+    z = concat([y, conv2d(x, layer).relu().sigmoid()], axis=1)
+    z = (z + 1.0).log().sqrt() / (z.max(axis=1, keepdims=True) + 2.0)
+    loss = z[0].reshape(-1).mean() - z.sum() * 0.01 + -z.mean()
+    loss.backward()
+    nodes = graph_nodes(loss)
+    leaves = [n for n in nodes if n._vjp is None and n.requires_grad]
+    assert {id(n) for n in leaves} == {id(t) for t in (x, layer.weight, layer.bias, scale)}
+    assert all(n.grad is not None and n.grad.shape == n.shape for n in leaves)
+    others = [n for n in nodes if n._vjp is not None or not n.requires_grad]
+    assert len(others) > 25 and all(n.grad is None for n in others)
 
 
 def test_backward_rejects_nonscalar():

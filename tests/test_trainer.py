@@ -11,6 +11,7 @@ import gc
 import json
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from salypath.model import ModelConfig, SalypathModel, soft_argmax
 from salypath.tensor import Tensor, no_grad
 from salypath.trainer import Adam, SGD, TrainConfig, TrainReport, lr_schedule, train
 from salypath.types import FixationSet
+
+from conftest import graph_nodes
 
 TINY = dict(
     input_size=(16, 16),
@@ -547,3 +550,58 @@ class TestFrozenBottleneck:
             train_only(2, model, dataset, cfg)
         assert exc.value.report.epoch_losses == []
         assert raw_bytes(model.parameters(TRUNK)) == trunk_before
+
+
+# -- graph lifetime: a batch's graph is gone before the next batch's forward ------
+
+def watch_batch_graphs(monkeypatch, methods) -> list[int]:
+    """Wrap each (class, batch-loss method) so that, as every batch's loss is
+    about to be built, it records how many tensors of earlier batches' graphs
+    are still alive. Parameters outlive every batch and are not counted."""
+    refs, alive = [], []
+
+    def watch(build):
+        def watched(self, idx):
+            alive.append(sum(r() is not None for r in refs))
+            loss = build(self, idx)
+            params = {id(p) for p in self.model.parameters().values()}
+            refs.extend(weakref.ref(n) for n in graph_nodes(loss) if id(n) not in params)
+            return loss
+        return watched
+
+    for cls, name in methods:
+        monkeypatch.setattr(cls, name, watch(getattr(cls, name)))
+    return alive
+
+
+class TestBatchGraphLifetime:
+    @pytest.mark.parametrize("phase, mode", [
+        (1, {}),
+        (2, {}),
+        (2, dict(freeze_encoder_phase2=False)),
+    ], ids=["phase1", "phase2-frozen", "phase2-unfrozen"])
+    def test_previous_batch_graph_is_dead(self, dataset, monkeypatch, phase, mode):
+        name = "_saliency_batch_loss" if phase == 1 else "_scanpath_batch_loss"
+        alive = watch_batch_graphs(monkeypatch, [(trainer._Phase, name)])
+        cfg = TrainConfig(phase1_epochs=2, phase2_epochs=2, phase1_lr=1e-3,
+                          phase2_lr=1e-3, batch_size=3, seed=0, **mode)
+        rep = train_only(phase, tiny_model(), dataset, cfg)
+        assert len(alive) == 2 * math.ceil(rep.n_samples / 3) >= 4
+        assert alive == [0] * len(alive)
+
+    def test_alternating_phases_free_each_others_graphs(self, dataset, monkeypatch):
+        alive = watch_batch_graphs(monkeypatch, [(trainer._Phase, "_saliency_batch_loss"),
+                                                 (trainer._Phase, "_scanpath_batch_loss")])
+        cfg = TrainConfig(phase1_epochs=2, phase2_epochs=2, phase1_lr=1e-3,
+                          phase2_lr=1e-3, batch_size=4, seed=0, joint_alternating=True)
+        train(tiny_model(), dataset, cfg)
+        assert len(alive) >= 8 and alive == [0] * len(alive)
+
+    def test_per_batch_frozen_oracle_graph_is_dead(self, dataset, monkeypatch):
+        monkeypatch.setattr(trainer, "_Phase", PerBatchFrozenPhase)
+        alive = watch_batch_graphs(monkeypatch,
+                                   [(PerBatchFrozenPhase, "_scanpath_batch_loss")])
+        cfg = TrainConfig(phase2_epochs=2, phase2_lr=1e-3, batch_size=3, seed=0)
+        rep = train_only(2, tiny_model(), dataset, cfg)
+        assert len(alive) == 2 * math.ceil(rep.n_samples / 3) >= 4
+        assert alive == [0] * len(alive)
