@@ -21,7 +21,7 @@ the identity map (up to adding a literal zero).
 from __future__ import annotations
 
 from .errors import ConfigError
-from .tensor import ConvLayer, ParamMaker, Tensor, concat
+from .tensor import ConvLayer, ParamMaker, Tensor, check_int, concat
 
 
 class AttentionGate:
@@ -33,9 +33,9 @@ class AttentionGate:
 
     def __init__(self, channels: int, reduction: int = 4, spatial_kernel: int = 7, *,
                  make: ParamMaker):
-        channels = int(channels)
-        reduction = int(reduction)
-        spatial_kernel = int(spatial_kernel)
+        channels = check_int(channels, "AttentionGate: channels")
+        reduction = check_int(reduction, "AttentionGate: reduction")
+        spatial_kernel = check_int(spatial_kernel, "AttentionGate: spatial_kernel")
         if channels < 1:
             raise ConfigError(f"AttentionGate: channels must be >= 1, got {channels}")
         if reduction < 1 or channels % reduction != 0:

@@ -112,13 +112,15 @@ def cmd_predict(args) -> int:
     model = SalypathModel.load(args.checkpoint)
     h, w = model.config.input_size
     img = dio.read_ppm(args.image)
-    if img.shape[1] != h or img.shape[2] != w:
-        print(f"warning: image is {img.shape[2]}x{img.shape[1]}, "
+    img_h, img_w = img.shape[1:]
+    if (img_h, img_w) != (h, w):
+        print(f"warning: image is {img_w}x{img_h}, "
               f"resampling to model input {w}x{h}", file=sys.stderr)
         img = dio.resample_stimulus(img, w, h)
     smap, path = model.forward(img)
     dio.write_pgm(args.out_map, smap.values)
-    px = path.to_pixels(w, h)
+    # pixels in the stimulus's own frame, where eval-scanpath reads them
+    px = path.to_pixels(img_w, img_h)
     dio.write_scanpath_csv(args.out_scanpath, px, extra={
         "x_norm": path.points[:, 0].astype(np.float64),
         "y_norm": path.points[:, 1].astype(np.float64),
@@ -149,13 +151,15 @@ def _score_records(manifest, pred_dir: Path, suffix: str, score, out,
     """Score each record that has a ``<image_id><suffix>`` prediction on a
     thread pool and write the report in manifest order.
 
-    Two records with one image id would be scored against one prediction
-    file: that raises SalypathError naming both, before anything is scored.
+    A ``pred_dir`` that is not a directory, or two records sharing an image
+    id (and so one prediction file), raises SalypathError before any scoring.
     A missing prediction, or a record whose scoring raises SalypathError or
     OSError (unreadable prediction, constant map, a directory in place of a
     file, ...), is named on stderr and left out of the report; either makes
     the exit code 1.
     """
+    if not pred_dir.is_dir():
+        raise SalypathError(f"--pred-dir {pred_dir}: not a directory")
     missing = []
     jobs = []
     first: dict[str, int] = {}

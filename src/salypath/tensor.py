@@ -72,13 +72,12 @@ def _as_f32(data) -> np.ndarray:
 class Tensor:
     """A float32 array plus optional autodiff bookkeeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjp", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = _as_f32(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], tuple] | None = None
 
@@ -104,12 +103,8 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
-        head = f"Tensor(shape={self.shape}"
-        if self.name:
-            head += f", name={self.name!r}"
-        if self.requires_grad:
-            head += ", requires_grad=True"
-        return head + ")"
+        grad = ", requires_grad=True" if self.requires_grad else ""
+        return f"Tensor(shape={self.shape}{grad})"
 
     # -- graph plumbing ------------------------------------------------
 
@@ -427,6 +422,13 @@ def recording(make: ParamMaker, made: dict[str, Tensor]) -> ParamMaker:
     return record
 
 
+def check_int(value, where: str) -> int:
+    """``value`` as an int; anything else (a float, a bool) raises ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{where} must be an int, got {value!r}")
+    return int(value)
+
+
 class ConvLayer:
     """2-D convolution parameters: weight [out_ch, in_ch, kh, kw], bias
     [out_ch], plus symmetric zero padding (an int, not a float or a bool).
@@ -446,13 +448,12 @@ class ConvLayer:
                 f"ConvLayer: bias shape {bias.shape} does not match "
                 f"out_channels {weight.shape[0]} on axis 0"
             )
-        if isinstance(padding, bool) or not isinstance(padding, (int, np.integer)):
-            raise ConfigError(f"ConvLayer: padding must be an int, got {padding!r}")
+        padding = check_int(padding, "ConvLayer: padding")
         if padding < 0:
             raise ConfigError(f"ConvLayer: padding must be >= 0, got {padding}")
         self.weight = weight
         self.bias = bias
-        self.padding = int(padding)
+        self.padding = padding
 
     @classmethod
     def init(cls, in_ch: int, out_ch: int, kernel: int, rng: np.random.Generator,

@@ -2,18 +2,21 @@
 
 Phase 1 fits encoder + attention + decoder under the composite saliency
 loss; the scanpath head is untouched. Phase 2 fits the scanpath head under
-the pointwise MSE loss, with the trunk frozen by default (``freeze_encoder_phase2``)
-so bottleneck features stay put. A frozen phase 2 therefore computes each
-sample's attended bottleneck once, when its first epoch starts, and every
-batch of every epoch reads its rows from that array. An alternating joint
-mode exists behind ``joint_alternating`` for ablation.
+the pointwise MSE loss, on the schedule ``TrainConfig.phase2_mode`` names:
+"frozen" (default) runs it after phase 1 with encoder and attention frozen,
+so bottleneck features stay put; "unfrozen" trains them too; and
+"alternating" (ablation) also trains them, one epoch of each phase per
+round. A frozen phase 2 computes each sample's attended bottleneck once,
+when its first epoch starts, and every batch of every epoch reads its rows
+from that array.
 
-One epoch loop serves both phases and both schedules. ``train()`` builds
-each phase's state once (optimizer, shuffling Generator, report), so in
-alternating mode each phase's optimizer moments and shuffle stream carry
-over from round to round exactly as they do across sequential epochs.
-A batch's forward, backward and optimizer step run in one call that
-returns the float loss, so a step's graph is freed before the next batch.
+One epoch loop and one batch loss serve both phases and every schedule.
+``train()`` builds each phase's state once (optimizer, shuffling
+Generator, report), so in alternating mode each phase's optimizer moments
+and shuffle stream carry over from round to round exactly as they do
+across sequential epochs. A batch's forward, backward and optimizer step
+run in one call that returns the float loss, so a step's graph is freed
+before the next batch.
 
 Bookkeeping rules: lr for epoch e is exactly base * decay**e; shuffling
 comes from one seeded Generator per phase, so a rerun with the same seed
@@ -56,9 +59,8 @@ class TrainConfig:
     batch_size: int = 16
     optimizer: str = "adam"
     seed: int = 0
-    freeze_encoder_phase2: bool = True
+    phase2_mode: str = "frozen"
     loss_weights: LossWeights = field(default_factory=LossWeights)
-    joint_alternating: bool = False
 
     def __post_init__(self):
         if self.phase1_epochs < 0 or self.phase2_epochs < 0:
@@ -77,6 +79,9 @@ class TrainConfig:
             raise ConfigError(
                 f"TrainConfig: optimizer must be adam or sgd, got {self.optimizer!r}"
             )
+        if self.phase2_mode not in ("frozen", "unfrozen", "alternating"):
+            raise ConfigError("TrainConfig: phase2_mode must be frozen, unfrozen or "
+                              f"alternating, got {self.phase2_mode!r}")
 
     @classmethod
     def full_scale(cls) -> "TrainConfig":
@@ -205,13 +210,18 @@ def prepare_samples(model: SalypathModel, manifest: DatasetManifest) -> list[_Sa
 # -- the loop -----------------------------------------------------------------
 
 
+def _mean(losses: list[Tensor]) -> Tensor:
+    """Add in list order, then divide by the count."""
+    return sum(losses[1:], losses[0]) / np.float32(len(losses))
+
+
 class _Phase:
     """One phase's training state, built once per ``train()`` call.
 
     Everything that must carry over from one epoch of the phase to the
     next lives here: its samples and parameters, its optimizer, its
     shuffling Generator and its report. ``run_epoch`` is the only epoch
-    loop, so both schedules carry that state the same way.
+    loop, so every schedule carries that state the same way.
 
     A frozen phase 2 also keeps the attended bottleneck of its samples,
     computed once when its first epoch starts (``train()`` builds both
@@ -222,9 +232,7 @@ class _Phase:
                  config: TrainConfig, phase: int, checkpoint_path=None):
         self.model, self.config, self.phase = model, config, phase
         self.checkpoint_path = checkpoint_path
-        # alternating mode trains the trunk on both objectives
-        self.freeze = (phase == 2 and config.freeze_encoder_phase2
-                       and not config.joint_alternating)
+        self.freeze = phase == 2 and config.phase2_mode == "frozen"
         # [N, C, h, w] float32, row k for self.samples[k]; frozen phase only
         self.bott: np.ndarray | None = None
         if phase == 1:
@@ -262,44 +270,30 @@ class _Phase:
                       for lo in range(0, n, bs)]
         return np.concatenate(chunks)
 
-    def _saliency_batch_loss(self, idx) -> Tensor:
-        model = self.model
-        bott = model.attend(model.encode(self._images(idx)))
-        maps = model.decode(bott)
-        total = None
-        for i, k in enumerate(idx):
-            s = self.samples[k]
-            li = saliency_loss(maps[i, 0], s.gt_map, s.fixations,
-                               weights=self.config.loss_weights)
-            total = li if total is None else total + li
-        return total / np.float32(len(idx))
-
-    def _scanpath_batch_loss(self, idx) -> Tensor:
-        model = self.model
+    def _batch_loss(self, idx) -> Tensor:
+        """The batch's mean sample loss: the saliency loss of the decoded map
+        (phase 1), or the soft-argmax path's scanpath loss averaged over the
+        sample's ground-truth paths (phase 2)."""
+        model, samples = self.model, [self.samples[k] for k in idx]
         if self.freeze:
             bott = Tensor(self.bott[idx])
         else:
             bott = model.attend(model.encode(self._images(idx)))
-        feats = model.scanpath_features(bott)
-        points = soft_argmax(feats, model.config.beta)
-        total = None
-        for i, k in enumerate(idx):
-            s = self.samples[k]
-            per_gt = None
-            for gt_path in s.paths:
-                lg = scanpath_loss(points[i], gt_path)
-                per_gt = lg if per_gt is None else per_gt + lg
-            li = per_gt / np.float32(len(s.paths))
-            total = li if total is None else total + li
-        return total / np.float32(len(idx))
+        if self.phase == 1:
+            maps = model.decode(bott)
+            return _mean([saliency_loss(maps[i, 0], s.gt_map, s.fixations,
+                                        weights=self.config.loss_weights)
+                          for i, s in enumerate(samples)])
+        points = soft_argmax(model.scanpath_features(bott), model.config.beta)
+        return _mean([_mean([scanpath_loss(points[i], gt) for gt in s.paths])
+                      for i, s in enumerate(samples)])
 
     def _step(self, idx, lr: float) -> float:
         """One batch's forward, backward and optimizer step; returns its loss."""
         for p in self.params.values():
             p.grad = None
         # non-finite activations surface in the forward pass before the loss does
-        loss = (self._saliency_batch_loss(idx) if self.phase == 1
-                else self._scanpath_batch_loss(idx))
+        loss = self._batch_loss(idx)
         val = loss.item()
         if not np.isfinite(val):
             raise NumericError(f"loss went non-finite ({val})")
@@ -338,16 +332,16 @@ def train(model: SalypathModel, manifest: DatasetManifest, config: TrainConfig,
           checkpoint_path=None) -> tuple[TrainReport, TrainReport]:
     """Run the full schedule; returns the phase-1 and phase-2 reports.
 
-    Sequential by default: every epoch of phase 1, then every epoch of
-    phase 2. ``joint_alternating`` (ablation mode) runs round e as epoch e
-    of phase 1 then epoch e of phase 2, skipping a phase whose epochs are
-    used up, with the trunk unfrozen in phase 2. Both phases are set up
-    and checked before the first epoch, so a phase that cannot run fails
-    before anything trains; a phase with 0 epochs needs no data.
+    Sequential unless ``phase2_mode`` is "alternating": every epoch of
+    phase 1, then every epoch of phase 2. Alternating (ablation) runs round
+    e as epoch e of phase 1 then epoch e of phase 2, skipping a phase whose
+    epochs are used up. Both phases are set up and checked before the first
+    epoch, so a phase that cannot run fails before anything trains; a phase
+    with 0 epochs needs no data.
     """
     samples = prepare_samples(model, manifest)
     phases = [_Phase(model, samples, config, p, checkpoint_path) for p in (1, 2)]
-    if config.joint_alternating:
+    if config.phase2_mode == "alternating":
         rounds = max(p.epochs for p in phases)
         schedule = [(p, e) for e in range(rounds) for p in phases if e < p.epochs]
     else:

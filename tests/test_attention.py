@@ -104,6 +104,25 @@ def test_spatial_kernel_must_be_odd():
         new_gate(channels=8, reduction=4, spatial_kernel=4)
 
 
+@pytest.mark.parametrize("channels, reduction, spatial_kernel, field", [
+    (64.7, 4, 7, "channels"),
+    (64, True, 7, "reduction"),
+    (64, 4, 7.9, "spatial_kernel"),
+    (8.0, 4, 7, "channels"),
+    (8, 4, "7", "spatial_kernel"),
+])
+def test_sizes_must_be_ints(channels, reduction, spatial_kernel, field):
+    # int() would truncate 64.7 to 64, read True as reduction 1 and 7.9 as 7
+    with pytest.raises(ConfigError, match=f"AttentionGate: {field} must be an int"):
+        new_gate(channels, reduction, spatial_kernel)
+
+
+def test_numpy_int_sizes_accepted():
+    gate, _ = new_gate(np.int64(8), np.int32(4), np.int64(3))
+    assert (gate.channels, gate.reduction, gate.spatial_kernel) == (8, 4, 3)
+    assert type(gate.channels) is int
+
+
 def test_gamma_starts_at_zero_and_requires_grad():
     gate, _ = new_gate(8, 4, 3)
     assert float(gate.gamma.data) == 0.0

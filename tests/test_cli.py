@@ -71,7 +71,9 @@ MALFORMED_CHECKPOINTS = [
 
 # (config document, extra argv, text the one stderr line must hold) of
 # `train` runs that each once crashed with a traceback, or trained anyway:
-# the "false" strings were read as true, and a NaN lr diverged after an epoch
+# the "false" strings were read as true, and a NaN lr diverged after an epoch.
+# The two schedule booleans are gone (phase2_mode replaced them), so setting
+# one is an unknown field whatever its value.
 BAD_TRAIN_CONFIGS = [
     ({"model": {"beta": None}}, [], "ModelConfig.beta"),
     ({"model": {"input_size": [64]}}, [], "ModelConfig.input_size"),
@@ -80,8 +82,9 @@ BAD_TRAIN_CONFIGS = [
     ({"train": {"batch_size": "16"}}, [], "TrainConfig.batch_size"),
     ({"train": {"phase1_epochs": 1.5}}, [], "TrainConfig.phase1_epochs"),
     ({"train": {"loss_weights": {"kl_w": "x"}}}, [], "TrainConfig.loss_weights.kl_w"),
-    ({"train": {"freeze_encoder_phase2": "false"}}, [], "TrainConfig.freeze_encoder_phase2"),
-    ({"train": {"joint_alternating": "false"}}, [], "TrainConfig.joint_alternating"),
+    ({"train": {"freeze_encoder_phase2": "false"}}, [],
+     "TrainConfig.freeze_encoder_phase2: unknown field"),
+    ({"train": {"joint_alternating": "false"}}, [], "TrainConfig.joint_alternating: unknown field"),
     ([1], [], "config is not a JSON object"),
     ({"model": [1]}, [], "config section 'model' is not an object"),
     ({}, ["--seed", "-1"], "seed must be >= 0"),
@@ -89,6 +92,8 @@ BAD_TRAIN_CONFIGS = [
     (b'{"model": {"beta": 1.0}', [], "bad.json: invalid JSON"),
     ('{"model": {"name": "caf\u00e9"}}'.encode("latin-1"), [], "bad.json: invalid JSON"),
     ({"train": {"divisor": "points"}}, [], "TrainConfig.divisor"),
+    ({"train": {"phase2_mode": "joint"}}, [],
+     "phase2_mode must be frozen, unfrozen or alternating, got 'joint'"),
 ]
 
 # (key path into the manifest document, value put there, text the one stderr
@@ -367,7 +372,7 @@ class TestTrain:
         "batch_size-string", "phase1_epochs-float", "kl_w-string",
         "freeze_encoder_phase2-string", "joint_alternating-string", "file-not-object",
         "section-not-object", "negative-seed", "phase1_lr-nan", "truncated-json",
-        "latin-1-text", "divisor-removed-field"])
+        "latin-1-text", "divisor-removed-field", "phase2_mode-unknown"])
     def test_bad_config_exits_2_with_one_line(self, dataset, tmp_path, doc, argv, error):
         cfg = tmp_path / "bad.json"
         cfg.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
@@ -554,6 +559,23 @@ class TestPredict:
                    "--out-scanpath", str(tmp_path / "p.csv")])
         assert rc == 0
         assert "resampling" in capsys.readouterr().err
+        assert read_pgm(tmp_path / "m.pgm").shape == (16, 16)
+
+    def test_scanpath_pixels_are_in_the_stimulus_frame(self, trained, tmp_path):
+        # eval-scanpath maps pixels back with the stimulus's own size, so
+        # predict must write them in that frame, not the model's 16x16
+        rng = np.random.default_rng(0)
+        write_ppm(tmp_path / "wide.ppm", rng.random((3, 40, 48)).astype(np.float32))
+        out = tmp_path / "p.csv"
+        rc = main(["predict", "--checkpoint", str(trained["ckpt"]),
+                   "--image", str(tmp_path / "wide.ppm"),
+                   "--out-map", str(tmp_path / "m.pgm"), "--out-scanpath", str(out)])
+        assert rc == 0
+        with open(out, newline="") as f:
+            rows = [[float(v) for v in row[1:]] for row in list(csv.reader(f))[1:]]
+        assert len(rows) == 8
+        for x, y, x_norm, y_norm in rows:
+            assert x == x_norm * 47 and y == y_norm * 39
         assert read_pgm(tmp_path / "m.pgm").shape == (16, 16)
 
 
@@ -846,6 +868,21 @@ class TestUsage:
         assert line == (f"salypath {command}: error: cannot write {out}: "
                         f"{out.parent} is not a directory")
         assert calls == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    @pytest.mark.parametrize("command", ["eval-saliency", "eval-scanpath"])
+    def test_pred_dir_that_is_not_a_directory_exits_2(self, perfect, tmp_path, capsys,
+                                                      command, kind):
+        pred = tmp_path / "pred"
+        if kind == "file":
+            pred.write_text("")
+        out = tmp_path / "r.csv"
+        rc = main([command, "--manifest", str(perfect / "manifest.json"),
+                   "--pred-dir", str(pred), "--out", str(out)])
+        assert rc == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"salypath {command}: error: --pred-dir {pred}: not a directory"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval-saliency", "eval-scanpath"])
     def test_records_sharing_an_image_id_exit_2_naming_both(self, perfect, tmp_path,

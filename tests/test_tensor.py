@@ -798,3 +798,11 @@ def test_gradcheck_pooling_and_upsampling():
         x = Tensor(distinct_values(rng, (1, 2, 4, 6)), requires_grad=True)
         check_op(lambda: maxpool2(x), [x], seed + 5000)
         check_op(lambda: upsample2(x), [x], seed + 5100)
+
+
+def test_repr_shows_shape_and_grad_flag():
+    # parameter names live in SalypathModel.parameters(), not on the tensor
+    t = Tensor(np.zeros((2, 3)), requires_grad=True)
+    assert repr(t) == "Tensor(shape=(2, 3), requires_grad=True)"
+    assert repr(Tensor(1.0)) == "Tensor(shape=())"
+    assert not hasattr(t, "name")

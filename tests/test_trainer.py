@@ -160,7 +160,8 @@ class TestTrainConfig:
         cfg = TrainConfig()
         assert cfg.lr_decay == 0.9
         assert cfg.optimizer == "adam"
-        assert cfg.freeze_encoder_phase2 is True
+        assert cfg.phase2_mode == "frozen"
+        assert len(cfg.to_dict()) == 10
 
     def test_full_scale_preset_uses_published_lrs(self):
         cfg = TrainConfig.full_scale()
@@ -180,10 +181,22 @@ class TestTrainConfig:
         dict(seed=-1),
         dict(phase1_lr=float("nan")),
         dict(phase2_lr=float("inf")),
+        dict(phase2_mode="joint"),
+        dict(phase2_mode="Frozen"),
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
+
+    @pytest.mark.parametrize("field", ["freeze_encoder_phase2", "joint_alternating"])
+    def test_removed_schedule_field_rejected_naming_it(self, field):
+        # phase2_mode replaced both booleans; a caller still setting one
+        # must fail, not train a schedule it did not ask for
+        with pytest.raises(TypeError, match=field):
+            TrainConfig(**{field: False})
+        d = {**TrainConfig().to_dict(), field: False}
+        with pytest.raises(ConfigError, match=rf"TrainConfig\.{field}: unknown field"):
+            TrainConfig.from_dict(d)
 
     def test_dict_round_trip(self):
         cfg = TrainConfig(phase1_epochs=3, phase2_lr=2e-3, optimizer="sgd", seed=9)
@@ -200,6 +213,7 @@ class TestTrainConfig:
         ("optimizer", None),
         ("loss_weights", {"kl_w": 0.6, "mse_w": 0.3}),
         ("loss_weights", [0.6, 0.3, 0.1]),
+        ("phase2_mode", False),
     ])
     def test_from_dict_rejects_mistyped_field(self, key, value):
         d = TrainConfig().to_dict()
@@ -290,7 +304,7 @@ class TestPhase1:
         s = phase.samples[k]
         assert np.array_equal(s.fixations.weights(), grids[k] > 0)
         maps = model.decode(model.attend(model.encode(Tensor(s.image[None]))))
-        loss = phase._saliency_batch_loss([k]).item()
+        loss = phase._batch_loss([k]).item()
         assert loss == saliency_loss(maps[0, 0], s.gt_map, np.argwhere(grids[k])).item()
         counted = FixationSet.from_scanpaths(dataset.load_scanpaths(k), 16, 16)
         assert loss != saliency_loss(maps[0, 0], s.gt_map, counted).item()
@@ -322,7 +336,7 @@ class TestPhase2:
         model = tiny_model()
         trunk_before = snapshot(model.parameters(TRUNK))
         cfg = TrainConfig(phase2_epochs=3, phase2_lr=1e-3, batch_size=4,
-                          seed=0, freeze_encoder_phase2=False)
+                          seed=0, phase2_mode="unfrozen")
         train_only(2, model, dataset, cfg)
         moved = [k for k, v in model.parameters(TRUNK).items()
                  if not np.array_equal(v.data, trunk_before[k])]
@@ -335,9 +349,9 @@ class TestPhase2:
             train_only(2, tiny_model(), dataset, cfg)
 
     @pytest.mark.parametrize("overrides, groups", [
-        (dict(freeze_encoder_phase2=True), HEAD),
-        (dict(freeze_encoder_phase2=False), ("enc", "att", "head")),
-        (dict(joint_alternating=True), ("enc", "att", "head")),
+        (dict(phase2_mode="frozen"), HEAD),
+        (dict(phase2_mode="unfrozen"), ("enc", "att", "head")),
+        (dict(phase2_mode="alternating"), ("enc", "att", "head")),
     ])
     def test_trains_exactly_its_groups(self, dataset, overrides, groups):
         model = tiny_model()
@@ -399,7 +413,7 @@ class TestFullTrain:
     def test_alternating_mode_interleaves(self, dataset):
         cfg = TrainConfig(phase1_epochs=3, phase2_epochs=2, phase1_lr=1e-4,
                           phase2_lr=1e-4, batch_size=4, seed=0,
-                          joint_alternating=True)
+                          phase2_mode="alternating")
         r1, r2 = train(tiny_model(), dataset, cfg)
         assert len(r1.epoch_losses) == 3
         assert len(r2.epoch_losses) == 2
@@ -436,7 +450,7 @@ class TestFullTrain:
         monkeypatch.setattr(trainer, "saliency_loss", record_map)
         cfg = TrainConfig(phase1_epochs=3, phase2_epochs=3, phase1_lr=1e-4,
                           phase2_lr=1e-4, batch_size=4, seed=0,
-                          joint_alternating=True)
+                          phase2_mode="alternating")
         train(tiny_model(), dataset, cfg)
         # 8 samples in batches of 4: two steps per phase per round
         per_opt = {}
@@ -452,12 +466,18 @@ class TestFullTrain:
 
 class PerBatchFrozenPhase(trainer._Phase):
     """Oracle: the frozen phase-2 loss as it was before the bottleneck
-    array, running the frozen trunk under no_grad on every batch."""
+    array, running the frozen trunk under no_grad on every batch. Other
+    phases use the trainer's loss. ``calls`` gets the size of each batch
+    the oracle builds; a test sets it to a fresh list."""
 
-    def _scanpath_batch_loss(self, idx) -> Tensor:
+    calls: list[int] = []
+
+    def _batch_loss(self, idx) -> Tensor:
+        if not self.freeze:
+            return super()._batch_loss(idx)
+        self.calls.append(len(idx))
         model = self.model
         x = Tensor(np.stack([self.samples[k].image for k in idx]))
-        assert self.freeze
         with no_grad():
             bott = model.attend(model.encode(x))
         bott = Tensor(bott.data)
@@ -503,8 +523,8 @@ class TestFrozenBottleneck:
         # one pass in sample order, in chunks of batch_size
         assert sizes == [min(bs, n - lo) for lo in range(0, n, bs)]
 
-    @pytest.mark.parametrize("mode", [dict(freeze_encoder_phase2=False),
-                                      dict(joint_alternating=True)])
+    @pytest.mark.parametrize("mode", [dict(phase2_mode="unfrozen"),
+                                      dict(phase2_mode="alternating")])
     def test_trainable_trunk_runs_once_per_batch(self, dataset, monkeypatch, mode):
         sizes = count_encode(monkeypatch)
         cfg = TrainConfig(phase1_epochs=0, phase2_epochs=3, phase2_lr=1e-3,
@@ -534,9 +554,14 @@ class TestFrozenBottleneck:
                           phase2_lr=1e-3, batch_size=bs, seed=2)
         cached = tiny_model()
         reports = train(cached, dataset, cfg)
+        calls = []
+        monkeypatch.setattr(PerBatchFrozenPhase, "calls", calls)
         monkeypatch.setattr(trainer, "_Phase", PerBatchFrozenPhase)
         oracle = tiny_model()
         expected = train(oracle, dataset, cfg)
+        # the oracle built every phase-2 batch of every epoch
+        n = expected[1].n_samples
+        assert calls == 3 * [min(bs, n - lo) for lo in range(0, n, bs)]
         for got, want in zip(reports, expected):
             assert (got.epoch_losses, got.lrs) == (want.epoch_losses, want.lrs)
         assert_bitwise_equal(snapshot(cached.parameters()), snapshot(oracle.parameters()))
@@ -578,11 +603,10 @@ class TestBatchGraphLifetime:
     @pytest.mark.parametrize("phase, mode", [
         (1, {}),
         (2, {}),
-        (2, dict(freeze_encoder_phase2=False)),
+        (2, dict(phase2_mode="unfrozen")),
     ], ids=["phase1", "phase2-frozen", "phase2-unfrozen"])
     def test_previous_batch_graph_is_dead(self, dataset, monkeypatch, phase, mode):
-        name = "_saliency_batch_loss" if phase == 1 else "_scanpath_batch_loss"
-        alive = watch_batch_graphs(monkeypatch, [(trainer._Phase, name)])
+        alive = watch_batch_graphs(monkeypatch, [(trainer._Phase, "_batch_loss")])
         cfg = TrainConfig(phase1_epochs=2, phase2_epochs=2, phase1_lr=1e-3,
                           phase2_lr=1e-3, batch_size=3, seed=0, **mode)
         rep = train_only(phase, tiny_model(), dataset, cfg)
@@ -590,18 +614,18 @@ class TestBatchGraphLifetime:
         assert alive == [0] * len(alive)
 
     def test_alternating_phases_free_each_others_graphs(self, dataset, monkeypatch):
-        alive = watch_batch_graphs(monkeypatch, [(trainer._Phase, "_saliency_batch_loss"),
-                                                 (trainer._Phase, "_scanpath_batch_loss")])
+        alive = watch_batch_graphs(monkeypatch, [(trainer._Phase, "_batch_loss")])
         cfg = TrainConfig(phase1_epochs=2, phase2_epochs=2, phase1_lr=1e-3,
-                          phase2_lr=1e-3, batch_size=4, seed=0, joint_alternating=True)
+                          phase2_lr=1e-3, batch_size=4, seed=0, phase2_mode="alternating")
         train(tiny_model(), dataset, cfg)
         assert len(alive) >= 8 and alive == [0] * len(alive)
 
     def test_per_batch_frozen_oracle_graph_is_dead(self, dataset, monkeypatch):
+        calls = []
+        monkeypatch.setattr(PerBatchFrozenPhase, "calls", calls)
         monkeypatch.setattr(trainer, "_Phase", PerBatchFrozenPhase)
-        alive = watch_batch_graphs(monkeypatch,
-                                   [(PerBatchFrozenPhase, "_scanpath_batch_loss")])
+        alive = watch_batch_graphs(monkeypatch, [(PerBatchFrozenPhase, "_batch_loss")])
         cfg = TrainConfig(phase2_epochs=2, phase2_lr=1e-3, batch_size=3, seed=0)
         rep = train_only(2, tiny_model(), dataset, cfg)
-        assert len(alive) == 2 * math.ceil(rep.n_samples / 3) >= 4
+        assert len(alive) == len(calls) == 2 * math.ceil(rep.n_samples / 3) >= 4
         assert alive == [0] * len(alive)
