@@ -21,7 +21,8 @@ the identity map (up to adding a literal zero).
 from __future__ import annotations
 
 from .errors import ConfigError
-from .tensor import ConvLayer, ParamMaker, Tensor, check_int, concat
+from .tensor import ConvLayer, ParamMaker, Tensor, concat
+from .types import check_int
 
 
 class AttentionGate:

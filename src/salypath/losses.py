@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
 from .tensor import Tensor
-from .types import FixationSet, fixation_set, map_values, path_points
+from .types import FixationSet, fixation_set, map_values, path_points, read_fields
 
 # guards both sides of the KL log ratio; ``saliency_metrics.kld`` uses it too
 KL_EPS = 1e-8
@@ -37,6 +37,7 @@ class LossWeights:
     nss_w: float = 0.1
 
     def __post_init__(self):
+        read_fields(self)
         for nm in ("kl_w", "mse_w", "nss_w"):
             if not 0 <= getattr(self, nm) < np.inf:
                 raise ConfigError(f"LossWeights: {nm} must be finite and >= 0")

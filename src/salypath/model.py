@@ -26,7 +26,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import CheckpointError, ConfigError, DimensionError
 from .tensor import (ConvLayer, ParamMaker, Tensor, concat, kaiming_uniform, maxpool2, no_grad,
                      recording, softmax2d, upsample2)
-from .types import SaliencyMap, Scanpath, config_from_dict
+from .types import SaliencyMap, Scanpath, config_from_dict, read_fields
 
 DESK_BLOCKS = ((2, 16), (2, 32), (2, 48), (2, 64))
 DESK_HEAD = (64, 56, 48, 40, 32, 24, 20, 16, 12, 8)
@@ -51,6 +51,7 @@ class ModelConfig:
     spatial_kernel: int = 7
 
     def __post_init__(self):
+        read_fields(self)
         h, w = self.input_size
         n_blocks = len(self.encoder_blocks)
         if n_blocks < 1:

@@ -22,9 +22,12 @@ Design notes, load-bearing:
   views, or f2py writes into a copy), and backward reads the same slices.
   Zero gaps between rows and planes serve as padding. Every kernel size
   and padding takes this one path. Convs are stride 1: the model
-  downsamples by pooling alone.
+  downsamples by pooling alone. The batch runs in groups of whole images
+  that fit in cache; each group fills, multiplies and crops its own grid,
+  so the grid, the accumulator and the gradient grids are one group in
+  size (allocated once per call and reused), never one batch.
 * A conv site holds only its input and its output until backward: the vjp
-  refills the padded grid from ``x.data``. ``conv2d(x, layer, relu=True)``
+  refills each group's padded grid from ``x.data``. ``conv2d(x, layer, relu=True)``
   clamps the output in place and masks the gradient with ``out > 0``,
   which holds exactly where the pre-activation's ``a > 0`` does (NaN and
   -0.0 included), so it gives ``conv2d(x, layer).relu()``'s bits with one
@@ -45,6 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError, NumericError
+from .types import check_int
 
 _grad_enabled = True
 
@@ -422,13 +426,6 @@ def recording(make: ParamMaker, made: dict[str, Tensor]) -> ParamMaker:
     return record
 
 
-def check_int(value, where: str) -> int:
-    """``value`` as an int; anything else (a float, a bool) raises ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{where} must be an int, got {value!r}")
-    return int(value)
-
-
 class ConvLayer:
     """2-D convolution parameters: weight [out_ch, in_ch, kh, kw], bias
     [out_ch], plus symmetric zero padding (an int, not a float or a bool).
@@ -508,8 +505,8 @@ def _sgemm():
     return module.sgemm
 
 
-# Bytes of grid rows one conv2d chunk touches (input and output; in backward
-# also the input gradient): small enough to stay in a core's L2 cache across
+# Bytes of grid rows one conv2d group of images touches (input and output; in
+# backward also the input gradient): small enough to stay in a core's L2 cache across
 # the kh*kw taps. On a 2 MiB-L2 Xeon, phase-1 conv time was flat from 128 KiB to 1 MiB.
 _CONV_CHUNK_BYTES = 512 * 1024
 
@@ -521,11 +518,14 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
     x: [B, C, H, W]. Output: [B, out_ch, OH, OW] with
     OH = H + 2p - kh + 1.
 
-    The input is written once into a pixel-major flat grid of zeros,
-    ``xf[B*Hp*Wp + max(lead, tail), C]``: image rows are ``Wp = W + gw``
-    positions wide, planes ``Hp = H + gh`` rows tall, and pixel (b, i, j)
-    sits at position ``lead + b*Hp*Wp + i*Wp + j`` with ``lead = p*Wp + p``
-    and ``tail = (kh-1)*Wp + kw-1``. The output at position
+    The batch runs in groups of k whole images, k fixed by the shapes and
+    ``_CONV_CHUNK_BYTES`` so that a group's grid rows stay in a core's
+    cache across the taps. Each group is written into a pixel-major flat
+    grid of zeros, ``xf[k*Hp*Wp + max(lead, tail), C]``: image rows are
+    ``Wp = W + gw`` positions wide, planes ``Hp = H + gh`` rows tall, and
+    the group's pixel (b, i, j) sits at position
+    ``lead + b*Hp*Wp + i*Wp + j`` with ``lead = p*Wp + p`` and
+    ``tail = (kh-1)*Wp + kw-1``. The output at position
     ``q = b*Hp*Wp + i*Wp + j`` is the sum over taps (ki, kj) of
     ``W[:, :, ki, kj] @ xf[q + ki*Wp + kj]``, so each tap is one GEMM of
     the weight slice with a contiguous shifted slice of the grid, and no
@@ -540,8 +540,10 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
     and cropped.
 
     Each tap is one scipy BLAS ``sgemm`` that adds its product straight into
-    the accumulator ``acc[n, out_ch]`` (``beta=1``; a chunk's first tap
-    writes with ``beta=0``). BLAS is column-major, so ``acc[lo:hi].T``, the
+    the group's accumulator ``acc[k*Hp*Wp, out_ch]`` (``beta=1``; the first
+    tap writes with ``beta=0``), which is then cropped, bias added, into the
+    group's images of the output while it is still in cache. BLAS is
+    column-major, so ``acc[:m].T``, the
     grid slices' ``.T`` and ``wt[t].T`` are F-contiguous views, passed with
     no copy. Every ``c`` must be one: f2py's ``overwrite_c`` silently writes
     into a copy of any other array. sgemm is loaded at the first call by
@@ -555,20 +557,24 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
     clamp to a zero), so the output, the masked gradient and the bias
     gradient summed from it have the bits of ``conv2d(x, layer).relu()``.
 
-    The vjp keeps only ``x`` and the output: backward refills the grid from
-    ``x.data`` with forward's zero fill and copy, one copy per call instead
-    of a padded copy of every conv input held until backward (the
-    recompute-for-memory trade of Chen et al. 2016, arXiv 1604.06174).
+    The vjp keeps only ``x`` and the output: backward refills each group's
+    grid from ``x.data``, instead of a padded copy of every conv input
+    held until backward (the recompute-for-memory trade of Chen et al.
+    2016, arXiv 1604.06174).
 
-    Backward scatters the output gradient onto the grid as ``gf[n, out_ch]``
-    (zero in the cropped positions) and, per tap, accumulates
-    ``dW_t += G @ X_t.T`` and ``dxf[tap].T += W_t.T @ G`` inside sgemm, with
-    G = ``gf[lo:hi].T`` and X_t the tap's grid slice. The input gradient is
-    skipped when nothing upstream needs it.
+    Backward masks the whole output gradient and sums the bias gradient
+    from it, then per group scatters its images onto the grid as
+    ``gf[k*Hp*Wp, out_ch]`` (zero in the cropped positions) and, per tap,
+    accumulates ``dW_t += G @ X_t.T`` and ``dxf[tap].T += W_t.T @ G`` inside
+    sgemm, with G = ``gf[:m].T`` and X_t the tap's grid slice; ``dxf`` is
+    cropped into the group's images of the input gradient. The input
+    gradient is skipped when nothing upstream needs it.
 
-    The grid is processed in chunks of whole planes, so the taps of one
-    chunk run out of cache. The chunks are fixed by the shapes and run in
-    order, so results are bitwise reproducible.
+    Scratch is sized to one group, allocated once per call and reused:
+    no array but the output, the masked gradient and the input gradient
+    scales with the batch. An output or input-gradient element depends on
+    its own image's group alone, and the groups run in order, so results
+    are bitwise reproducible and independent of where a batch splits.
     """
     sgemm = _sgemm()
     x = _coerce(x)
@@ -587,58 +593,60 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
         )
     hp, wp = h + max(p, 2 * p - kh + 1), w + max(p, 2 * p - kw + 1)
     plane = hp * wp
-    n = b * plane
     lead, tail = p * wp + p, (kh - 1) * wp + kw - 1
     offsets = [ki * wp + kj for ki in range(kh) for kj in range(kw)]
     # [kh*kw, C, out_ch]: wt[t].T is tap t's [out_ch, C] weight slice
     wt = np.ascontiguousarray(layer.weight.data.transpose(2, 3, 1, 0)).reshape(-1, c, out_ch)
     per_col = 4 * (out_ch + 2 * c)
-    step = max(1, _CONV_CHUNK_BYTES // (per_col * plane)) * plane
-    chunks = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
-    crop = (slice(None), slice(0, h + 2 * p - kh + 1), slice(0, w + 2 * p - kw + 1))
+    k = max(1, _CONV_CHUNK_BYTES // (per_col * plane))
+    groups = [(b0, min(b, b0 + k)) for b0 in range(0, b, k)]
+    span = min(b, k) * plane  # grid positions of the largest group
+    out_data = np.empty((b, out_ch, h + 2 * p - kh + 1, w + 2 * p - kw + 1), dtype=np.float32)
+    crop = (slice(None), slice(0, out_data.shape[2]), slice(0, out_data.shape[3]))
 
-    def padded() -> np.ndarray:
-        xf = np.zeros((n + max(lead, tail), c), dtype=np.float32)
-        xf[lead:lead + n].reshape(b, hp, wp, c)[:, :h, :w] = x.data.transpose(0, 2, 3, 1)
-        return xf
+    def fill(xf, b0, b1):
+        m = (b1 - b0) * plane
+        xf[m + lead:] = 0  # after a shorter last group: clear the images it left behind
+        xf[lead:lead + m].reshape(-1, hp, wp, c)[:, :h, :w] = x.data[b0:b1].transpose(0, 2, 3, 1)
+        return m
 
-    xf = padded()
-    acc = np.empty((n, out_ch), dtype=np.float32)
-    for lo, hi in chunks:
+    xf = np.zeros((span + max(lead, tail), c), dtype=np.float32)
+    acc = np.empty((span, out_ch), dtype=np.float32)
+    for b0, b1 in groups:
+        m = fill(xf, b0, b1)
         for t, off in enumerate(offsets):
-            sgemm(1.0, wt[t].T, xf[lo + off:hi + off].T, beta=float(t > 0),
-                  c=acc[lo:hi].T, overwrite_c=1)
-    grid = acc.reshape(b, hp, wp, out_ch)[crop].transpose(0, 3, 1, 2)
-    # explicit C-order output: a ufunc would keep the grid's pixel-major strides
-    out_data = np.empty(grid.shape, dtype=np.float32)
-    np.add(grid, layer.bias.data[:, None, None], out=out_data)
-    if relu:
-        np.maximum(out_data, 0, out=out_data)
+            sgemm(1.0, wt[t].T, xf[off:m + off].T, beta=float(t > 0), c=acc[:m].T, overwrite_c=1)
+        grid = acc[:m].reshape(-1, hp, wp, out_ch)[crop].transpose(0, 3, 1, 2)
+        np.add(grid, layer.bias.data[:, None, None], out=out_data[b0:b1])
+        if relu:
+            np.maximum(out_data[b0:b1], 0, out=out_data[b0:b1])
     # the vjp must not name xf, acc or grid: each would stay alive until backward
 
     def vjp(g):
         if relu:
             g = g * (out_data > 0)
         need_dx = x.requires_grad
-        xf = padded()
-        gf = np.zeros((b, hp, wp, out_ch), dtype=np.float32)
-        gf[crop] = g.transpose(0, 2, 3, 1)
-        gf = gf.reshape(n, out_ch)
         db = g.sum(axis=(0, 2, 3))
+        xf = np.zeros((span + max(lead, tail), c), dtype=np.float32)
+        gf = np.zeros((span, out_ch), dtype=np.float32)
         dw = np.zeros((len(offsets), c, out_ch), dtype=np.float32)
         dxf = np.zeros(xf.shape, dtype=np.float32) if need_dx else None
-        for lo, hi in chunks:
-            gc = gf[lo:hi].T
+        dx = np.empty(x.shape, dtype=np.float32) if need_dx else None
+        for b0, b1 in groups:
+            m = fill(xf, b0, b1)
+            gf[:m].reshape(-1, hp, wp, out_ch)[crop] = g[b0:b1].transpose(0, 2, 3, 1)
+            gc = gf[:m].T
             for t, off in enumerate(offsets):
-                tap = slice(lo + off, hi + off)
+                tap = slice(off, m + off)
                 sgemm(1.0, gc, xf[tap].T, beta=1.0, c=dw[t].T, trans_b=1, overwrite_c=1)
                 if need_dx:
                     sgemm(1.0, wt[t].T, gc, beta=1.0, c=dxf[tap].T, trans_a=1, overwrite_c=1)
+            if need_dx:
+                dx[b0:b1] = (dxf[lead:lead + m].reshape(-1, hp, wp, c)[:, :h, :w]
+                             .transpose(0, 3, 1, 2))
+                dxf.fill(0)
         dw = np.ascontiguousarray(dw.reshape(kh, kw, c, out_ch).transpose(3, 2, 0, 1))
-        if not need_dx:
-            return (None, dw, db)
-        dx = dxf[lead:lead + n].reshape(b, hp, wp, c)[:, :h, :w]
-        return (np.ascontiguousarray(dx.transpose(0, 3, 1, 2)), dw, db)
+        return (dx, dw, db)
 
     return x._track(out_data, (x, layer.weight, layer.bias), vjp)
 

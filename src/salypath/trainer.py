@@ -39,7 +39,7 @@ from .errors import ConfigError, ContractError, NumericError, TrainingDiverged
 from .losses import LossWeights, saliency_loss, scanpath_loss
 from .model import SalypathModel, soft_argmax
 from .tensor import Tensor, no_grad
-from .types import FixationSet, config_from_dict
+from .types import FixationSet, config_from_dict, read_fields
 
 __all__ = ["TrainConfig", "TrainReport", "SGD", "Adam", "lr_schedule", "train"]
 
@@ -63,6 +63,7 @@ class TrainConfig:
     loss_weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
+        read_fields(self)
         if self.phase1_epochs < 0 or self.phase2_epochs < 0:
             raise ConfigError("TrainConfig: epochs must be >= 0")
         if not (0 < self.phase1_lr < np.inf and 0 < self.phase2_lr < np.inf):

@@ -196,20 +196,49 @@ def config_from_dict(cls, d):
     """Build the config dataclass ``cls`` from a JSON-shaped dict.
 
     Every field must be present and no other key; values must match the
-    field's declared type: a bool is a real bool, an int is an int and not
-    a bool, a float takes an int or a float, a ``tuple[...]`` takes a list
-    (or tuple) checked element by element, and a nested dataclass is read
-    the same way. Any violation raises ConfigError naming ``Class.field``
+    field's declared type: a bool is a real bool, an int is an int (or a
+    numpy integer) and not a bool, a float takes any such int or a float,
+    a ``tuple[...]`` takes a list (or tuple) checked element by element,
+    and a nested dataclass takes an instance or a dict read the same way.
+    Any violation raises ConfigError naming ``Class.field``
     (``Class.field[i]`` for an element, ``Class.field.sub`` for a nested
     field); the class's own ``__post_init__`` then checks the values.
     """
     return _read(cls, d, cls.__name__)
 
 
+def read_fields(config) -> None:
+    """Read every field of the config dataclass instance ``config`` by
+    ``config_from_dict``'s rules and store what was read (a list as a
+    tuple, an int in a float field as a float, a numpy number as a Python
+    one), so a constructor call and a config dict share one set of type
+    rules. Each config's ``__post_init__`` calls it first."""
+    cls = type(config)
+    for name, tp in _field_types(cls).items():
+        value = _read(tp, getattr(config, name), f"{cls.__name__}.{name}")
+        object.__setattr__(config, name, value)  # the configs are frozen
+
+
+# the values each number field takes, stored as the field's Python type
+_NUMBERS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+
+
+def _is_number(tp, v) -> bool:
+    return isinstance(v, _NUMBERS[tp]) and not isinstance(v, bool)
+
+
+def check_int(value, where: str) -> int:
+    """``value`` as an int by the config int rule (a numpy integer passes; a
+    float or a bool raises ConfigError): layer sizes outside any config."""
+    if not _is_number(int, value):
+        raise ConfigError(f"{where} must be an int, got {value!r}")
+    return int(value)
+
+
 def _read(tp, v, where: str):
-    if tp is float and type(v) is int:
-        v = float(v)
-    if type(v) is tp:  # also keeps JSON true/false out of int fields
+    if tp in _NUMBERS and _is_number(tp, v):
+        return tp(v)
+    if type(v) is tp:  # str, bool and nested config fields
         return v
     if typing.get_origin(tp) is tuple:
         args = typing.get_args(tp)

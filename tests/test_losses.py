@@ -207,6 +207,14 @@ def test_loss_weights_reject_negatives():
         LossWeights(-0.1, 0.3, 0.1)
 
 
+@pytest.mark.parametrize("bad", ["0.3", True, None])
+def test_loss_weights_check_types(bad):
+    # a string once escaped as TypeError from the range check, and True read as 1
+    with pytest.raises(ConfigError, match=r"LossWeights\.mse_w: expected float"):
+        LossWeights(0.6, bad, 0.1)
+    assert type(LossWeights(1, np.float32(0.5), np.int64(0)).kl_w) is float
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_loss_weights_reject_non_finite(bad):
     with pytest.raises(ConfigError, match="mse_w must be finite"):

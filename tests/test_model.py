@@ -48,6 +48,28 @@ def test_config_rejects(overrides):
         ModelConfig(**overrides)
 
 
+@pytest.mark.parametrize("overrides, error", [
+    (dict(head_channels=(8.0,) * 10), r"ModelConfig\.head_channels\[0\]: expected int, got 8\.0"),
+    (dict(input_size=(16, 16), beta=True), r"ModelConfig\.beta: expected float, got True"),
+    (dict(attention_enabled=1), r"ModelConfig\.attention_enabled: expected bool, got 1"),
+], ids=["float-head-channels", "bool-beta", "int-attention-flag"])
+def test_config_constructor_checks_types(overrides, error):
+    # a config built in Python follows config_from_dict's rules; beta=True
+    # once built a model whose checkpoint SalypathModel.load rejected
+    with pytest.raises(ConfigError, match=error):
+        ModelConfig.desk(**overrides)
+
+
+def test_config_constructor_reads_lists_and_numpy_numbers_as_from_dict_does():
+    cfg = ModelConfig(**{**TINY, "input_size": [8, 8], "encoder_blocks": [[1, 4], [1, np.int64(8)]],
+                         "beta": 2, "spatial_kernel": np.int32(3)})
+    assert cfg == ModelConfig(**{**TINY, "beta": 2.0})
+    assert type(cfg.input_size) is tuple and type(cfg.encoder_blocks[1]) is tuple
+    assert type(cfg.encoder_blocks[1][1]) is int and type(cfg.spatial_kernel) is int
+    assert type(cfg.beta) is float
+    assert ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
 def test_config_presets():
     desk = ModelConfig.desk()
     assert desk.bottleneck_channels == 64

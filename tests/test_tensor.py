@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from salypath.errors import ConfigError, ContractError, DimensionError, NumericError
 from salypath.tensor import (
+    _CONV_CHUNK_BYTES,
     ConvLayer,
     Tensor,
     concat,
@@ -180,6 +181,11 @@ DESK_CONV_SHAPES = [
 ]
 
 
+# 16 -> 16 channels at 24x24 give conv2d groups of 4 images: a batch of 6
+# runs as a group of 4, then a shorter one of 2 on the same scratch grid
+UNEVEN_GROUPS = (6, 16, 16, 24, 24, (3, 3), 1)
+
+
 def random_conv_cases(rng, count=20):
     """Small random conv cases in the CONV_EDGE_CASES tuple layout."""
     cases = []
@@ -270,7 +276,7 @@ def test_conv_bitwise_matches_channel_major_oracle():
     # The random cases are the loop-oracle test's (same seed).
     rng = np.random.default_rng(7)
     desk = [(2, ci, co, hw, hw, (3, 3), 1) for ci, co, hw in DESK_CONV_SHAPES]
-    for case in random_conv_cases(rng) + CONV_EDGE_CASES + desk:
+    for case in random_conv_cases(rng) + CONV_EDGE_CASES + desk + [UNEVEN_GROUPS]:
         args = _oracle_inputs(rng, case)
         got = _conv_with_grads(*args)
         want = _channel_major(*args)
@@ -306,8 +312,8 @@ def test_conv_reordering_kernel_shapes_match_channel_major_oracle():
 
 
 def test_conv_batch_equals_stacked_single_images():
-    # 16 channels at 40x40 make conv2d split a batch into several chunks of
-    # the flat grid, where one image takes a single chunk
+    # 16 channels at 40x40 make conv2d split a batch into groups of one
+    # image, each on its own grid: the same grid a single image gets
     rng = np.random.default_rng(11)
     xs = rng.normal(size=(4, 16, 40, 40)).astype(np.float32)
     layer = ConvLayer(Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32) * 0.1,
@@ -403,9 +409,9 @@ def _assert_same_bits(got, want, case):
 
 def test_conv_fused_relu_bitwise_matches_unfused():
     # the random cases are the loop-oracle test's (same seed); the last
-    # case splits its grid into several chunks
+    # two split the batch into several groups, the very last unevenly
     rng = np.random.default_rng(7)
-    chunked = [(4, 16, 16, 40, 40, (3, 3), 1)]
+    chunked = [(4, 16, 16, 40, 40, (3, 3), 1), UNEVEN_GROUPS]
     for case in random_conv_cases(rng) + CONV_EDGE_CASES + chunked:
         args = _oracle_inputs(rng, case)
         _assert_same_bits(_conv_with_grads(*args, op=_fused),
@@ -459,6 +465,31 @@ def test_conv_sites_retain_only_their_outputs():
     assert held <= 2.5 * x.data.nbytes, held / x.data.nbytes
     y.sum().backward()
     assert x.grad is not None and layers[0].weight.grad is not None
+
+
+def test_conv_scratch_is_group_sized():
+    # Peak traced memory over a fused conv and its vjp at a batch of 16
+    # 64x64 images (16 groups of one): the output, the masked gradient and
+    # the input gradient must be held, each the input's size; the grids,
+    # accumulator and gradient grids are one group each. Batch-sized
+    # grids add three more input-sized arrays.
+    rng = np.random.default_rng(37)
+    layer = ConvLayer(Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32) * 0.1,
+                             requires_grad=True),
+                      Tensor(np.zeros(16, np.float32), requires_grad=True), padding=1)
+    x = Tensor(rng.normal(size=(16, 16, 64, 64)).astype(np.float32), requires_grad=True)
+    g = rng.normal(size=x.shape).astype(np.float32)
+    layer(Tensor(x.data[:1]), relu=True)  # loads sgemm outside the measurement
+    tracemalloc.start()
+    try:
+        y = layer(x, relu=True)
+        dx, dw, db = y._vjp(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dx.shape == x.shape and dw.shape == layer.weight.shape
+    bound = 3 * x.data.nbytes + 4 * _CONV_CHUNK_BYTES
+    assert peak <= bound, (peak / 2**20, bound / 2**20)
 
 
 def test_conv_channel_mismatch_names_axis():

@@ -20,7 +20,7 @@ from salypath import trainer
 from salypath.checkpoint import load_checkpoint
 from salypath.data import generate_synthetic, load_manifest, save_manifest
 from salypath.errors import ConfigError, ContractError, NumericError, TrainingDiverged
-from salypath.losses import saliency_loss, scanpath_loss
+from salypath.losses import LossWeights, saliency_loss, scanpath_loss
 from salypath.model import ModelConfig, SalypathModel, soft_argmax
 from salypath.tensor import Tensor, no_grad
 from salypath.trainer import Adam, SGD, TrainConfig, TrainReport, lr_schedule, train
@@ -187,6 +187,29 @@ class TestTrainConfig:
     def test_invalid_rejected(self, bad):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
+
+    @pytest.mark.parametrize("bad, error", [
+        (dict(batch_size=2.5), r"TrainConfig\.batch_size: expected int, got 2\.5"),
+        (dict(seed=1.5), r"TrainConfig\.seed: expected int, got 1\.5"),
+        (dict(phase1_epochs=True), r"TrainConfig\.phase1_epochs: expected int, got True"),
+        (dict(loss_weights={"kl_w": 0.6, "mse_w": "0.3", "nss_w": 0.1}),
+         r"TrainConfig\.loss_weights\.mse_w: expected float, got '0\.3'"),
+    ], ids=["float-batch-size", "float-seed", "bool-epochs", "string-loss-weight"])
+    def test_constructor_checks_types(self, bad, error):
+        # the rules config_from_dict applies to a train --config file hold
+        # for a config built in Python too; a float batch size once ended
+        # in a bare TypeError from range, and True trained one epoch
+        with pytest.raises(ConfigError, match=error):
+            TrainConfig(**bad)
+
+    def test_constructor_reads_values_as_a_config_dict_does(self):
+        cfg = TrainConfig(phase1_lr=1, batch_size=np.int64(4), seed=np.int32(2),
+                          loss_weights={"kl_w": 1, "mse_w": 0.5, "nss_w": np.float32(0.25)})
+        assert cfg == TrainConfig.from_dict(cfg.to_dict())
+        assert cfg.loss_weights == LossWeights(1.0, 0.5, 0.25)
+        assert [type(v) for v in (cfg.phase1_lr, cfg.batch_size, cfg.seed)] == [float, int, int]
+        assert type(cfg.loss_weights.nss_w) is float
+        json.dumps(cfg.to_dict())
 
     @pytest.mark.parametrize("field", ["freeze_encoder_phase2", "joint_alternating"])
     def test_removed_schedule_field_rejected_naming_it(self, field):
