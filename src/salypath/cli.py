@@ -3,7 +3,8 @@
 Subcommands: train, predict, eval-saliency, eval-scanpath, stats,
 gen-synth. Exit codes: 0 success, 1 evaluation incomplete (missing
 predictions or records that could not be scored), 2 usage or IO error.
-Failures print a one-line diagnostic to stderr. Every command is
+Failures print a one-line diagnostic to stderr, and so does each warning
+(``salypath <command>: warning: <message>``). Every command is
 deterministic given its flags and seeds.
 
 Evaluation commands fan out across manifest records on a thread pool;
@@ -19,6 +20,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -71,13 +73,7 @@ def cmd_train(args) -> int:
     conf = {"model": (ModelConfig.full_scale() if paper else ModelConfig.desk()).to_dict(),
             "train": (TrainConfig.full_scale() if paper else TrainConfig()).to_dict()}
     if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as f:
-                doc = json.load(f)
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise SalypathError(f"{args.config}: invalid JSON: {e}") from e
-        if not isinstance(doc, dict):
-            raise SalypathError(f"{args.config}: config is not a JSON object")
+        doc = dio.read_json_object(args.config, "config")
         for key, section in doc.items():
             if key not in conf:
                 raise SalypathError(f"{args.config}: unknown config section {key!r}")
@@ -114,8 +110,8 @@ def cmd_predict(args) -> int:
     img = dio.read_ppm(args.image)
     img_h, img_w = img.shape[1:]
     if (img_h, img_w) != (h, w):
-        print(f"warning: image is {img_w}x{img_h}, "
-              f"resampling to model input {w}x{h}", file=sys.stderr)
+        warnings.warn(f"image is {img_w}x{img_h}, resampling to model input {w}x{h}",
+                      RuntimeWarning)
         img = dio.resample_stimulus(img, w, h)
     smap, path = model.forward(img)
     dio.write_pgm(args.out_map, smap.values)
@@ -354,11 +350,15 @@ def main(argv=None) -> int:
     # looked up per call, not bound into the cached parser, so a wrapper put
     # on the module (benchmarks/tracing.py does) is what runs
     run = globals()["cmd_" + args.command.replace("-", "_")]
-    try:
-        return run(args)
-    except (SalypathError, OSError) as e:
-        print(f"salypath {args.command}: error: {e}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # a warning is one line, in the error line's form
+        warnings.showwarning = lambda message, *_: print(
+            f"salypath {args.command}: warning: {message}", file=sys.stderr)
+        try:
+            return run(args)
+        except (SalypathError, OSError) as e:
+            print(f"salypath {args.command}: error: {e}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

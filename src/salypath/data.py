@@ -5,13 +5,20 @@ File formats, all dependency-free and byte-stable:
 * Saliency maps: binary PGM (P5), 8-bit, maxval 255; pixel value k means
   intensity k/255.
 * Stimuli: binary PPM (P6), 8-bit RGB.
+* PNM header, read by the one pattern ``_PNM_HEADER``: the magic; width,
+  height and maxval as decimal numbers (at most 18 significant digits),
+  separated by whitespace or ``#`` comments that end in a newline; then
+  exactly one whitespace byte before the payload.
 * Scanpaths: CSV with header ``index,x,y``; x and y are float pixel
   coordinates (x along width). Extra columns are ignored on read, so
   prediction outputs carrying normalized coordinates re-load cleanly.
   Floats are written with repr so write -> read -> write is byte-identical.
+  A manifest's scanpaths are read by one checked reader, whether
+  ``load_manifest`` reads them or a hand-built ``DatasetManifest`` does:
+  read-only arrays, every fixation inside the stimulus.
 * Manifest: JSON {"name", "width", "height", "records": [{"stimulus",
   "map", "scanpaths": [...]}]} with paths relative to the manifest's
-  directory.
+  directory. ``read_json_object`` reads it, and ``train --config`` too.
 
 The synthetic generator is fully deterministic in its arguments: the same
 call produces byte-identical trees. Maps are mixtures of 1-3 Gaussian
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,35 +53,10 @@ MAX_CENTER_DIST = 0.48
 
 # -- PGM / PPM ----------------------------------------------------------
 
-def _read_pnm_tokens(raw: bytes, path, n_header_tokens: int) -> tuple[list[int], int]:
-    """Parse PNM header tokens (magic already stripped), honoring # comments.
-    Returns (tokens, offset of first payload byte)."""
-    tokens: list[int] = []
-    i = 0
-    while len(tokens) < n_header_tokens:
-        if i >= len(raw):
-            raise ManifestError(f"{path}: truncated header")
-        ch = raw[i:i + 1]
-        if ch == b"#":
-            nl = raw.find(b"\n", i)
-            if nl < 0:
-                raise ManifestError(f"{path}: unterminated comment")
-            i = nl + 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(raw) and not raw[j:j + 1].isspace() and raw[j:j + 1] != b"#":
-                j += 1
-            tok = raw[i:j]
-            if not tok.isdigit():
-                raise ManifestError(f"{path}: bad header token {tok!r}")
-            tokens.append(int(tok))
-            i = j
-    # exactly one whitespace byte separates header from payload
-    if i >= len(raw) or not raw[i:i + 1].isspace():
-        raise ManifestError(f"{path}: missing separator before payload")
-    return tokens, i + 1
+# the PNM header grammar the module docstring states
+_PNM_HEADER = re.compile(
+    rb"P[56](?:\s|#[^\n]*\n)*0*(\d{1,18})(?:\s|#[^\n]*\n)+0*(\d{1,18})"
+    rb"(?:\s|#[^\n]*\n)+0*(\d{1,18})\s")
 
 
 def _write_pnm(path, magic: bytes, hwc: np.ndarray) -> None:
@@ -92,8 +75,11 @@ def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
     if raw[:2] != magic:
         kind = "PGM" if channels == 1 else "PPM"
         raise ManifestError(f"{path}: not a binary {kind} (magic {raw[:2]!r})")
-    (w, h, maxval), off = _read_pnm_tokens(raw[2:], path, 3)
-    off += 2
+    header = _PNM_HEADER.match(raw)
+    if header is None:
+        raise ManifestError(f"{path}: malformed PNM header")
+    w, h, maxval = map(int, header.groups())
+    off = header.end()
     if maxval != 255:
         raise ManifestError(f"{path}: unsupported maxval {maxval}, expected 255")
     if w < 1 or h < 1:
@@ -160,6 +146,8 @@ def read_scanpath_csv(path) -> np.ndarray:
             rows = list(csv.reader(f))
     except UnicodeDecodeError as e:
         raise ManifestError(f"{path}: not UTF-8 text: {e}") from e
+    except csv.Error as e:  # e.g. a field longer than csv's 128 KiB limit
+        raise ManifestError(f"{path}: {e}") from e
     if not rows:
         raise ManifestError(f"{path}: empty scanpath file")
     header = [c.strip().lower() for c in rows[0]]
@@ -185,6 +173,19 @@ def read_scanpath_csv(path) -> np.ndarray:
     if not pts:
         raise ManifestError(f"{path}: no fixation rows")
     return np.array(pts, dtype=np.float64)
+
+
+def _read_checked_scanpath(root: Path, rel: str, width: int, height: int,
+                           where: str) -> np.ndarray:
+    """``read_scanpath_csv(root / rel)``, read-only, with every fixation
+    inside the width x height stimulus; ``where`` prefixes the message."""
+    px = read_scanpath_csv(root / rel)
+    px.flags.writeable = False
+    # written so that a NaN coordinate fails it too
+    if not ((px >= 0) & (px <= (width - 1, height - 1))).all():
+        raise ManifestError(f"{where}: scanpath {rel!r} has fixations that are "
+                            f"NaN or outside the {width}x{height} stimulus")
+    return px
 
 
 # -- manifest -------------------------------------------------------------
@@ -227,9 +228,10 @@ class DatasetManifest:
 
     def _scanpath_pixels(self, i: int) -> list[np.ndarray]:
         """Record i's scanpaths as [N, 2] pixel (x, y) arrays: the ones
-        load_manifest already parsed, else read from disk."""
-        rec = self.records[i]
-        return [rec._pixels[rel] if rel in rec._pixels else read_scanpath_csv(self.root / rel)
+        load_manifest already parsed, else read and checked from disk."""
+        rec, where = self.records[i], f"record {i}"
+        return [rec._pixels[rel] if rel in rec._pixels
+                else _read_checked_scanpath(self.root, rel, self.width, self.height, where)
                 for rel in rec.scanpaths]
 
     def load_scanpaths(self, i: int) -> list[Scanpath]:
@@ -254,6 +256,23 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
         f.write("\n")
 
 
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file ``path``. A file that cannot be
+    opened, is not valid JSON (numbers or nesting too large for Python
+    included), or holds no object (``what`` names the document) raises one
+    ManifestError naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except OSError as e:
+        raise ManifestError(f"{path}: {e}") from e
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError
+        raise ManifestError(f"{path}: invalid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ManifestError(f"{path}: {what} is not a JSON object")
+    return doc
+
+
 def load_manifest(path) -> DatasetManifest:
     """Parse and fully validate a manifest: name must be a JSON string,
     width and height JSON integers, every referenced path a string naming
@@ -262,15 +281,7 @@ def load_manifest(path) -> DatasetManifest:
     or the record index and offending path. The parsed scanpaths stay with
     their records (read-only), so they are not read twice."""
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise ManifestError(f"{path}: {e}") from e
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ManifestError(f"{path}: invalid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ManifestError(f"{path}: manifest is not a JSON object")
+    doc = read_json_object(path, "manifest")
     for key in ("name", "width", "height", "records"):
         if key not in doc:
             raise ManifestError(f"{path}: missing key {key!r}")
@@ -299,16 +310,8 @@ def load_manifest(path) -> DatasetManifest:
                 raise ManifestError(
                     f"{path}: record {ri}: referenced path {rel!r} does not exist as a file"
                 )
-        pixels = {}
-        for rel in sps:
-            px = pixels[rel] = read_scanpath_csv(root / rel)
-            px.flags.writeable = False
-            # written so that a NaN coordinate fails it too
-            if not ((px >= 0) & (px <= (width - 1, height - 1))).all():
-                raise ManifestError(
-                    f"{path}: record {ri}: scanpath {rel!r} has fixations "
-                    f"that are NaN or outside the {width}x{height} stimulus"
-                )
+        pixels = {rel: _read_checked_scanpath(root, rel, width, height, f"{path}: record {ri}")
+                  for rel in sps}
         records.append(ManifestRecord(stimulus=stim, map=mp, scanpaths=sps,
                                       _pixels=pixels))
     return DatasetManifest(
@@ -319,7 +322,8 @@ def load_manifest(path) -> DatasetManifest:
 
 def length_stats(manifest: DatasetManifest) -> dict:
     """Scanpath length distribution over every scanpath in the manifest:
-    mean, median, mode (ties -> smallest), histogram {length: count}."""
+    mean, median, mode (ties -> smallest), histogram {length: count}. The
+    scanpaths are checked as ``load_scanpaths`` checks them."""
     lengths = [px.shape[0] for i in range(len(manifest))
                for px in manifest._scanpath_pixels(i)]
     if not lengths:

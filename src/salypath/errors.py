@@ -31,7 +31,8 @@ class CheckpointError(SalypathError, ValueError):
 
 
 class ManifestError(SalypathError, ValueError):
-    """Dataset manifest or referenced asset failed to load or validate."""
+    """Dataset manifest or referenced asset failed to load or validate, or
+    a JSON document (a manifest, a ``train --config`` file) failed to load."""
 
 
 class TrainingDiverged(SalypathError, ArithmeticError):

@@ -24,8 +24,8 @@ import numpy as np
 from .attention import AttentionGate, attend
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import CheckpointError, ConfigError, DimensionError
-from .tensor import (ConvLayer, ParamMaker, Tensor, concat, kaiming_uniform, maxpool2, no_grad,
-                     recording, softmax2d, upsample2)
+from .tensor import (ConvLayer, ParamMaker, Tensor, _nchw, concat, kaiming_uniform, maxpool2,
+                     no_grad, recording, softmax2d, upsample2)
 from .types import SaliencyMap, Scanpath, config_from_dict, read_fields
 
 DESK_BLOCKS = ((2, 16), (2, 32), (2, 48), (2, 64))
@@ -128,10 +128,7 @@ def soft_argmax(features: Tensor, beta: float) -> Tensor:
     indices running 0..W-1 and 0..H-1. A uniform plane lands on the
     centroid; as beta grows the output approaches the true argmax.
     """
-    if features.ndim != 4:
-        raise DimensionError(
-            f"soft_argmax: features must be [B,C,H,W], got rank {features.ndim}"
-        )
+    features = _nchw(features, "soft_argmax")
     b, c, h, w = features.shape
     if h * w == 0:
         raise DimensionError(
@@ -203,11 +200,9 @@ class SalypathModel:
 
     # -- forward pieces ---------------------------------------------------
 
-    def _check_input(self, x: Tensor) -> None:
-        if x.ndim != 4:
-            raise DimensionError(
-                f"encode: input must be [B,C,H,W], got rank {x.ndim}"
-            )
+    def _check_input(self, x) -> Tensor:
+        """``x`` as a Tensor, checked against the model's input shape."""
+        x = _nchw(x, "encode")
         h, w = self.config.input_size
         if x.shape[1] != self.config.in_channels:
             raise DimensionError(
@@ -219,11 +214,11 @@ class SalypathModel:
                 f"encode: input spatial axes (2, 3) are {x.shape[2]}x{x.shape[3]}, "
                 f"expected {h}x{w}"
             )
+        return x
 
     def encode(self, x: Tensor) -> Tensor:
         """Image batch -> raw bottleneck [B, C_bott, H/2^k, W/2^k]."""
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        self._check_input(x)
+        x = self._check_input(x)
         for block in self.encoder:
             for layer in block:
                 x = layer(x, relu=True)

@@ -16,6 +16,9 @@ Design notes, load-bearing:
   row-major order (numpy argmax convention). Constant windows therefore send
   their whole gradient to the top-left cell.
 * ``no_grad()`` disables graph construction globally; use it for inference.
+* ``+``, ``-`` and ``/`` need the Tensor on the left, ``*`` takes it on
+  either side, and ``reshape`` takes separate ints. Every op on an image
+  batch checks its rank by one rule, ``_nchw``.
 * ``conv2d`` is shift-and-GEMM over a pixel-major flat grid: each kernel
   tap is one BLAS ``sgemm`` with a contiguous shifted slice of the grid that
   adds into the output (``beta=1``; arrays it writes must be F-contiguous
@@ -172,8 +175,6 @@ class Tensor:
             return (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape))
         return self._track(self.data + other.data, (self, other), vjp)
 
-    __radd__ = __add__
-
     def __mul__(self, other) -> "Tensor":
         other = _coerce(other)
         a, b = self.data, other.data
@@ -189,9 +190,6 @@ class Tensor:
             return (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape))
         return self._track(self.data - other.data, (self, other), vjp)
 
-    def __rsub__(self, other) -> "Tensor":
-        return _coerce(other).__sub__(self)
-
     def __truediv__(self, other) -> "Tensor":
         other = _coerce(other)
         a, b = self.data, other.data
@@ -201,9 +199,6 @@ class Tensor:
                 _unbroadcast(-g * a / (b * b), other.shape),
             )
         return self._track(a / b, (self, other), vjp)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return _coerce(other).__truediv__(self)
 
     def __neg__(self) -> "Tensor":
         return self._track(-self.data, (self,), lambda g: (-g,))
@@ -294,9 +289,7 @@ class Tensor:
 
     # -- shape ops -------------------------------------------------------
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int) -> "Tensor":
         old = self.shape
         def vjp(g):
             return (g.reshape(old),)
@@ -315,6 +308,15 @@ class Tensor:
 
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _nchw(x, caller: str) -> Tensor:
+    """``x`` as a Tensor, checked to have the four axes [B, C, H, W]: the
+    one rank check of every op that takes an image batch."""
+    x = _coerce(x)
+    if x.ndim != 4:
+        raise DimensionError(f"{caller}: input must have 4 axes [B,C,H,W], got {x.ndim}")
+    return x
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -577,9 +579,7 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
     are bitwise reproducible and independent of where a batch splits.
     """
     sgemm = _sgemm()
-    x = _coerce(x)
-    if x.ndim != 4:
-        raise DimensionError(f"conv2d: input must have 4 axes [B,C,H,W], got {x.ndim}")
+    x = _nchw(x, "conv2d")
     b, c, h, w = x.shape
     out_ch, in_ch, kh, kw = layer.weight.shape
     if c != in_ch:
@@ -659,9 +659,7 @@ def maxpool2(x: Tensor) -> Tensor:
     argmax rule), and its gradient goes to that cell alone. A window
     holding NaN pools to NaN and passes no gradient.
     """
-    x = _coerce(x)
-    if x.ndim != 4:
-        raise DimensionError(f"maxpool2: input must have 4 axes [B,C,H,W], got {x.ndim}")
+    x = _nchw(x, "maxpool2")
     h, w = x.shape[2:]
     if h % 2:
         raise DimensionError(f"maxpool2: axis 2 extent {h} is odd")
@@ -692,9 +690,7 @@ def upsample2(x: Tensor) -> Tensor:
     the sum over its four replicated output cells, read as strided views
     and added as (top pair) + (bottom pair), as numpy's ``sum(axis=(3, 5))``
     adds them for W > 1."""
-    x = _coerce(x)
-    if x.ndim != 4:
-        raise DimensionError(f"upsample2: input must have 4 axes [B,C,H,W], got {x.ndim}")
+    x = _nchw(x, "upsample2")
     b, c, h, w = x.shape
     out_data = x.data.repeat(2, axis=2).repeat(2, axis=3)
 

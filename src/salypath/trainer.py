@@ -20,7 +20,8 @@ before the next batch.
 
 Bookkeeping rules: lr for epoch e is exactly base * decay**e; shuffling
 comes from one seeded Generator per phase, so a rerun with the same seed
-reproduces the loss curves bit for bit; a non-finite loss or gradient
+at the same BLAS thread count (``OPENBLAS_NUM_THREADS``) reproduces the
+loss curves and checkpoint bytes bit for bit; a non-finite loss or gradient
 aborts with TrainingDiverged naming the offending tensor (when a
 checkpoint path is given, the file from the last finished epoch is left in
 place).

@@ -94,6 +94,7 @@ BAD_TRAIN_CONFIGS = [
     ({"train": {"divisor": "points"}}, [], "TrainConfig.divisor"),
     ({"train": {"phase2_mode": "joint"}}, [],
      "phase2_mode must be frozen, unfrozen or alternating, got 'joint'"),
+    (b"[" * 100000 + b"]" * 100000, [], "bad.json: invalid JSON"),
 ]
 
 # (key path into the manifest document, value put there, text the one stderr
@@ -372,7 +373,7 @@ class TestTrain:
         "batch_size-string", "phase1_epochs-float", "kl_w-string",
         "freeze_encoder_phase2-string", "joint_alternating-string", "file-not-object",
         "section-not-object", "negative-seed", "phase1_lr-nan", "truncated-json",
-        "latin-1-text", "divisor-removed-field", "phase2_mode-unknown"])
+        "latin-1-text", "divisor-removed-field", "phase2_mode-unknown", "deep-nesting"])
     def test_bad_config_exits_2_with_one_line(self, dataset, tmp_path, doc, argv, error):
         cfg = tmp_path / "bad.json"
         cfg.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
@@ -384,6 +385,28 @@ class TestTrain:
         assert len(lines) == 1 and lines[0].startswith("salypath train: error:"), lines
         assert error in lines[0]
         assert not out.exists()
+
+    def test_missing_config_names_the_path(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "nope.json"
+        rc = main(["train", "--data", str(dataset / "manifest.json"),
+                   "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg)])
+        assert rc == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"salypath train: error: {cfg}: ") and "No such file" in line
+
+    def test_resampling_warning_is_one_line(self, tmp_path):
+        # Python's own form was two lines: "<file>:<line>: RuntimeWarning: ..."
+        # and the source line that warned
+        assert main(["gen-synth", "--n", "4", "--size", "32x32", "--out", str(tmp_path)]) == 0
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"model": TINY_MODEL,
+                                   "train": {**TINY_TRAIN, "phase1_epochs": 1,
+                                             "phase2_epochs": 1}}))
+        proc = run_module("train", "--data", str(tmp_path / "manifest.json"),
+                          "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "salypath train: warning: dataset is 32x32, resampling to model input 16x16"]
 
     @pytest.mark.parametrize("flag", ["--out", "--report"])
     def test_missing_output_dir_exits_2_before_training(self, dataset, trained, tmp_path,

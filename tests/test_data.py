@@ -135,7 +135,56 @@ def pnm(request):
     return request.param
 
 
+# headers, with {m} for the magic, that every reader has accepted; each is
+# followed by a 2x2 payload
+GOOD_PNM_HEADERS = [
+    pytest.param(b"{m}\n# c1\n2 # c2\n2\n#c3\n255\n", id="comments-between-tokens"),
+    pytest.param(b"{m} 2#c\n2 255\n", id="comment-right-after-token"),
+    pytest.param(b"{m}\t2\r2\t255\r", id="tab-and-cr"),
+    pytest.param(b"{m}2 2 255\n", id="no-space-after-magic"),
+    pytest.param(b"{m} 0002 02 0255\n", id="leading-zeros"),
+]
+# (whole file, with {p} for a 2x2 payload; text the message must hold) of
+# files that every reader has rejected
+BAD_PNM_FILES = [
+    pytest.param(b"{m}\n2 2", "", id="truncated-header"),
+    pytest.param(b"{m}\n2 2\n# no end", "", id="unterminated-comment"),
+    pytest.param(b"{m}\n-1 2\n255\n{p}", "", id="minus-one-token"),
+    pytest.param(b"{m}\nx 2\n255\n{p}", "", id="x-token"),
+    pytest.param(b"{m}\n2 2\n255#c\n{p}", "", id="no-separator-before-payload"),
+    pytest.param(b"{m}\n2 2\n128\n{p}", "maxval 128", id="maxval-128"),
+]
+
+
+def _pnm_bytes(template: bytes, magic: bytes, payload: bytes) -> bytes:
+    return template.replace(b"{m}", magic).replace(b"{p}", payload)
+
+
 class TestPnmHeader:
+    @pytest.mark.parametrize("header", GOOD_PNM_HEADERS)
+    def test_header_grammar_accepts(self, tmp_path, pnm, header):
+        raw = np.arange(4 * pnm.channels, dtype=np.uint8) * 20 + 1
+        p = tmp_path / "ok.pnm"
+        p.write_bytes(_pnm_bytes(header, pnm.magic, b"") + raw.tobytes())
+        got = pnm.read(p).reshape(pnm.channels, 2, 2)  # PGM reads [H, W], PPM [3, H, W]
+        want = raw.reshape(2, 2, pnm.channels).transpose(2, 0, 1) / np.float32(255)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("template,error", BAD_PNM_FILES)
+    def test_header_grammar_rejects_naming_the_file(self, tmp_path, pnm, template, error):
+        p = tmp_path / "bad.pnm"
+        p.write_bytes(_pnm_bytes(template, pnm.magic, bytes(range(1, 1 + 4 * pnm.channels))))
+        with pytest.raises(ManifestError) as e:
+            pnm.read(p)
+        assert str(e.value).startswith(f"{p}: ") and error in str(e.value)
+
+    def test_number_too_long_to_parse_rejected(self, tmp_path, pnm):
+        # a 5000-digit width once escaped as int()'s bare ValueError
+        p = tmp_path / "long.pnm"
+        p.write_bytes(pnm.magic + b" " + b"1" * 5000 + b" 2 255\n")
+        with pytest.raises(ManifestError, match="malformed PNM header"):
+            pnm.read(p)
+
     def test_comment_in_header_is_skipped(self, tmp_path, pnm):
         raw = np.arange(4 * pnm.channels, dtype=np.uint8) * 20
         p = tmp_path / "cm.pnm"
@@ -224,6 +273,13 @@ class TestScanpathCsv:
         p = tmp_path / "h.csv"
         p.write_text("index,x,y\n")
         with pytest.raises(ManifestError, match="no fixation rows"):
+            read_scanpath_csv(p)
+
+    def test_oversized_field_rejected(self, tmp_path):
+        # a field past csv's 128 KiB limit once escaped as a bare csv.Error
+        p = tmp_path / "p.csv"
+        p.write_text("index,x,y\n0," + "1" * 200000 + ",1\n")
+        with pytest.raises(ManifestError, match="field larger than field limit"):
             read_scanpath_csv(p)
 
     def test_malformed_row_rejected(self, tmp_path):
@@ -318,6 +374,34 @@ class TestManifest:
         write_scanpath_csv(tmp_path / "p0.csv", np.array([[0.0, 0.0], [5.0, 1.0]]))
         with pytest.raises(ManifestError, match="record 0.*outside the 4x4 stimulus"):
             load_manifest(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("bad", [[9.0, 1.0], [1.0, float("nan")]], ids=["x-9", "y-nan"])
+    def test_hand_built_manifest_checks_scanpaths(self, tmp_path, bad):
+        # load_manifest rejects this file; a hand-built manifest once read
+        # it anyway, clipping x = 9 on the 4x4 stimulus to x_norm = 1.0
+        man = tiny_dataset(tmp_path)
+        write_scanpath_csv(tmp_path / "p0.csv", np.array([[0.0, 0.0], bad]))
+        error = "record 0: scanpath 'p0.csv' has fixations that are NaN or outside the 4x4"
+        with pytest.raises(ManifestError, match=error):
+            man.load_scanpaths(0)
+        with pytest.raises(ManifestError, match=error):
+            length_stats(man)
+
+    @pytest.mark.parametrize("content,error", [
+        (None, "No such file"),
+        (b"{not json", "invalid JSON"),
+        ('{"name": "caf\u00e9"}'.encode("latin-1"), "invalid JSON"),
+        (b"[1]", "manifest is not a JSON object"),
+        (b"[" * 100000 + b"]" * 100000, "invalid JSON"),
+        (b'{"width": ' + b"1" * 5000 + b"}", "invalid JSON"),
+    ], ids=["missing", "truncated", "latin-1", "not-object", "deep-nesting", "long-number"])
+    def test_json_failure_is_one_manifest_error_naming_the_path(self, tmp_path, content, error):
+        p = tmp_path / "manifest.json"
+        if content is not None:
+            p.write_bytes(content)
+        with pytest.raises(ManifestError) as e:
+            load_manifest(p)
+        assert str(e.value).startswith(f"{p}: ") and error in str(e.value)
 
     def test_malformed_record_rejected(self, tmp_path):
         p = tmp_path / "manifest.json"

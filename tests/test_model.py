@@ -12,7 +12,7 @@ import pytest
 from salypath.checkpoint import load_checkpoint, save_checkpoint
 from salypath.errors import CheckpointError, ConfigError, ContractError, DimensionError
 from salypath.model import ModelConfig, SalypathModel, soft_argmax
-from salypath.tensor import Tensor, softmax2d
+from salypath.tensor import Tensor, conv2d, maxpool2, softmax2d, upsample2
 from salypath.types import SaliencyMap, Scanpath
 
 from conftest import distinct_values, gradcheck
@@ -226,6 +226,18 @@ def test_encode_rejects_bad_inputs():
         model.encode(Tensor(np.zeros((1, 3, 32, 64), np.float32)))
     with pytest.raises(DimensionError):
         model.encode(Tensor(np.zeros((3, 64, 64), np.float32)))
+
+
+@pytest.mark.parametrize("op", ["conv2d", "maxpool2", "upsample2", "soft_argmax", "encode"])
+def test_rank_check_names_the_op(op):
+    # every op that takes a [B, C, H, W] batch checks its rank by one rule
+    model = SalypathModel(ModelConfig(**TINY), seed=0)
+    call = {"conv2d": lambda x: conv2d(x, model.dec_out), "maxpool2": maxpool2,
+            "upsample2": upsample2, "soft_argmax": lambda x: soft_argmax(x, beta=1.0),
+            "encode": model.encode}[op]
+    with pytest.raises(DimensionError,
+                       match=rf"^{op}: input must have 4 axes \[B,C,H,W\], got 3$"):
+        call(Tensor(np.zeros((3, 16, 16), np.float32)))
 
 
 def test_encode_is_deterministic_across_instances(rng):
