@@ -12,11 +12,12 @@ byte-identical files; insertion order of the mapping is preserved.
 
 A save writes a temporary file next to the target and renames it over the
 target, so an interrupted save leaves the previous file intact. A load
-reads the file once and rejects any header entry whose name is not a
-string, whose shape is not a list of non-negative ints or whose offset is
-not a non-negative int, a repeated name, and tensors that do not tile the
-payload exactly in header order (a gap, an overlap, a payload longer or
-shorter than its tensors).
+reads the file once, reads the header line by ``data.json_object`` (the
+rule of every JSON document), and rejects any header entry whose name is
+not a string, whose shape is not a list of non-negative ints or whose
+offset is not a non-negative int, a repeated name, and tensors that do not
+tile the payload exactly in header order (a gap, an overlap, a payload
+longer or shorter than its tensors).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .data import json_object
 from .errors import CheckpointError
 from .tensor import Tensor
 
@@ -84,11 +86,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict | None]:
         payload = np.empty(os.fstat(f.fileno()).st_size - len(line), dtype=np.uint8)
         if f.readinto(payload) != payload.size:
             raise CheckpointError(f"{path}: file changed size while being read")
-    try:
-        header = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{path}: malformed header: {e}") from e
-    if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
+    header = json_object(lambda: line.decode("utf-8"), path, "header", CheckpointError)
+    if not isinstance(header.get("tensors"), list):
         raise CheckpointError(f"{path}: header has no 'tensors' list")
     config = header.get("config")
     if config is not None and not isinstance(config, dict):

@@ -18,7 +18,8 @@ File formats, all dependency-free and byte-stable:
   read-only arrays, every fixation inside the stimulus.
 * Manifest: JSON {"name", "width", "height", "records": [{"stimulus",
   "map", "scanpaths": [...]}]} with paths relative to the manifest's
-  directory. ``read_json_object`` reads it, and ``train --config`` too.
+  directory. ``read_json_object`` reads it, and ``train --config`` too;
+  its rule, ``json_object``, also reads checkpoint headers.
 
 The synthetic generator is fully deterministic in its arguments: the same
 call produces byte-identical trees. Maps are mixtures of 1-3 Gaussian
@@ -104,12 +105,17 @@ def read_pgm(path) -> np.ndarray:
     return _read_pnm(path, b"P5", 1)[:, :, 0]
 
 
+def _rgb(x, caller: str) -> np.ndarray:
+    """``x`` as an array, checked to be a [3, H, W] image."""
+    v = np.asarray(x)
+    if v.ndim != 3 or v.shape[0] != 3:
+        raise DimensionError(f"{caller}: rgb must be [3, H, W], got {v.shape}")
+    return v
+
+
 def write_ppm(path, rgb) -> None:
     """8-bit binary PPM from a [3, H, W] array of values in [0, 1]."""
-    v = np.asarray(rgb)
-    if v.ndim != 3 or v.shape[0] != 3:
-        raise DimensionError(f"write_ppm: rgb must be [3, H, W], got {v.shape}")
-    _write_pnm(path, b"P6", v.transpose(1, 2, 0))  # H, W, 3 interleaved
+    _write_pnm(path, b"P6", _rgb(rgb, "write_ppm").transpose(1, 2, 0))  # H, W, 3 interleaved
 
 
 def read_ppm(path) -> np.ndarray:
@@ -256,21 +262,28 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
         f.write("\n")
 
 
+def json_object(read, where, what: str, error=ManifestError) -> dict:
+    """The JSON object in the text ``read()`` decodes, for manifests, configs
+    and checkpoint headers. Text that is not UTF-8 or not valid JSON (numbers
+    or nesting too large for Python included), or that holds no object
+    (``what`` names the document), raises ``error`` naming ``where``."""
+    try:
+        doc = json.loads(read())
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError
+        raise error(f"{where}: invalid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise error(f"{where}: {what} is not a JSON object")
+    return doc
+
+
 def read_json_object(path, what: str) -> dict:
-    """The JSON object in the UTF-8 file ``path``. A file that cannot be
-    opened, is not valid JSON (numbers or nesting too large for Python
-    included), or holds no object (``what`` names the document) raises one
-    ManifestError naming ``path``."""
+    """``json_object`` of the UTF-8 file ``path``; one that cannot be read
+    raises ManifestError naming ``path`` too."""
     try:
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+            return json_object(f.read, path, what)
     except OSError as e:
         raise ManifestError(f"{path}: {e}") from e
-    except (ValueError, RecursionError) as e:  # JSONDecodeError, UnicodeDecodeError
-        raise ManifestError(f"{path}: invalid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ManifestError(f"{path}: {what} is not a JSON object")
-    return doc
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -372,10 +385,8 @@ def resample_map(values, target_w: int, target_h: int) -> np.ndarray:
 
 def resample_stimulus(rgb: np.ndarray, target_w: int, target_h: int) -> np.ndarray:
     """Per-channel bilinear resample of a [3, H, W] image."""
-    v = np.asarray(rgb)
-    if v.ndim != 3:
-        raise DimensionError(f"resample_stimulus: rgb must be [3, H, W], got rank {v.ndim}")
-    return np.stack([resample_map(v[c], target_w, target_h) for c in range(v.shape[0])])
+    return np.stack([resample_map(c, target_w, target_h)
+                     for c in _rgb(rgb, "resample_stimulus")])
 
 
 # -- synthetic data -----------------------------------------------------------
@@ -464,12 +475,9 @@ def generate_synthetic(n: int, seed: int, size: tuple[int, int] = (64, 64),
         for s in range(scanpaths_per_image):
             length = int(rng.choice(lens, p=probs))
             blob_idx = rng.choice(k, size=length, p=weights)
-            pts = np.empty((length, 2), dtype=np.float64)
-            for t, bi in enumerate(blob_idx):
-                cx, cy = centers[bi]
-                jitter = rng.normal(0.0, 0.55 * sigmas[bi], size=2)
-                pts[t] = (cx + jitter[0], cy + jitter[1])
-            pts = np.clip(pts, 0.0, 1.0)
+            # one draw of `length` rows is the stream of `length` draws of 2
+            jitter = rng.normal(0.0, 0.55 * sigmas[blob_idx, None], size=(length, 2))
+            pts = np.clip(np.array(centers)[blob_idx] + jitter, 0.0, 1.0)
             order = np.argsort(-weights[blob_idx], kind="stable")
             pts = pts[order]
             px = np.stack([pts[:, 0] * (w - 1), pts[:, 1] * (h - 1)], axis=1)

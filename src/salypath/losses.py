@@ -11,8 +11,9 @@ Scanpath loss: mean squared distance over corresponding points,
 sum_i ||p_i - q_i||^2 / N.
 
 Maps, paths and fixations are read by ``types.map_values``,
-``types.path_points`` and ``types.fixation_set``, as in the metrics; a
-Tensor argument passes through unchanged, so its graph is kept.
+``types.path_points`` and ``types.fixation_set``, and two maps are checked
+to share a grid by ``types.map_pair``, as in the metrics; a Tensor
+argument passes through unchanged, so its graph is kept.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError
 from .tensor import Tensor
-from .types import FixationSet, fixation_set, map_values, path_points, read_fields
+from .types import FixationSet, fixation_set, map_pair, map_values, path_points, read_fields
 
 # guards both sides of the KL log ratio; ``saliency_metrics.kld`` uses it too
 KL_EPS = 1e-8
@@ -58,12 +59,8 @@ def kldiv(pred, gt) -> Tensor:
     Both maps are normalized by (sum + KL_EPS); KL_EPS guards the log ratio
     on both sides. Identical maps give exactly 0.
     """
-    p_t = _as_tensor(pred, map_values, "kldiv")
-    g_t = _as_tensor(gt, map_values, "kldiv")
-    if p_t.shape != g_t.shape:
-        raise DimensionError(
-            f"kldiv: pred {p_t.shape} vs gt {g_t.shape} shape mismatch"
-        )
+    p_t, g_t = (_as_tensor(m, map_values, "kldiv") for m in (pred, gt))
+    map_pair(p_t.data, g_t.data, "kldiv")
     p = p_t / (p_t.sum() + KL_EPS)
     g = g_t.data / (g_t.data.sum() + np.float32(KL_EPS))  # constant side
     g_c = Tensor(g)
@@ -72,12 +69,8 @@ def kldiv(pred, gt) -> Tensor:
 
 def mse_map(pred, gt) -> Tensor:
     """Mean squared error per pixel."""
-    p = _as_tensor(pred, map_values, "mse_map")
-    g = _as_tensor(gt, map_values, "mse_map")
-    if p.shape != g.shape:
-        raise DimensionError(
-            f"mse_map: pred {p.shape} vs gt {g.shape} shape mismatch"
-        )
+    p, g = (_as_tensor(m, map_values, "mse_map") for m in (pred, gt))
+    map_pair(p.data, g.data, "mse_map")
     d = p - g
     return (d * d).mean()
 

@@ -130,10 +130,6 @@ def soft_argmax(features: Tensor, beta: float) -> Tensor:
     """
     features = _nchw(features, "soft_argmax")
     b, c, h, w = features.shape
-    if h * w == 0:
-        raise DimensionError(
-            f"soft_argmax: empty spatial plane {h}x{w}"
-        )
     p = softmax2d(features, beta)
     xs = Tensor((np.arange(w, dtype=np.float32) / np.float32(w)).reshape(1, 1, 1, w))
     ys = Tensor((np.arange(h, dtype=np.float32) / np.float32(h)).reshape(1, 1, h, 1))
@@ -276,29 +272,26 @@ class SalypathModel:
     def load(cls, path) -> "SalypathModel":
         """Model built straight from a checkpoint: each parameter is a
         writable view of its own slice of the file's one read buffer, and
-        nothing is drawn."""
+        nothing is drawn. Each parameter is matched as ``_build`` asks for
+        it, and the tensors left over are unexpected: one CheckpointError
+        names every missing, misshapen or unexpected tensor."""
         tensors, config = load_checkpoint(path)
         if config is None:
             raise CheckpointError(f"{path}: checkpoint has no embedded config")
+        problems = []
 
         def make(name: str, shape: tuple[int, ...]) -> Tensor:
-            # zeros stand in for a missing or misshapen array until the
-            # check below reports every such problem at once
-            arr = tensors.get(name)
+            arr = tensors.pop(name, None)
             if arr is None or arr.shape != shape:
-                arr = np.zeros(shape, dtype=np.float32)
+                problems.append(f"missing tensor {name!r} (expected shape {shape})"
+                                if arr is None else
+                                f"{name}: expected shape {shape}, found {arr.shape}")
+                arr = np.zeros(shape, dtype=np.float32)  # stand-in: the build goes on
             return Tensor(arr, requires_grad=True)
 
         model = cls.__new__(cls)
         model._build(ModelConfig.from_dict(config), make)
-        params = model.parameters()
-        problems = []
-        for name, p in params.items():
-            if name not in tensors:
-                problems.append(f"missing tensor {name!r} (expected shape {p.shape})")
-            elif tensors[name].shape != p.shape:
-                problems.append(f"{name}: expected shape {p.shape}, found {tensors[name].shape}")
-        problems += [f"unexpected tensor {name!r}" for name in tensors if name not in params]
+        problems += [f"unexpected tensor {name!r}" for name in tensors]
         if problems:
             raise CheckpointError(f"{path}: " + "; ".join(problems))
         return model

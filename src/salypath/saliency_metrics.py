@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 from .losses import KL_EPS
-from .types import fixation_set, map_values
+from .types import fixation_set, map_pair, map_values
 
 __all__ = [
     "auc_judd", "auc_borji", "nss", "cc", "sim", "kld",
@@ -30,10 +30,7 @@ __all__ = [
 
 
 def _pair(pred, gt_map, name: str) -> tuple[np.ndarray, np.ndarray]:
-    p, g = (map_values(m, name).astype(np.float64) for m in (pred, gt_map))
-    if p.shape != g.shape:
-        raise DimensionError(f"{name}: pred {p.shape} vs gt {g.shape} shape mismatch")
-    return p, g
+    return tuple(m.astype(np.float64) for m in map_pair(pred, gt_map, name))
 
 
 def _pos_neg(pred, fixations, name: str) -> tuple[np.ndarray, np.ndarray]:

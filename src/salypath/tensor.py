@@ -13,8 +13,8 @@ Design notes, load-bearing:
   lives in the pass's side table until its vjp has run, so calling
   ``backward()`` twice accumulates exactly twice.
 * Ties in max-style reductions route the gradient to the first index in
-  row-major order (numpy argmax convention). Constant windows therefore send
-  their whole gradient to the top-left cell.
+  row-major order (numpy argmax convention), for ``axis`` in any order.
+  Constant windows therefore send their whole gradient to the top-left cell.
 * ``no_grad()`` disables graph construction globally; use it for inference.
 * ``+``, ``-`` and ``/`` need the Tensor on the left, ``*`` takes it on
   either side, and ``reshape`` takes separate ints. Every op on an image
@@ -246,7 +246,7 @@ class Tensor:
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
         shape = self.shape
         def vjp(g):
-            return (_spread(g, shape, axis, keepdims),)
+            return (_spread(g, shape, axis),)
         return self._track(out_data, (self,), vjp)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -255,17 +255,14 @@ class Tensor:
         n = self.data.size // max(1, out_data.size)
         inv = np.float32(1.0 / max(1, n))
         def vjp(g):
-            return (_spread(np.asarray(g) * inv, shape, axis, keepdims),)
+            return (_spread(np.asarray(g) * inv, shape, axis),)
         return self._track(out_data, (self,), vjp)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Max reduction. Ties route the gradient to the first maximal index
-        in row-major order. ``axis=None`` reduces over every axis."""
-        if axis is None:
-            axes = tuple(range(self.ndim))
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            axes = tuple(a % self.ndim for a in axes)
+        in row-major order, whatever the order of the axes in ``axis``.
+        ``axis=None`` reduces over every axis."""
+        axes = _axes(axis, self.ndim)
         kept = tuple(i for i in range(self.ndim) if i not in axes)
         perm = kept + axes
         moved = self.data.transpose(perm)
@@ -332,16 +329,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape).astype(np.float32, copy=False)
 
 
-def _spread(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    """Broadcast a reduction gradient back over the reduced axes."""
-    g = np.asarray(g, dtype=np.float32)
-    if axis is not None and not keepdims:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        axes = sorted(a % len(shape) for a in axes)
-        for a in axes:
-            g = np.expand_dims(g, a)
-    elif axis is None and not keepdims:
-        g = g.reshape((1,) * len(shape))
+def _axes(axis, ndim: int) -> tuple[int, ...]:
+    """The axes a reduction over ``axis`` (None: all) removes, ascending."""
+    axes = range(ndim) if axis is None else (axis,) if isinstance(axis, int) else axis
+    return tuple(sorted(a % ndim for a in axes))
+
+
+def _spread(g: np.ndarray, shape: tuple[int, ...], axis) -> np.ndarray:
+    """Broadcast a reduction gradient (keepdims or not) over the reduced axes."""
+    axes = _axes(axis, len(shape))
+    g = np.asarray(g, dtype=np.float32).reshape([1 if i in axes else s
+                                                 for i, s in enumerate(shape)])
     return np.broadcast_to(g, shape).astype(np.float32, copy=False)
 
 
@@ -376,12 +374,14 @@ def softmax2d(x: Tensor, beta: float = 1.0) -> Tensor:
 
     Accepts [H,W], [C,H,W] or [B,C,H,W]; the plane is always the trailing
     two axes. Shift-by-max keeps the exponentials bounded for any finite
-    input. Raises NumericError on non-finite input, ContractError unless
-    0 < beta < inf.
+    input. Raises DimensionError on fewer than 2 axes or an empty plane,
+    NumericError on non-finite input, ContractError unless 0 < beta < inf.
     """
     x = _coerce(x)
     if x.ndim < 2:
         raise DimensionError(f"softmax2d: need at least 2 axes, got {x.ndim}")
+    if 0 in x.shape[-2:]:
+        raise DimensionError(f"softmax2d: empty spatial plane {x.shape[-2]}x{x.shape[-1]}")
     if not np.isfinite(x.data).all():
         raise NumericError("softmax2d: input contains non-finite values")
     beta = float(beta)

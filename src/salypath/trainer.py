@@ -198,10 +198,9 @@ def prepare_samples(model: SalypathModel, manifest: DatasetManifest) -> list[_Sa
             gt = resample_map(gt, w, h)
         paths = manifest.load_scanpaths(i)
         fix = None
-        if paths:
-            # each fixated pixel once: the NSS term weighs a pixel 0 or 1
-            counts = FixationSet.from_scanpaths(paths, w, h).weights()
-            fix = FixationSet(np.argwhere(counts), (h, w))
+        if paths:  # each fixated pixel once: the NSS term weighs a pixel 0 or 1
+            pix = FixationSet.from_scanpaths(paths, w, h).points
+            fix = FixationSet(np.unique(pix, axis=0), (h, w))
         keep = [p.points for p in paths if len(p) == head_len]
         pts = (np.stack(keep).astype(np.float32) if keep
                else np.zeros((0, head_len, 2), dtype=np.float32))

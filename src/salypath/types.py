@@ -9,7 +9,8 @@ Coordinate conventions, used consistently everywhere:
 * Fixation sets are integer (row, col) pixel locations on a stated grid.
 
 Every loss, metric and writer reads its map, path and fixation arguments
-through ``map_values``, ``path_points`` and ``fixation_set``, so each input
+through ``map_values``, ``path_points`` and ``fixation_set``, and a
+prediction with its ground-truth map through ``map_pair``, so each input
 kind has one rule and one error.
 """
 
@@ -32,6 +33,15 @@ def map_values(x, caller: str) -> np.ndarray:
     if v.ndim != 2:
         raise DimensionError(f"{caller}: expected a [H, W] map, got shape {v.shape}")
     return v
+
+
+def map_pair(pred, gt, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """``map_values`` of a prediction and a ground-truth map; maps on
+    different grids raise DimensionError naming ``caller``."""
+    p, g = map_values(pred, caller), map_values(gt, caller)
+    if p.shape != g.shape:
+        raise DimensionError(f"{caller}: pred {p.shape} vs gt {g.shape} shape mismatch")
+    return p, g
 
 
 def path_points(x, caller: str) -> np.ndarray:

@@ -9,6 +9,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import pytest
 
 import salypath
 from salypath import cli
+from salypath.checkpoint import save_checkpoint
 from salypath.cli import SALIENCY_COLS, SCANPATH_COLS, main
 from salypath.data import (
     DatasetManifest,
@@ -600,6 +602,97 @@ class TestPredict:
         for x, y, x_norm, y_norm in rows:
             assert x == x_norm * 47 and y == y_norm * 39
         assert read_pgm(tmp_path / "m.pgm").shape == (16, 16)
+
+
+# every value each number of the checkpoint header is swapped for
+NUMBER_SWAPS = [b"0", b"-1", b"NaN", b"Infinity", b"1e309", b"", b"true", b"1.5", b"[]",
+                b"{}", b"null", b"9" * 5000]
+# a JSON string (skipped) or a JSON number (group 1)
+HEADER_TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)')
+
+
+def checkpoint_cases(blob: bytes) -> dict[str, bytes]:
+    """Malformed copies of the checkpoint file ``blob`` by case id,
+    enumerated rather than drawn at random (Miller, Fredriksen & So 1990):
+    the header cut at each structural byte, with and without the payload;
+    each number of the header swapped for each of NUMBER_SWAPS; a header
+    nested 100000 deep; one byte flipped at every 61st offset; a payload
+    one byte short and one byte long."""
+    header, payload = blob.split(b"\n", 1)
+    cases = {}
+    for i, byte in enumerate(header):
+        if byte in b'{}[]:,"':
+            cases[f"cut-{i}"] = header[:i] + b"\n"
+            cases[f"cut-{i}+payload"] = header[:i] + b"\n" + payload
+    for m in HEADER_TOKEN.finditer(header):
+        if m.group(1) is not None:
+            for swap in NUMBER_SWAPS:
+                cases[f"number-{m.start()}={swap[:8].decode()}"] = (
+                    header[:m.start()] + swap + header[m.end():] + b"\n" + payload)
+    cases["deep-nesting"] = b"[" * 100000 + b"\n" + payload
+    for off in range(0, len(blob), 61):
+        cases[f"flip-{off}"] = blob[:off] + bytes([blob[off] ^ 0x20]) + blob[off + 1:]
+    cases["payload-short"] = blob[:-1]
+    cases["payload-long"] = blob + b"\0"
+    return cases
+
+
+class TestCheckpointFiles:
+    """``predict`` on malformed checkpoints of a tiny model, in process."""
+
+    @pytest.fixture
+    def tiny(self, tmp_path):
+        """(checkpoint path, its bytes, predict argv) of a seeded tiny model."""
+        ckpt, image = tmp_path / "m.ckpt", tmp_path / "img.ppm"
+        SalypathModel(ModelConfig(**TINY_MODEL), seed=0).save(ckpt)
+        write_ppm(image, np.random.default_rng(0).random((3, 16, 16)))
+        argv = ["predict", "--checkpoint", str(ckpt), "--image", str(image),
+                "--out-map", str(tmp_path / "m.pgm"), "--out-scanpath", str(tmp_path / "p.csv")]
+        return ckpt, ckpt.read_bytes(), argv
+
+    def test_every_enumerated_case_exits_0_or_2_with_one_line(self, tiny, capsys):
+        ckpt, blob, argv = tiny
+        cases = checkpoint_cases(blob)
+        assert len(cases) > 2000
+        escapes, exits = [], {0: 0, 2: 0}
+        for case, raw in cases.items():
+            ckpt.write_bytes(raw)
+            try:
+                rc = main(argv)
+            except Exception as e:  # an escape is what the sweep looks for
+                rc = f"{type(e).__name__}: {str(e)[:80]}"
+            err = capsys.readouterr().err.splitlines()
+            if (rc == 0 and not err) or (rc == 2 and len(err) == 1
+                                         and err[0].startswith("salypath predict: error:")):
+                exits[rc] += 1
+            else:
+                escapes.append(f"{case}: exit {rc}, stderr {err[:2]}")
+        assert not escapes, f"{len(escapes)} of {len(cases)} cases: {escapes[:5]}"
+        assert exits[0] and exits[2]
+
+    @pytest.mark.parametrize("header", [b"[" * 100000,
+                                        b'{"tensors": [], "x": ' + b"9" * 5000 + b"}"],
+                             ids=["deep-nesting", "long-number"])
+    def test_unparsable_header_exits_2_with_one_line(self, tiny, capsys, header):
+        ckpt, blob, argv = tiny
+        ckpt.write_bytes(header + b"\n" + blob.split(b"\n", 1)[1])
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"salypath predict: error: {ckpt}: invalid JSON: ")
+
+    def test_load_names_missing_misshapen_and_unexpected_tensors(self, tiny, capsys):
+        ckpt, _, argv = tiny
+        model = SalypathModel(ModelConfig(**TINY_MODEL), seed=0)
+        state = {k: v.data for k, v in model.parameters().items()}
+        del state["head.9.bias"]
+        state["enc.b0.c0.weight"] = np.zeros((2, 2), np.float32)
+        state["bogus.tensor"] = np.zeros(3, np.float32)
+        save_checkpoint(ckpt, state, config=model.config.to_dict())
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"salypath predict: error: {ckpt}: enc.b0.c0.weight: expected shape "
+                        "(4, 3, 3, 3), found (2, 2); missing tensor 'head.9.bias' (expected "
+                        "shape (8,)); unexpected tensor 'bogus.tensor'")
 
 
 # -- evaluation -------------------------------------------------------------

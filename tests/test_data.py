@@ -534,6 +534,11 @@ class TestResample:
         with pytest.raises(DimensionError):
             resample_stimulus(np.zeros((4, 4)), 8, 8)
 
+    @pytest.mark.parametrize("shape", [(1, 4, 4), (4, 4, 3)], ids=["one-channel", "channels-last"])
+    def test_stimulus_must_have_three_channels_first(self, shape):
+        with pytest.raises(DimensionError, match=r"resample_stimulus: rgb must be \[3, H, W\]"):
+            resample_stimulus(np.zeros(shape), 8, 8)
+
 
 # -- synthetic generator --------------------------------------------------
 

@@ -624,6 +624,14 @@ def test_softmax_rejects_nonfinite_and_bad_beta():
         softmax2d(Tensor(np.zeros((1, 1, 2, 2), np.float32)), 0.0)
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (2, 1, 4, 0), (1, 1, 0, 0)],
+                         ids=["hw-0x4", "bchw-4x0", "bchw-0x0"])
+def test_softmax_rejects_empty_plane(shape):
+    h, w = shape[-2:]
+    with pytest.raises(DimensionError, match=f"^softmax2d: empty spatial plane {h}x{w}$"):
+        softmax2d(Tensor(np.zeros(shape, np.float32)), 1.0)
+
+
 # -- backward contract ------------------------------------------------------
 
 def test_backward_sum_gives_ones():
@@ -720,6 +728,15 @@ def test_max_reduction_first_index_ties():
     y = Tensor(np.array([[1.0, 5.0], [5.0, 0.0]], np.float32), requires_grad=True)
     y.max(axis=1).sum().backward()
     np.testing.assert_array_equal(y.grad, np.array([[0, 1], [1, 0]], np.float32))
+
+
+@pytest.mark.parametrize("axis", [(2, 3), (3, 2), (-1, -2)], ids=["in-order", "reversed",
+                                                                    "negative-reversed"])
+def test_max_tie_goes_to_row_major_first_for_any_axis_order(axis):
+    # the cells (0, 1) and (1, 0) tie; (0, 1) comes first in row-major order
+    x = Tensor(np.array([[[[0.0, 5.0], [5.0, 0.0]]]], np.float32), requires_grad=True)
+    x.max(axis=axis).sum().backward()
+    np.testing.assert_array_equal(x.grad[0, 0], np.array([[0, 1], [0, 0]], np.float32))
 
 
 def test_getitem_scatters_gradient():
