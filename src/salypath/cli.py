@@ -180,7 +180,7 @@ def _score_records(manifest, pred_dir: Path, suffix: str, score, out,
         except (SalypathError, OSError) as e:
             return None, e
 
-    with ThreadPoolExecutor(max_workers=_workers(max(1, len(jobs)))) as ex:
+    with ThreadPoolExecutor(max_workers=_workers(len(jobs))) as ex:
         results = list(ex.map(guarded, jobs))
     rows = []
     for (i, _), (row, err) in zip(jobs, results):

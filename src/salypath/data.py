@@ -31,6 +31,7 @@ scanpaths sample points around the blobs, heaviest blob first.
 
 from __future__ import annotations
 
+import collections
 import csv
 import json
 import re
@@ -341,9 +342,7 @@ def length_stats(manifest: DatasetManifest) -> dict:
                for px in manifest._scanpath_pixels(i)]
     if not lengths:
         raise ContractError("length_stats: manifest has no scanpaths")
-    hist: dict[int, int] = {}
-    for n in lengths:
-        hist[n] = hist.get(n, 0) + 1
+    hist = collections.Counter(lengths)
     top = max(hist.values())
     mode = min(k for k, v in hist.items() if v == top)
     return {
@@ -368,10 +367,10 @@ def resample_map(values, target_w: int, target_h: int) -> np.ndarray:
             f"resample_map: bad target {target_w}x{target_h}"
         )
     v = v.astype(np.float64)
-    ys = np.linspace(0.0, h - 1, target_h) if target_h > 1 else np.zeros(1)
-    xs = np.linspace(0.0, w - 1, target_w) if target_w > 1 else np.zeros(1)
-    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
-    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
+    ys = np.linspace(0.0, h - 1, target_h)
+    xs = np.linspace(0.0, w - 1, target_w)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[:, None]

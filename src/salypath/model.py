@@ -259,9 +259,7 @@ class SalypathModel:
             )
         with no_grad():
             maps, points = self.forward_tensors(Tensor(arr[None]))
-        values = np.clip(maps.data[0, 0], 0.0, 1.0)
-        pts = np.clip(points.data[0], 0.0, 1.0)
-        return SaliencyMap(values), Scanpath(pts)
+        return SaliencyMap(maps.data[0, 0]), Scanpath(points.data[0])
 
     # -- persistence ------------------------------------------------------
 

@@ -12,6 +12,9 @@ Design notes, load-bearing:
   require one and have no vjp (parameters, inputs). An op output's gradient
   lives in the pass's side table until its vjp has run, so calling
   ``backward()`` twice accumulates exactly twice.
+* Every ``axis`` argument is read by numpy's rule: negative axes count from
+  the end, and an axis out of range raises numpy's ``AxisError`` (a
+  repeated one, ``ValueError``).
 * Ties in max-style reductions route the gradient to the first index in
   row-major order (numpy argmax convention), for ``axis`` in any order.
   Constant windows therefore send their whole gradient to the top-left cell.
@@ -49,6 +52,7 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_index, normalize_axis_tuple
 
 from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .types import check_int
@@ -72,17 +76,13 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _as_f32(data) -> np.ndarray:
-    return np.asarray(data, dtype=np.float32)
-
-
 class Tensor:
     """A float32 array plus optional autodiff bookkeeping."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_f32(data)
+        self.data = np.asarray(data, dtype=np.float32)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -261,27 +261,20 @@ class Tensor:
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Max reduction. Ties route the gradient to the first maximal index
         in row-major order, whatever the order of the axes in ``axis``.
-        ``axis=None`` reduces over every axis."""
+        ``axis=None`` reduces over every axis; ``axis`` is read by numpy's
+        rule."""
         axes = _axes(axis, self.ndim)
-        kept = tuple(i for i in range(self.ndim) if i not in axes)
-        perm = kept + axes
-        moved = self.data.transpose(perm)
-        kept_shape = moved.shape[: len(kept)]
-        flat = moved.reshape(kept_shape + (int(np.prod(moved.shape[len(kept):])),))
-        idx = np.argmax(flat, axis=-1)
-        out_flat = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        if keepdims:
-            out_shape = tuple(1 if i in axes else s for i, s in enumerate(self.shape))
-        else:
-            out_shape = kept_shape
-        out_data = out_flat.reshape(out_shape)
-        moved_shape = moved.shape
-        inv_perm = np.argsort(perm)
+        last = tuple(range(-len(axes), 0))
+        moved = np.moveaxis(self.data, axes, last)
+        kept = moved.shape[:self.ndim - len(axes)]
+        flat = moved.reshape(kept + (math.prod(moved.shape[len(kept):]),))
+        idx = np.argmax(flat, axis=-1)[..., None]
+        out_data = np.take_along_axis(flat, idx, axis=-1).reshape(
+            [1 if i in axes else s for i, s in enumerate(self.shape)] if keepdims else kept)
         def vjp(g):
-            gflat = g.reshape(kept_shape)
             dx = np.zeros(flat.shape, dtype=np.float32)
-            np.put_along_axis(dx, idx[..., None], gflat[..., None], axis=-1)
-            return (dx.reshape(moved_shape).transpose(inv_perm),)
+            np.put_along_axis(dx, idx, g.reshape(idx.shape), axis=-1)
+            return (np.moveaxis(dx.reshape(moved.shape), last, axes),)
         return self._track(out_data, (self,), vjp)
 
     # -- shape ops -------------------------------------------------------
@@ -330,9 +323,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _axes(axis, ndim: int) -> tuple[int, ...]:
-    """The axes a reduction over ``axis`` (None: all) removes, ascending."""
-    axes = range(ndim) if axis is None else (axis,) if isinstance(axis, int) else axis
-    return tuple(sorted(a % ndim for a in axes))
+    """The axes a reduction over ``axis`` (None: all) removes, ascending,
+    by numpy's rule."""
+    return tuple(range(ndim)) if axis is None else tuple(sorted(normalize_axis_tuple(axis, ndim)))
 
 
 def _spread(g: np.ndarray, shape: tuple[int, ...], axis) -> np.ndarray:
@@ -344,29 +337,21 @@ def _spread(g: np.ndarray, shape: tuple[int, ...], axis) -> np.ndarray:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate along ``axis``; gradient splits back at the seams."""
+    """Concatenate along ``axis`` (numpy's rule); gradient splits back at
+    the seams. Tensors whose ranks or other extents differ raise
+    DimensionError carrying numpy's message."""
     tensors = [_coerce(t) for t in tensors]
     if not tensors:
         raise ContractError("concat: need at least one tensor")
-    ref = tensors[0]
-    ax = axis % max(ref.ndim, 1)
-    for i, t in enumerate(tensors[1:], start=1):
-        if t.ndim != ref.ndim:
-            raise DimensionError(
-                f"concat: tensor {i} has rank {t.ndim}, expected {ref.ndim}"
-            )
-        for a in range(ref.ndim):
-            if a != ax and t.shape[a] != ref.shape[a]:
-                raise DimensionError(
-                    f"concat: tensor {i} axis {a} has extent {t.shape[a]}, "
-                    f"expected {ref.shape[a]}"
-                )
-    out_data = np.concatenate([t.data for t in tensors], axis=ax)
-    sizes = [t.shape[ax] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    ax = normalize_axis_index(axis, tensors[0].ndim)
+    try:
+        out_data = np.concatenate([t.data for t in tensors], axis=ax)
+    except ValueError as e:
+        raise DimensionError(f"concat: {e}") from None
+    splits = np.cumsum([t.shape[ax] for t in tensors])[:-1]
     def vjp(g):
         return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=ax))
-    return ref._track(out_data, tensors, vjp)
+    return tensors[0]._track(out_data, tensors, vjp)
 
 
 def softmax2d(x: Tensor, beta: float = 1.0) -> Tensor:

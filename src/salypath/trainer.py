@@ -153,13 +153,8 @@ class Adam:
         c2 = 1.0 - b2 ** self.t
         for name, p in params.items():
             g = _check_grad(name, p)
-            m = self._m.get(name)
-            v = self._v.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * (g * g)
+            m = b1 * self._m.get(name, 0.0) + (1.0 - b1) * g
+            v = b2 * self._v.get(name, 0.0) + (1.0 - b2) * (g * g)
             self._m[name] = m
             self._v[name] = v
             mhat = m / np.float32(c1)

@@ -77,7 +77,9 @@ def fixation_set(x, shape: tuple[int, int], caller: str) -> "FixationSet":
     or a pixel off the grid ContractError, naming ``caller``."""
     if not isinstance(x, FixationSet):
         x = FixationSet(_pixel_points(x, shape, caller), shape)
-    if not len(x.on(shape, caller)):
+    if x.shape != tuple(shape):
+        raise DimensionError(f"{caller}: fixations on grid {x.shape}, map is {tuple(shape)}")
+    if not len(x):
         raise ContractError(f"{caller}: empty fixation set")
     return x
 
@@ -112,7 +114,7 @@ class Scanpath:
         pts = path_points(self.points, "Scanpath").astype(np.float32)
         if pts.shape[0] < 1:
             raise ContractError("Scanpath: need at least one point")
-        if np.nanmin(pts) < 0.0 or np.nanmax(pts) > 1.0 or not np.isfinite(pts).all():
+        if not ((pts >= 0) & (pts <= 1)).all():
             raise ContractError(
                 "Scanpath: coordinates must be finite and inside [0, 1]"
             )
@@ -180,13 +182,6 @@ class FixationSet:
         chunks = [norm_to_pixel(p, width, height) for p in paths]
         pts = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 2), np.int64)
         return cls(pts, (height, width))
-
-    def on(self, shape: tuple[int, int], caller: str) -> "FixationSet":
-        """This set, after checking that its grid is ``shape``."""
-        if self.shape != tuple(shape):
-            raise DimensionError(
-                f"{caller}: fixations on grid {self.shape}, map is {tuple(shape)}")
-        return self
 
     def weights(self) -> np.ndarray:
         """Float [H, W] grid counting fixations per pixel (multiplicity)."""

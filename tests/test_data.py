@@ -506,6 +506,17 @@ class TestResample:
         out = resample_map(src, 5, 3)
         assert np.abs(out - bilinear_oracle(src, 3, 5)).max() < 1e-6
 
+    @pytest.mark.parametrize("src_shape, target", [
+        ((4, 6), (1, 1)), ((4, 6), (5, 1)), ((4, 6), (1, 3)),
+        ((1, 1), (5, 3)), ((1, 1), (1, 4)), ((1, 5), (3, 4)), ((5, 1), (4, 3))])
+    def test_single_row_column_or_pixel_matches_oracle(self, rng, src_shape, target):
+        # a one-sample axis reads the first row or column; a one-pixel
+        # source spreads its value over the target
+        src = rng.random(src_shape).astype(np.float32)
+        out = resample_map(src, *target)
+        assert out.shape == target[::-1]
+        assert np.abs(out - bilinear_oracle(src, target[1], target[0])).max() < 1e-6
+
     def test_corners_are_anchored(self, rng):
         src = rng.random((4, 6)).astype(np.float32)
         out = resample_map(src, 13, 9)

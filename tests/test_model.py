@@ -305,6 +305,18 @@ def test_forward_produces_domain_objects(rng):
     assert np.all(path.points >= 0.0) and np.all(path.points <= 1.0)
 
 
+def test_forward_returns_forward_tensors_bits(rng):
+    # sigmoid and soft_argmax already land inside [0, 1]: nothing is clipped
+    model = SalypathModel(ModelConfig.desk(), seed=3)
+    for image in (rng.uniform(size=(3, 64, 64)), np.full((3, 64, 64), 50.0),
+                  rng.normal(0.0, 100.0, size=(3, 64, 64))):
+        image = image.astype(np.float32)
+        smap, path = model.forward(image)
+        maps, points = model.forward_tensors(Tensor(image[None]))
+        assert smap.values.tobytes() == maps.data[0, 0].tobytes()
+        assert path.points.tobytes() == points.data[0].tobytes()
+
+
 def test_forward_is_deterministic(rng):
     model = SalypathModel(ModelConfig.desk(), seed=3)
     image = rng.uniform(size=(3, 64, 64)).astype(np.float32)

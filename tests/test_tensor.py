@@ -757,6 +757,27 @@ def test_concat_splits_gradient():
         concat([a, Tensor(np.ones((3, 2), np.float32))], axis=1)
 
 
+@pytest.mark.parametrize("op", ["max", "concat"])
+@pytest.mark.parametrize("axis", [3, -4])
+def test_out_of_range_axis_raises_axis_error(op, axis):
+    # a modulo-ndim reading would reduce or join along another axis
+    x = Tensor(np.zeros((2, 3, 4), np.float32))
+    with pytest.raises(np.exceptions.AxisError):
+        x.max(axis=axis) if op == "max" else concat([x, x], axis=axis)
+
+
+def test_max_rejects_repeated_axis():
+    with pytest.raises(ValueError, match="repeated axis"):
+        Tensor(np.zeros((2, 3, 4), np.float32)).max(axis=(1, 1))
+
+
+@pytest.mark.parametrize("other", [(2, 3), (2, 4, 5)], ids=["rank", "extent"])
+def test_concat_mismatch_raises_dimension_error(other):
+    x = Tensor(np.zeros((2, 3, 4), np.float32))
+    with pytest.raises(DimensionError, match="^concat: "):
+        concat([x, Tensor(np.zeros(other, np.float32))], axis=2)
+
+
 # -- finite-difference sweeps ------------------------------------------------
 
 def check_op(build, tensors, seed):
