@@ -8,7 +8,6 @@ deterministic synthetic-data generator to exercise it all.
 """
 
 from .attention import AttentionGate, attend, channel_attention, spatial_attention
-from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     DatasetManifest,
     ManifestRecord,

@@ -17,6 +17,7 @@ Everything is float32 and fully differentiable end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -264,32 +265,36 @@ class SalypathModel:
     # -- persistence ------------------------------------------------------
 
     def save(self, path) -> None:
-        save_checkpoint(path, self.parameters(), config=self.config.to_dict())
+        save_checkpoint(path, [p.data for p in self._params.values()], self.config.to_dict())
 
     @classmethod
     def load(cls, path) -> "SalypathModel":
-        """Model built straight from a checkpoint: each parameter is a
-        writable view of its own slice of the file's one read buffer, and
-        nothing is drawn. Each parameter is matched as ``_build`` asks for
-        it, and the tensors left over are unexpected: one CheckpointError
-        names every missing, misshapen or unexpected tensor."""
-        tensors, config = load_checkpoint(path)
-        if config is None:
-            raise CheckpointError(f"{path}: checkpoint has no embedded config")
-        problems = []
+        """Model built from a checkpoint's config, nothing drawn: the payload
+        must hold exactly the config's number of float32 values, and each
+        parameter becomes a writable view of its own slice of the file's one
+        read buffer, in checkpoint order. The size is checked as ``_build``
+        asks for each parameter, so a config larger than its payload fails
+        before anything of its size is made."""
+        values, config = load_checkpoint(path)
+        left = values.size
 
         def make(name: str, shape: tuple[int, ...]) -> Tensor:
-            arr = tensors.pop(name, None)
-            if arr is None or arr.shape != shape:
-                problems.append(f"missing tensor {name!r} (expected shape {shape})"
-                                if arr is None else
-                                f"{name}: expected shape {shape}, found {arr.shape}")
-                arr = np.zeros(shape, dtype=np.float32)  # stand-in: the build goes on
-            return Tensor(arr, requires_grad=True)
+            nonlocal left
+            left -= math.prod(shape)
+            if left < 0:
+                raise CheckpointError(
+                    f"{path}: payload has {values.size} float32 values, too few for its config")
+            # zero-stride stand-in until the checkpoint order is known
+            return Tensor(np.ndarray(shape, np.float32, values, 0, (0,) * len(shape)),
+                          requires_grad=True)
 
         model = cls.__new__(cls)
         model._build(ModelConfig.from_dict(config), make)
-        problems += [f"unexpected tensor {name!r}" for name in tensors]
-        if problems:
-            raise CheckpointError(f"{path}: " + "; ".join(problems))
+        if left:
+            raise CheckpointError(f"{path}: payload has {values.size} float32 values, but its "
+                                  f"config takes {values.size - left}")
+        offset = 0
+        for p in model._params.values():
+            p.data = values[offset:offset + p.size].reshape(p.shape)
+            offset += p.size
         return model

@@ -560,8 +560,11 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
     Scratch is sized to one group, allocated once per call and reused:
     no array but the output, the masked gradient and the input gradient
     scales with the batch. An output or input-gradient element depends on
-    its own image's group alone, and the groups run in order, so results
-    are bitwise reproducible and independent of where a batch splits.
+    its own image's group alone, and the groups run in order, so the same
+    inputs in the same batch give the same bits. An image's bits can
+    depend on how many images share its group, because BLAS picks its
+    kernel by the GEMM's size (``head.1``, 64->56 at 4x4, differs between
+    batch 1 and batch 16); where a group is one image, they cannot.
     """
     sgemm = _sgemm()
     x = _nchw(x, "conv2d")

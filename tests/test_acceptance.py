@@ -433,14 +433,11 @@ def test_criterion_8_format_round_trips(capsys, tmp_path):
         save_manifest(load_manifest(d / "a.json"), d / "b.json")
         all_equal &= (d / "a.json").read_bytes() == (d / "b.json").read_bytes()
 
-        tensors = {
-            "w": rng.normal(size=(3, 2)).astype(np.float32),
-            "b": rng.normal(size=3).astype(np.float32),
-            "g": np.float32(rng.normal()),
-        }
-        save_checkpoint(d / "a.ckpt", tensors, config={"seed": seed})
-        loaded, cfg = load_checkpoint(d / "a.ckpt")
-        save_checkpoint(d / "b.ckpt", loaded, config=cfg)
+        arrays = [rng.normal(size=(3, 2)).astype(np.float32),
+                  rng.normal(size=3).astype(np.float32), np.float32(rng.normal())]
+        save_checkpoint(d / "a.ckpt", arrays, {"seed": seed})
+        values, cfg = load_checkpoint(d / "a.ckpt")
+        save_checkpoint(d / "b.ckpt", [values], cfg)
         all_equal &= (d / "a.ckpt").read_bytes() == (d / "b.ckpt").read_bytes()
 
     announce(capsys, 8, "format round trips", all_equal,

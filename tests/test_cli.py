@@ -13,6 +13,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ import pytest
 
 import salypath
 from salypath import cli
-from salypath.checkpoint import save_checkpoint
 from salypath.cli import SALIENCY_COLS, SCANPATH_COLS, main
 from salypath.data import (
     DatasetManifest,
@@ -54,21 +54,23 @@ def _t(name, shape, offset):
     return {"name": name, "shape": shape, "offset": offset}
 
 
-# (header tensor entries, payload bytes, config overrides, error text) of
-# checkpoints that each once loaded garbage or crashed `predict` with a
-# traceback
+OLD_FORMAT = "header must hold one 'config' object and nothing else"
+# (tensor table of the older format or None, payload bytes, config overrides,
+# error text) of checkpoints that each once loaded garbage or crashed
+# `predict` with a traceback; a header that carries a table is now rejected
+# before the table is read
 MALFORMED_CHECKPOINTS = [
-    ([_t("a", [-1], 0), _t("b", [4], 0), _t("c", [1], 12)], 16, {}, "malformed tensor entry"),
-    ([_t("a", ["2"], 0)], 8, {}, "malformed tensor entry"),
-    ([_t("a", [2], 0.0)], 8, {}, "malformed tensor entry"),
-    ([_t("a", [1], 0), _t("a", [1], 4)], 8, {}, "appears twice"),
-    ([_t("a", [2], 0), _t("b", [1], 4)], 12, {}, "starts at byte 4"),
-    ([_t("a", [1], 0)], 4, {"input_size": [64]}, "ModelConfig.input_size"),
-    ([_t("a", [1], 0)], 4, {"in_channels": "x"}, "ModelConfig.in_channels"),
-    ([_t("a", [1], 0)], 4, {"encoder_blocks": [2]}, "ModelConfig.encoder_blocks"),
-    ([_t("a", [1], 0)], 4, {"beta": None}, "ModelConfig.beta"),
-    ([_t("a", [1], 0)], 4, {"attention_enabled": "false"}, "ModelConfig.attention_enabled"),
-    ([_t("a", [1], 0)], 4, {"in_channels": 3.0}, "ModelConfig.in_channels"),
+    ([_t("a", [-1], 0), _t("b", [4], 0), _t("c", [1], 12)], 16, {}, OLD_FORMAT),
+    ([_t("a", ["2"], 0)], 8, {}, OLD_FORMAT),
+    ([_t("a", [2], 0.0)], 8, {}, OLD_FORMAT),
+    ([_t("a", [1], 0), _t("a", [1], 4)], 8, {}, OLD_FORMAT),
+    ([_t("a", [2], 0), _t("b", [1], 4)], 12, {}, OLD_FORMAT),
+    (None, 4, {"input_size": [64]}, "ModelConfig.input_size"),
+    (None, 4, {"in_channels": "x"}, "ModelConfig.in_channels"),
+    (None, 4, {"encoder_blocks": [2]}, "ModelConfig.encoder_blocks"),
+    (None, 4, {"beta": None}, "ModelConfig.beta"),
+    (None, 4, {"attention_enabled": "false"}, "ModelConfig.attention_enabled"),
+    (None, 4, {"in_channels": 3.0}, "ModelConfig.in_channels"),
 ]
 
 # (config document, extra argv, text the one stderr line must hold) of
@@ -555,7 +557,9 @@ class TestPredict:
     def test_malformed_checkpoint_exits_2_with_one_line(self, tmp_path, tensors, n_bytes,
                                                         config, error):
         ckpt = tmp_path / "bad.ckpt"
-        header = {"tensors": tensors, "config": {**TINY_MODEL, **config}}
+        header = {"config": {**TINY_MODEL, **config}}
+        if tensors is not None:
+            header = {"tensors": tensors, **header}
         ckpt.write_bytes(json.dumps(header).encode() + b"\n" + bytes(n_bytes))
         write_ppm(tmp_path / "img.ppm", np.zeros((3, 16, 16), dtype=np.float32))
         proc = run_module(
@@ -565,6 +569,28 @@ class TestPredict:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("salypath predict: error:"), lines
         assert error in lines[0]
+
+    @pytest.mark.parametrize("blocks", [[[1, 4], [1, 2**40]], [[1, 4], [1, 2**62]],
+                                        [[100000, 4], [1, 8]]],
+                             ids=["channels-2**40", "channels-2**62", "convs-100000"])
+    def test_config_larger_than_its_payload_exits_2_at_once(self, tmp_path, capsys, blocks):
+        # each once ran out of memory building stand-ins for the parameters
+        # its payload lacks, or built them all and named every one
+        ckpt, image = tmp_path / "m.ckpt", tmp_path / "img.ppm"
+        SalypathModel(ModelConfig(**TINY_MODEL), seed=0).save(ckpt)
+        head, payload = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["config"]["encoder_blocks"] = blocks
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        write_ppm(image, np.zeros((3, 16, 16), dtype=np.float32))
+        t0 = time.perf_counter()
+        rc = main(["predict", "--checkpoint", str(ckpt), "--image", str(image),
+                   "--out-map", str(tmp_path / "m.pgm"), "--out-scanpath", str(tmp_path / "p.csv")])
+        elapsed = time.perf_counter() - t0
+        [line] = capsys.readouterr().err.splitlines()
+        assert rc == 2 and line == (f"salypath predict: error: {ckpt}: payload has "
+                                    f"{len(payload) // 4} float32 values, too few for its config")
+        assert len(line) < 300 and elapsed < 1.0
 
     def test_zero_width_image_exits_2_with_one_line(self, trained, tmp_path):
         (tmp_path / "img.ppm").write_bytes(b"P6\n0 16\n255\n")
@@ -616,7 +642,7 @@ def checkpoint_cases(blob: bytes) -> dict[str, bytes]:
     enumerated rather than drawn at random (Miller, Fredriksen & So 1990):
     the header cut at each structural byte, with and without the payload;
     each number of the header swapped for each of NUMBER_SWAPS; a header
-    nested 100000 deep; one byte flipped at every 61st offset; a payload
+    nested 100000 deep; one byte flipped at every 13th offset; a payload
     one byte short and one byte long."""
     header, payload = blob.split(b"\n", 1)
     cases = {}
@@ -630,7 +656,7 @@ def checkpoint_cases(blob: bytes) -> dict[str, bytes]:
                 cases[f"number-{m.start()}={swap[:8].decode()}"] = (
                     header[:m.start()] + swap + header[m.end():] + b"\n" + payload)
     cases["deep-nesting"] = b"[" * 100000 + b"\n" + payload
-    for off in range(0, len(blob), 61):
+    for off in range(0, len(blob), 13):
         cases[f"flip-{off}"] = blob[:off] + bytes([blob[off] ^ 0x20]) + blob[off + 1:]
     cases["payload-short"] = blob[:-1]
     cases["payload-long"] = blob + b"\0"
@@ -671,7 +697,7 @@ class TestCheckpointFiles:
         assert exits[0] and exits[2]
 
     @pytest.mark.parametrize("header", [b"[" * 100000,
-                                        b'{"tensors": [], "x": ' + b"9" * 5000 + b"}"],
+                                        b'{"config": {}, "x": ' + b"9" * 5000 + b"}"],
                              ids=["deep-nesting", "long-number"])
     def test_unparsable_header_exits_2_with_one_line(self, tiny, capsys, header):
         ckpt, blob, argv = tiny
@@ -680,19 +706,16 @@ class TestCheckpointFiles:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"salypath predict: error: {ckpt}: invalid JSON: ")
 
-    def test_load_names_missing_misshapen_and_unexpected_tensors(self, tiny, capsys):
-        ckpt, _, argv = tiny
-        model = SalypathModel(ModelConfig(**TINY_MODEL), seed=0)
-        state = {k: v.data for k, v in model.parameters().items()}
-        del state["head.9.bias"]
-        state["enc.b0.c0.weight"] = np.zeros((2, 2), np.float32)
-        state["bogus.tensor"] = np.zeros(3, np.float32)
-        save_checkpoint(ckpt, state, config=model.config.to_dict())
-        assert main(argv) == 2
-        [line] = capsys.readouterr().err.splitlines()
-        assert line == (f"salypath predict: error: {ckpt}: enc.b0.c0.weight: expected shape "
-                        "(4, 3, 3, 3), found (2, 2); missing tensor 'head.9.bias' (expected "
-                        "shape (8,)); unexpected tensor 'bogus.tensor'")
+    def test_payload_of_another_size_exits_2_with_one_line(self, tiny, capsys):
+        ckpt, blob, argv = tiny
+        n = (len(blob) - blob.index(b"\n") - 1) // 4
+        for raw, error in [(blob + bytes(4), f"has {n + 1} float32 values, but its config "
+                                             f"takes {n}"),
+                           (blob[:-4], f"has {n - 1} float32 values, too few for its config")]:
+            ckpt.write_bytes(raw)
+            assert main(argv) == 2
+            [line] = capsys.readouterr().err.splitlines()
+            assert line == f"salypath predict: error: {ckpt}: payload {error}"
 
 
 # -- evaluation -------------------------------------------------------------

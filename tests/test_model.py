@@ -453,18 +453,13 @@ def test_loaded_parameters_are_writable_and_separate(tmp_path):
             np.testing.assert_array_equal(p.data, before[name])
 
 
-def _write_raw_checkpoint(path, entries, n_bytes, config=None):
-    header = {"tensors": entries} if config is None else {"tensors": entries,
-                                                          "config": config}
-    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(n_bytes))
-
-
 def _t(name, shape, offset):
     return {"name": name, "shape": shape, "offset": offset}
 
 
-# (id, header tensor entries, payload bytes): each once loaded silently,
-# loaded garbage, or raised a bare TypeError
+# (id, header tensor entries, payload bytes): tensor tables of the older
+# format, each of which once loaded silently, loaded garbage, or raised a bare
+# TypeError; a header that carries one is now rejected before it is read
 MALFORMED_CHECKPOINTS = [
     ("negative-dim", [_t("a", [-1], 0), _t("b", [4], 0), _t("c", [1], 12)], 16),
     ("string-dim", [_t("a", ["2"], 0)], 8),
@@ -479,45 +474,50 @@ MALFORMED_CHECKPOINTS = [
     ("tensors-not-a-list", {"a": 1}, 0),
     ("entry-not-an-object", [["a", [1], 0]], 4),
 ]
+# (id, header, payload bytes) of headers that are not one config object
+MALFORMED_HEADERS = [
+    *((case, {"tensors": entries, "config": {}}, n) for case, entries, n in MALFORMED_CHECKPOINTS),
+    ("no-config", {}, 4),
+    ("extra-key", {"config": {}, "digest": "0"}, 4),
+]
 
 
-@pytest.mark.parametrize("entries,n_bytes", [c[1:] for c in MALFORMED_CHECKPOINTS],
-                         ids=[c[0] for c in MALFORMED_CHECKPOINTS])
-def test_checkpoint_rejects_malformed_header(tmp_path, entries, n_bytes):
+@pytest.mark.parametrize("header,n_bytes", [c[1:] for c in MALFORMED_HEADERS],
+                         ids=[c[0] for c in MALFORMED_HEADERS])
+def test_checkpoint_rejects_malformed_header(tmp_path, header, n_bytes):
     path = tmp_path / "bad.ckpt"
-    _write_raw_checkpoint(path, entries, n_bytes)
-    with pytest.raises(CheckpointError, match="bad.ckpt"):
+    path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(n_bytes))
+    with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path)
+    assert str(exc.value) == f"{path}: header must hold one 'config' object and nothing else"
 
 
 def test_checkpoint_rejects_non_object_config(tmp_path):
     path = tmp_path / "bad.ckpt"
-    _write_raw_checkpoint(path, [_t("a", [1], 0)], 4, config=[1, 2])
-    with pytest.raises(CheckpointError, match="config"):
+    path.write_bytes(b'{"config": [1, 2]}\n' + bytes(4))
+    with pytest.raises(CheckpointError, match="header must hold one 'config' object"):
         load_checkpoint(path)
 
 
 def test_checkpoint_zero_size_and_scalar_tensors_round_trip(tmp_path):
     path = tmp_path / "m.ckpt"
-    tensors = {"empty": np.zeros((0, 3), np.float32), "s": np.float32(2.5),
-               "v": np.arange(3, dtype=np.float32)}
-    save_checkpoint(path, tensors)
-    loaded, config = load_checkpoint(path)
-    assert config is None and list(loaded) == ["empty", "s", "v"]
-    for name, arr in tensors.items():
-        assert loaded[name].shape == np.shape(arr)
-        np.testing.assert_array_equal(loaded[name], arr)
+    arrays = [np.zeros((0, 3), np.float32), np.float32(2.5), np.arange(3, dtype=np.float32),
+              np.arange(6, dtype=np.float32).reshape(2, 3).T]  # F order is written in C order
+    save_checkpoint(path, arrays, {"k": [1]})
+    values, config = load_checkpoint(path)
+    assert config == {"k": [1]}
+    assert values.dtype == np.float32 and values.flags.writeable and values.flags.aligned
+    np.testing.assert_array_equal(values, [2.5, 0, 1, 2, 0, 3, 1, 4, 2, 5])
 
 
-@pytest.mark.parametrize("edit", [lambda raw: raw + b"\0\0\0\0",
-                                  lambda raw: raw[:-4]], ids=["trailing", "short"])
+@pytest.mark.parametrize("edit", [lambda raw: raw + b"\0",
+                                  lambda raw: raw[:-1]], ids=["trailing", "short"])
 def test_checkpoint_payload_must_match_its_tensors(tmp_path, edit):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, {"a": np.ones((2, 3), np.float32),
-                           "b": np.zeros(4, np.float32)})
-    load_checkpoint(path)
+    save_checkpoint(path, [np.ones((2, 3), np.float32), np.zeros(4, np.float32)], {})
+    assert load_checkpoint(path)[0].size == 10
     path.write_bytes(edit(path.read_bytes()))
-    with pytest.raises(CheckpointError, match="payload has"):
+    with pytest.raises(CheckpointError, match="is not whole float32 values"):
         load_checkpoint(path)
 
 
@@ -525,7 +525,7 @@ def test_checkpoint_failed_save_leaves_previous_file(tmp_path, monkeypatch):
     import salypath.checkpoint as ck
 
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, {"a": np.ones(3, np.float32)})
+    save_checkpoint(path, [np.ones(3, np.float32)], {})
     before = path.read_bytes()
 
     def disk_full(fd):
@@ -533,24 +533,21 @@ def test_checkpoint_failed_save_leaves_previous_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ck.os, "fsync", disk_full)
     with pytest.raises(OSError, match="no space"):
-        save_checkpoint(path, {"a": np.zeros(300, np.float32)})
+        save_checkpoint(path, [np.zeros(300, np.float32)], {})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
-def test_load_reports_every_mismatch(tmp_path):
-    model = SalypathModel(ModelConfig(**TINY), seed=0)
-    state = {k: v.data for k, v in model.parameters().items()}
-    del state["head.9.bias"]
-    state["enc.b0.c0.weight"] = np.zeros((2, 2), np.float32)
-    state["bogus.tensor"] = np.zeros(3, np.float32)
-    save_checkpoint(tmp_path / "m.ckpt", state, config=model.config.to_dict())
-    with pytest.raises(CheckpointError) as exc:
-        SalypathModel.load(tmp_path / "m.ckpt")
-    msg = str(exc.value)
-    assert "head.9.bias" in msg and "missing" in msg
-    assert "enc.b0.c0.weight" in msg and "expected shape" in msg
-    assert "bogus.tensor" in msg and "unexpected" in msg
+def test_load_rejects_payload_of_another_size(tmp_path):
+    path = tmp_path / "m.ckpt"
+    SalypathModel(ModelConfig(**TINY), seed=0).save(path)
+    raw = path.read_bytes()
+    for edited, error in [(raw + bytes(4), "has 6790 float32 values, but its config takes 6789"),
+                          (raw[:-4], "has 6788 float32 values, too few for its config")]:
+        path.write_bytes(edited)
+        with pytest.raises(CheckpointError) as exc:
+            SalypathModel.load(path)
+        assert str(exc.value) == f"{path}: payload {error}"
 
 
 # -- gradients ----------------------------------------------------------------------

@@ -492,6 +492,26 @@ def test_conv_scratch_is_group_sized():
     assert peak <= bound, (peak / 2**20, bound / 2**20)
 
 
+def test_conv_one_image_groups_give_each_image_its_own_bits():
+    # At 64x64, 16->16, padding 1 a group is one image (one image's grid rows
+    # pass _CONV_CHUNK_BYTES), so every GEMM has the same size whatever the
+    # batch: an image's output and input gradient in a batch of 3 are its
+    # bits alone. Where a group holds several images they need not be.
+    rng = np.random.default_rng(41)
+    layer = ConvLayer(Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32) * 0.1),
+                      Tensor(rng.normal(size=16).astype(np.float32)), padding=1)
+    assert 4 * (16 + 2 * 16) * 65 * 65 > _CONV_CHUNK_BYTES
+    x = Tensor(rng.normal(size=(3, 16, 64, 64)).astype(np.float32), requires_grad=True)
+    g = rng.normal(size=x.shape).astype(np.float32)
+    y = layer(x, relu=True)
+    dx = y._vjp(g)[0]
+    for i in range(3):
+        xi = Tensor(x.data[i:i + 1], requires_grad=True)
+        yi = layer(xi, relu=True)
+        assert yi.data.tobytes() == y.data[i:i + 1].tobytes()
+        assert yi._vjp(g[i:i + 1])[0].tobytes() == dx[i:i + 1].tobytes()
+
+
 def test_conv_channel_mismatch_names_axis():
     x = Tensor(np.zeros((1, 3, 4, 4), np.float32))
     layer = ConvLayer(Tensor(np.zeros((2, 4, 3, 3), np.float32)),
