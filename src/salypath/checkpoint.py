@@ -2,8 +2,8 @@
 
 Layout: one compact JSON line, ``{"config": {...}}`` and nothing else, then
 the parameters as raw little-endian float32 values, concatenated in the
-order they are given (``SalypathModel.parameters()``' checkpoint order).
-The config is the only layout: it fixes every parameter's name, shape and
+order they are given (``SalypathModel.parameters()``' make order). The
+config is the only layout: it fixes every parameter's name, shape and
 place, so the header lists no tensors. Saving the same arrays twice
 produces byte-identical files.
 

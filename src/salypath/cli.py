@@ -2,7 +2,7 @@
 
 Subcommands: train, predict, eval-saliency, eval-scanpath, stats,
 gen-synth. Exit codes: 0 success, 1 evaluation incomplete (missing
-predictions or records that could not be scored), 2 usage or IO error.
+predictions or records that could not be scored), 2 usage, IO or memory error.
 Failures print a one-line diagnostic to stderr, and so does each warning
 (``salypath <command>: warning: <message>``). Every command is
 deterministic given its flags and seeds.
@@ -356,7 +356,7 @@ def main(argv=None) -> int:
             f"salypath {args.command}: warning: {message}", file=sys.stderr)
         try:
             return run(args)
-        except (SalypathError, OSError) as e:
+        except (SalypathError, OSError, MemoryError) as e:
             print(f"salypath {args.command}: error: {e}", file=sys.stderr)
             return 2
 

@@ -33,8 +33,6 @@ DESK_BLOCKS = ((2, 16), (2, 32), (2, 48), (2, 64))
 DESK_HEAD = (64, 56, 48, 40, 32, 24, 20, 16, 12, 8)
 FULL_BLOCKS = ((2, 64), (2, 128), (3, 256), (3, 512), (3, 512))
 FULL_HEAD = (512, 448, 384, 320, 256, 192, 128, 64, 32, 8)
-# parameter-name prefixes, in checkpoint order
-PARAM_GROUPS = ("enc", "att", "dec", "head")
 
 
 @dataclass(frozen=True)
@@ -146,14 +144,13 @@ class SalypathModel:
         self._build(config, kaiming_uniform(np.random.default_rng(seed)))
 
     def _build(self, config: ModelConfig, make: ParamMaker) -> None:
-        """Lay out the layers, each parameter made once by ``make`` and
-        filed under its checkpoint name."""
+        """Lay out the layers, each parameter made once by ``make`` and filed
+        under its name, in the checkpoint's order: encoder, decoder, head,
+        attention, so at equal seed attention on and off share trunk weights."""
         self.config = config
-        made: dict[str, Tensor] = {}
-        make = recording(make, made)
+        self._params: dict[str, Tensor] = {}
+        make = recording(make, self._params)
 
-        # make is called encoder, decoder, head, attention: at equal seed,
-        # configs that differ only in attention share the trunk weights.
         self.encoder: list[list[ConvLayer]] = []
         in_ch = config.in_channels
         for bi, (count, ch) in enumerate(config.encoder_blocks):
@@ -184,13 +181,9 @@ class SalypathModel:
                                   config.spatial_kernel, make=make)
                     if config.attention_enabled else None)
 
-        # checkpoint order: by group, make order within a group (sort is stable)
-        self._params = dict(sorted(made.items(),
-                                   key=lambda kv: PARAM_GROUPS.index(kv[0].partition(".")[0])))
-
     def parameters(self, groups: tuple[str, ...] | None = None) -> dict[str, Tensor]:
-        """Name -> tensor in checkpoint order, for the named ``PARAM_GROUPS``
-        (all of them by default)."""
+        """Name -> tensor in make order, for the named groups of name prefixes
+        ``enc``, ``dec``, ``head`` and ``att`` (all of them by default)."""
         if groups is None:
             return dict(self._params)
         return {k: v for k, v in self._params.items() if k.partition(".")[0] in groups}
@@ -269,32 +262,26 @@ class SalypathModel:
 
     @classmethod
     def load(cls, path) -> "SalypathModel":
-        """Model built from a checkpoint's config, nothing drawn: the payload
-        must hold exactly the config's number of float32 values, and each
-        parameter becomes a writable view of its own slice of the file's one
-        read buffer, in checkpoint order. The size is checked as ``_build``
-        asks for each parameter, so a config larger than its payload fails
-        before anything of its size is made."""
+        """Model built from a checkpoint's config, nothing drawn: each parameter
+        ``_build`` asks for is a writable view of the next slice of the file's
+        one read buffer, and the payload must hold exactly the config's number
+        of float32 values. The count is checked before each slice, so a config
+        larger than its payload fails before anything of its size is made."""
         values, config = load_checkpoint(path)
-        left = values.size
+        start = 0
 
         def make(name: str, shape: tuple[int, ...]) -> Tensor:
-            nonlocal left
-            left -= math.prod(shape)
-            if left < 0:
+            nonlocal start
+            stop = start + math.prod(shape)
+            if stop > values.size:
                 raise CheckpointError(
                     f"{path}: payload has {values.size} float32 values, too few for its config")
-            # zero-stride stand-in until the checkpoint order is known
-            return Tensor(np.ndarray(shape, np.float32, values, 0, (0,) * len(shape)),
-                          requires_grad=True)
+            view, start = values[start:stop].reshape(shape), stop
+            return Tensor(view, requires_grad=True)
 
         model = cls.__new__(cls)
         model._build(ModelConfig.from_dict(config), make)
-        if left:
+        if start != values.size:
             raise CheckpointError(f"{path}: payload has {values.size} float32 values, but its "
-                                  f"config takes {values.size - left}")
-        offset = 0
-        for p in model._params.values():
-            p.data = values[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
+                                  f"config takes {start}")
         return model

@@ -460,19 +460,27 @@ class ConvLayer:
 @functools.cache
 def _sgemm():
     """scipy's float32 GEMM, loaded once per process from the extension file
-    ``scipy/linalg/_fblas<EXT_SUFFIX>``.
+    ``scipy/linalg/_fblas<EXT_SUFFIX>``, with scipy's bundled OpenBLAS set
+    to one thread for the rest of the process.
 
     ``scipy.linalg.blas`` re-exports this module's functions, so this is the
-    very object ``scipy.linalg.blas.sgemm`` names, whichever is loaded
-    first (the module registers itself as ``scipy.linalg._fblas``). Going
-    through ``scipy.linalg`` would run its package ``__init__`` and its
-    ``scipy._lib._array_api`` chain: ~210-240 ms per process, against
-    3-5 ms for the file. ``_fblas`` is private scipy API. That is
-    acceptable because the dependency is pinned, not hidden: a test checks
-    that this is the public ``sgemm``, bit for bit, and a scipy that moves
-    or renames the file fails here, naming the path, with no fallback.
-    ``import scipy`` first sets up the library paths of scipy's bundled BLAS.
+    very object ``scipy.linalg.blas.sgemm`` names, whichever is loaded first
+    (the module registers itself as ``scipy.linalg._fblas``). Going through
+    ``scipy.linalg`` would run its package ``__init__`` and its
+    ``scipy._lib._array_api`` chain: ~210-240 ms per process, against 3-5 ms
+    for the file. ``_fblas`` is private scipy API, and so is the thread
+    setter its handle reaches (``scipy_openblas_set_num_threads``, or
+    ``openblas_set_num_threads`` in older wheels). That is acceptable
+    because the dependency is pinned, not hidden: tests check that this is
+    the public ``sgemm``, bit for bit, and that the public one then runs on
+    one thread, and a scipy that moves or renames either fails here, naming
+    the path, with no fallback. ``import scipy`` first sets up the library
+    paths of scipy's bundled BLAS. One thread, because OpenBLAS splits a
+    GEMM by thread count (a conv's weight gradient changed bits with
+    ``OPENBLAS_NUM_THREADS``), and two gained nothing on a desk training
+    round: f2py's ``sgemm`` holds the GIL.
     """
+    import ctypes
     import importlib.machinery
     import importlib.util
     from pathlib import Path
@@ -489,7 +497,12 @@ def _sgemm():
     spec.loader.exec_module(module)
     if not hasattr(module, "sgemm"):
         raise ImportError(f"conv2d: {path} holds no sgemm", path=str(path))
-    return module.sgemm
+    blas = ctypes.CDLL(str(path))
+    for name in ("scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+        if hasattr(blas, name):
+            getattr(blas, name)(ctypes.c_int(1))
+            return module.sgemm
+    raise ImportError(f"conv2d: {path} links no OpenBLAS with (scipy_){name}", path=str(path))
 
 
 # Bytes of grid rows one conv2d group of images touches (input and output; in

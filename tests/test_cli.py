@@ -125,18 +125,30 @@ TINY_TRAIN = dict(
 )
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """``python *args`` in a fresh process that imports this tree. The
-    timeout turns a hang into a failure."""
+def _python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh process that imports this tree, with
+    ``env`` added to its environment. The timeout turns a hang into a
+    failure."""
     src = str(Path(salypath.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+                          env={**os.environ, **env, "PYTHONPATH": path}, timeout=60)
 
 
 def run_module(*argv: str) -> subprocess.CompletedProcess:
     """``python -m salypath *argv`` in a fresh process, importing this tree."""
     return _python("-m", "salypath", *argv)
+
+
+def tiny_checkpoint(path: Path, **config) -> bytes:
+    """Save a tiny model at ``path``, then swap its header's config fields
+    for ``config``; returns the genuine payload."""
+    SalypathModel(ModelConfig(**TINY_MODEL), seed=0).save(path)
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["config"].update(config)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    return payload
 
 
 def loaded_modules(code: str) -> set[str]:
@@ -390,6 +402,18 @@ class TestTrain:
         assert error in lines[0]
         assert not out.exists()
 
+    def test_model_too_large_to_draw_exits_2_with_one_line(self, dataset, tmp_path, capsys):
+        # a 2**40-channel block: kaiming_uniform asks for 288 TiB of weights
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"model": {"input_size": [16, 16],
+                                             "encoder_blocks": [[1, 4], [1, 2**40]]}}))
+        out = tmp_path / "m.ckpt"
+        rc = main(["train", "--data", str(dataset / "manifest.json"),
+                   "--out", str(out), "--config", str(cfg)])
+        [line] = capsys.readouterr().err.splitlines()
+        assert rc == 2 and line.startswith("salypath train: error: ") and "TiB" in line
+        assert not out.exists()
+
     def test_missing_config_names_the_path(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "nope.json"
         rc = main(["train", "--data", str(dataset / "manifest.json"),
@@ -577,11 +601,7 @@ class TestPredict:
         # each once ran out of memory building stand-ins for the parameters
         # its payload lacks, or built them all and named every one
         ckpt, image = tmp_path / "m.ckpt", tmp_path / "img.ppm"
-        SalypathModel(ModelConfig(**TINY_MODEL), seed=0).save(ckpt)
-        head, payload = ckpt.read_bytes().split(b"\n", 1)
-        header = json.loads(head)
-        header["config"]["encoder_blocks"] = blocks
-        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        payload = tiny_checkpoint(ckpt, encoder_blocks=blocks)
         write_ppm(image, np.zeros((3, 16, 16), dtype=np.float32))
         t0 = time.perf_counter()
         rc = main(["predict", "--checkpoint", str(ckpt), "--image", str(image),
@@ -591,6 +611,20 @@ class TestPredict:
         assert rc == 2 and line == (f"salypath predict: error: {ckpt}: payload has "
                                     f"{len(payload) // 4} float32 values, too few for its config")
         assert len(line) < 300 and elapsed < 1.0
+
+    def test_input_size_too_large_to_resample_to_exits_2(self, tmp_path, capsys):
+        # the payload fits the config, but resampling the stimulus to
+        # 4194304x8388608 asks for 256 TiB, past any x86-64 address space
+        ckpt, image = tmp_path / "m.ckpt", tmp_path / "img.ppm"
+        tiny_checkpoint(ckpt, input_size=[2**22, 2**23])
+        write_ppm(image, np.zeros((3, 16, 16), dtype=np.float32))
+        rc = main(["predict", "--checkpoint", str(ckpt), "--image", str(image),
+                   "--out-map", str(tmp_path / "m.pgm"), "--out-scanpath", str(tmp_path / "p.csv")])
+        warning, error = capsys.readouterr().err.splitlines()
+        assert rc == 2 and warning == ("salypath predict: warning: image is 16x16, "
+                                       "resampling to model input 8388608x4194304")
+        assert error.startswith("salypath predict: error: ") and "TiB" in error
+        assert not (tmp_path / "m.pgm").exists()
 
     def test_zero_width_image_exits_2_with_one_line(self, trained, tmp_path):
         (tmp_path / "img.ppm").write_bytes(b"P6\n0 16\n255\n")
@@ -1093,6 +1127,65 @@ for shape in [(16, 16, 16, 64), (16, 64, 64, 4)]:
     assert got == want, shape
 assert mine is public
 """
+
+
+# A conv at 32->32, 32x32, batch 16, padding 1, fused ReLU, forward and
+# backward: the sha256 of its output, weight gradient and input gradient.
+CONV_BITS = """
+import hashlib
+import numpy as np
+from salypath.tensor import ConvLayer, Tensor, conv2d
+
+rng = np.random.default_rng(0)
+x = Tensor(rng.normal(size=(16, 32, 32, 32)), requires_grad=True)
+layer = ConvLayer(Tensor(rng.normal(size=(32, 32, 3, 3)), requires_grad=True),
+                  Tensor(rng.normal(size=32), requires_grad=True), padding=1)
+y = conv2d(x, layer, relu=True)
+(y * Tensor(rng.normal(size=y.shape))).sum().backward()
+for a in (y.data, layer.weight.grad, x.grad):
+    print(hashlib.sha256(a.tobytes()).hexdigest())
+"""
+
+# The OpenBLAS that the public scipy.linalg.blas runs on, reached through its
+# _fblas module's handle, is set to two threads; the first conv sets it to one.
+BLAS_THREADS_PIN = """
+import ctypes
+from scipy.linalg import _fblas
+import salypath.tensor as tensor
+
+blas = ctypes.CDLL(_fblas.__file__)
+prefix = "scipy_" if hasattr(blas, "scipy_openblas_set_num_threads") else ""
+getattr(blas, prefix + "openblas_set_num_threads")(2)
+assert getattr(blas, prefix + "openblas_get_num_threads")() == 2
+tensor._sgemm()
+assert getattr(blas, prefix + "openblas_get_num_threads")() == 1
+"""
+
+
+class TestBlasThreads:
+    def test_conv_bits_do_not_depend_on_the_thread_count(self):
+        # the weight gradient's bits changed with two threads before the
+        # first conv set scipy's OpenBLAS to one
+        bits = {}
+        for threads in ("1", "2"):
+            proc = _python("-c", CONV_BITS, OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            bits[threads] = proc.stdout.split()
+        assert bits["1"] == bits["2"]
+
+    def test_first_conv_sets_the_public_blas_to_one_thread(self):
+        proc = _python("-c", BLAS_THREADS_PIN)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_missing_thread_setter_raises_naming_the_path(self, monkeypatch):
+        import ctypes
+
+        from salypath.tensor import _sgemm
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+        with pytest.raises(ImportError, match=r"_fblas.* links no OpenBLAS with "
+                                              r"\(scipy_\)openblas_set_num_threads"):
+            _sgemm.__wrapped__()  # the uncached loader: the process keeps its sgemm
 
 
 class TestColdStart:

@@ -362,10 +362,11 @@ def test_parameters_are_grouped_in_checkpoint_order(attention):
     names = list(model.parameters())
     assert len(names) == len(set(names))
     groups = [n.split(".", 1)[0] for n in names]
-    want = ["enc", "att", "dec", "head"] if attention else ["enc", "dec", "head"]
+    want = ["enc", "dec", "head", "att"] if attention else ["enc", "dec", "head"]
     assert set(groups) == set(want)
     assert groups == sorted(groups, key=want.index)
-    assert names[-2:] == ["head.9.weight", "head.9.bias"]
+    att = [n for n in names if n.startswith("att.")]
+    assert names[len(names) - len(att) - 2:] == ["head.9.weight", "head.9.bias", *att]
 
 
 @pytest.mark.parametrize("groups", [
@@ -408,9 +409,20 @@ def _param_digest(model) -> str:
 
 def test_fresh_weights_are_pinned():
     # guards the rng draw order (encoder, decoder, head, attention) that
-    # makes equal seeds give byte-identical training checkpoints
+    # makes equal seeds give byte-identical training checkpoints; the digest
+    # walks parameters() in that same order
     digest = _param_digest(SalypathModel(ModelConfig.desk(), seed=0))
-    assert digest == "0cdbbc47eee902233b1089a0c3108cd072a0479ca948f841dfa1f4256534720b"
+    assert digest == "6320740fa35ea05546bbdb72d93baa03b1a09b01fbc92e5d019bb89a52011231"
+
+
+def test_checkpoint_payload_is_the_parameters_in_make_order(tmp_path):
+    model = SalypathModel(ModelConfig(**TINY), seed=1)
+    model.save(tmp_path / "m.ckpt")
+    values, _ = load_checkpoint(tmp_path / "m.ckpt")
+    params = model.parameters()
+    assert values.tobytes() == b"".join(p.data.tobytes() for p in params.values())
+    att = [n.startswith("att.") for n in params]
+    assert any(att) and att == sorted(att)
 
 
 def test_load_draws_nothing_and_round_trips_bitwise(tmp_path, monkeypatch):
