@@ -357,7 +357,7 @@ def main(argv=None) -> int:
         try:
             return run(args)
         except (SalypathError, OSError, MemoryError) as e:
-            print(f"salypath {args.command}: error: {e}", file=sys.stderr)
+            print(f"salypath {args.command}: error: {str(e) or type(e).__name__}", file=sys.stderr)
             return 2
 
 

@@ -425,6 +425,23 @@ def test_checkpoint_payload_is_the_parameters_in_make_order(tmp_path):
     assert any(att) and att == sorted(att)
 
 
+@pytest.mark.parametrize("attention", [True, False])
+def test_checkpoint_in_the_old_group_order_loads_unchecked(tmp_path, attention):
+    # a file saved in the earlier group order (enc, att, dec, head) has the
+    # same header and size: with attention off the two orders are one; with
+    # it on, the file loads, each value after the encoder in a wrong place
+    model = SalypathModel(ModelConfig(**TINY, attention_enabled=attention), seed=1)
+    params = model.parameters()
+    old = sorted(params, key=lambda n: ["enc", "att", "dec", "head"].index(n.partition(".")[0]))
+    save_checkpoint(tmp_path / "old.ckpt", [params[n].data for n in old], model.config.to_dict())
+    loaded = SalypathModel.load(tmp_path / "old.ckpt").parameters()
+    moved = [n for n, p in params.items() if not np.array_equal(loaded[n].data, p.data)]
+    if attention:
+        assert moved and not any(n.startswith("enc.") for n in moved)
+    else:
+        assert moved == []
+
+
 def test_load_draws_nothing_and_round_trips_bitwise(tmp_path, monkeypatch):
     import salypath.model
     import salypath.tensor
