@@ -51,7 +51,7 @@ print(f"w.grad[1,0] analytic {w.grad[1, 0]:+.6f}  numeric {numeric:+.6f}")
 # applies the ReLU inside conv2d: one graph node and one output buffer
 # instead of two.
 img = Tensor(rng.normal(size=(1, 3, 8, 8)).astype(np.float32), requires_grad=True)
-layer = ConvLayer.init(3, 4, 3, rng, padding=1)
+layer = ConvLayer.init(3, 4, 3, rng)
 pre = conv2d(img, layer, relu=True)
 pooled = maxpool2(pre)
 print("\nconv->relu->pool:", img.shape, "->", pooled.shape)

@@ -5,8 +5,8 @@ through one shared two-layer 1x1-conv MLP (reduction r, ReLU between),
 summed, squashed with a sigmoid -> [B, C, 1, 1].
 
 Spatial branch: channel-wise mean and max maps concatenated and convolved
-with a single k x k kernel (k odd, default 7, padding (k-1)//2), squashed
--> [B, 1, H, W].
+with a single k x k "same" conv (k odd, default 7), squashed
+-> [B, 1, H, W]. ``ConvLayer`` owns the odd-kernel rule.
 
 Composition, deliberately and exactly:
 
@@ -44,10 +44,6 @@ class AttentionGate:
                 f"AttentionGate: channels ({channels}) must be divisible by "
                 f"reduction ({reduction})"
             )
-        if spatial_kernel < 1 or spatial_kernel % 2 == 0:
-            raise ConfigError(
-                f"AttentionGate: spatial_kernel must be odd, got {spatial_kernel}"
-            )
         hidden = channels // reduction
         self.channels = channels
         self.reduction = reduction
@@ -56,8 +52,7 @@ class AttentionGate:
             ConvLayer.build(make, "att.ch_mlp.0", channels, hidden, 1),
             ConvLayer.build(make, "att.ch_mlp.1", hidden, channels, 1),
         )
-        self.sp_conv = ConvLayer.build(make, "att.sp_conv", 2, 1, spatial_kernel,
-                                       padding=(spatial_kernel - 1) // 2)
+        self.sp_conv = ConvLayer.build(make, "att.sp_conv", 2, 1, spatial_kernel)
         self.gamma = make("att.gamma", ())
 
     def _mlp(self, d: Tensor) -> Tensor:

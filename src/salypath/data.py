@@ -366,6 +366,7 @@ def resample_map(values, target_w: int, target_h: int) -> np.ndarray:
         raise DimensionError(
             f"resample_map: bad target {target_w}x{target_h}"
         )
+    out = np.empty((target_h, target_w), dtype=np.float32)  # too large to hold: fails first
     v = v.astype(np.float64)
     ys = np.linspace(0.0, h - 1, target_h)
     xs = np.linspace(0.0, w - 1, target_w)
@@ -375,11 +376,11 @@ def resample_map(values, target_w: int, target_h: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[:, None]
     wx = (xs - x0)[None, :]
-    out = ((1 - wy) * (1 - wx) * v[np.ix_(y0, x0)]
-           + (1 - wy) * wx * v[np.ix_(y0, x1)]
-           + wy * (1 - wx) * v[np.ix_(y1, x0)]
-           + wy * wx * v[np.ix_(y1, x1)])
-    return out.astype(np.float32)
+    out[...] = ((1 - wy) * (1 - wx) * v[np.ix_(y0, x0)]
+                + (1 - wy) * wx * v[np.ix_(y0, x1)]
+                + wy * (1 - wx) * v[np.ix_(y1, x0)]
+                + wy * wx * v[np.ix_(y1, x1)])
+    return out
 
 
 def resample_stimulus(rgb: np.ndarray, target_w: int, target_h: int) -> np.ndarray:

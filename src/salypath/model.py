@@ -155,7 +155,7 @@ class SalypathModel:
         in_ch = config.in_channels
         for bi, (count, ch) in enumerate(config.encoder_blocks):
             self.encoder.append([
-                ConvLayer.build(make, f"enc.b{bi}.c{ci}", ch if ci else in_ch, ch, 3, padding=1)
+                ConvLayer.build(make, f"enc.b{bi}.c{ci}", ch if ci else in_ch, ch, 3)
                 for ci in range(count)])
             in_ch = ch
 
@@ -166,15 +166,14 @@ class SalypathModel:
         for k, (count, ch) in enumerate(blocks):
             out_ch = blocks[k + 1][1] if k + 1 < len(blocks) else ch
             self.decoder.append([
-                ConvLayer.build(make, f"dec.b{k}.c{ci}", ch, out_ch if ci == count - 1 else ch,
-                                3, padding=1)
+                ConvLayer.build(make, f"dec.b{k}.c{ci}", ch, out_ch if ci == count - 1 else ch, 3)
                 for ci in range(count)])
         self.dec_out = ConvLayer.build(make, "dec.out", blocks[-1][1], 1, 1)
 
         self.head: list[ConvLayer] = []
         head_in = config.bottleneck_channels
         for hi, hc in enumerate(config.head_channels):
-            self.head.append(ConvLayer.build(make, f"head.{hi}", head_in, hc, 3, padding=1))
+            self.head.append(ConvLayer.build(make, f"head.{hi}", head_in, hc, 3))
             head_in = hc
 
         self.att = (AttentionGate(config.bottleneck_channels, config.attention_reduction,

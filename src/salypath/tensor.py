@@ -26,12 +26,12 @@ Design notes, load-bearing:
   tap is one BLAS ``sgemm`` with a contiguous shifted slice of the grid that
   adds into the output (``beta=1``; arrays it writes must be F-contiguous
   views, or f2py writes into a copy), and backward reads the same slices.
-  Zero gaps between rows and planes serve as padding. Every kernel size
-  and padding takes this one path. Convs are stride 1: the model
-  downsamples by pooling alone. The batch runs in groups of whole images
-  that fit in cache; each group fills, multiplies and crops its own grid,
-  so the grid, the accumulator and the gradient grids are one group in
-  size (allocated once per call and reused), never one batch.
+  Convs are "same": an odd k x k kernel, zero padding k // 2 and stride 1
+  keep the input's size (the model downsamples by pooling alone), and the
+  zero gaps between rows and planes are the padding. The batch runs in
+  groups of whole images that fit in cache; each group fills, multiplies
+  and crops its own grid, so the grid, the accumulator and the gradient
+  grids are one group in size (allocated once per call and reused).
 * A conv site holds only its input and its output until backward: the vjp
   refills each group's padded grid from ``x.data``. ``conv2d(x, layer, relu=True)``
   clamps the output in place and masks the gradient with ``out > 0``,
@@ -414,45 +414,50 @@ def recording(make: ParamMaker, made: dict[str, Tensor]) -> ParamMaker:
     return record
 
 
+def _same_conv(shape: tuple[int, ...]) -> None:
+    """ConvLayer's one weight rule: [out, in, k, k] with k odd, so that zero
+    padding k // 2 keeps the input's size."""
+    if len(shape) != 4 or shape[2] != shape[3] or shape[2] < 1 or shape[2] % 2 == 0:
+        raise ConfigError(f"ConvLayer: weight must be [out, in, k, k] with k odd, got {shape}")
+
+
 class ConvLayer:
-    """2-D convolution parameters: weight [out_ch, in_ch, kh, kw], bias
-    [out_ch], plus symmetric zero padding (an int, not a float or a bool).
-    The stride is 1.
+    """2-D "same" convolution parameters: weight [out_ch, in_ch, k, k] with k
+    odd, and bias [out_ch]. The stride is 1 and the zero padding k // 2, so
+    the output has the input's size.
 
     Convolution here is cross-correlation (no kernel flip), the standard
     deep-learning convention.
     """
 
-    def __init__(self, weight: Tensor, bias: Tensor, padding: int = 0):
-        if weight.ndim != 4:
-            raise DimensionError(
-                f"ConvLayer: weight must have 4 axes, got {weight.ndim}"
-            )
+    def __init__(self, weight: Tensor, bias: Tensor):
+        _same_conv(weight.shape)
         if bias.ndim != 1 or bias.shape[0] != weight.shape[0]:
             raise DimensionError(
                 f"ConvLayer: bias shape {bias.shape} does not match "
                 f"out_channels {weight.shape[0]} on axis 0"
             )
-        padding = check_int(padding, "ConvLayer: padding")
-        if padding < 0:
-            raise ConfigError(f"ConvLayer: padding must be >= 0, got {padding}")
         self.weight = weight
         self.bias = bias
-        self.padding = padding
 
     @classmethod
     def init(cls, in_ch: int, out_ch: int, kernel: int, rng: np.random.Generator,
-             padding: int = 0) -> "ConvLayer":
+             padding: int | None = None) -> "ConvLayer":
         """Kaiming-uniform fan-in init (bound sqrt(6/fan_in)), zero bias."""
-        return cls.build(kaiming_uniform(rng), "", in_ch, out_ch, kernel, padding=padding)
+        # benchmarks/probe.py passes padding=kernel // 2; the keyword goes with
+        # ROADMAP item 1, and until then any other value is an error
+        if padding is not None and check_int(padding, "ConvLayer.init: padding") != kernel // 2:
+            raise ConfigError(f"ConvLayer.init: padding must be {kernel // 2}, got {padding}")
+        return cls.build(kaiming_uniform(rng), "", in_ch, out_ch, kernel)
 
     @classmethod
-    def build(cls, make: ParamMaker, name: str, in_ch: int, out_ch: int, kernel: int,
-              padding: int = 0) -> "ConvLayer":
+    def build(cls, make: ParamMaker, name: str, in_ch: int, out_ch: int,
+              kernel: int) -> "ConvLayer":
         """Layer whose ``<name>.weight`` and ``<name>.bias`` come from ``make``,
-        weight first."""
+        weight first, once the kernel passes the rule."""
+        _same_conv((out_ch, in_ch, kernel, kernel))
         return cls(make(f"{name}.weight", (out_ch, in_ch, kernel, kernel)),
-                   make(f"{name}.bias", (out_ch,)), padding=padding)
+                   make(f"{name}.bias", (out_ch,)))
 
     def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
         return conv2d(x, self, relu)
@@ -507,7 +512,7 @@ def _sgemm():
 
 # Bytes of grid rows one conv2d group of images touches (input and output; in
 # backward also the input gradient): small enough to stay in a core's L2 cache across
-# the kh*kw taps. On a 2 MiB-L2 Xeon, phase-1 conv time was flat from 128 KiB to 1 MiB.
+# the k*k taps. On a 2 MiB-L2 Xeon, phase-1 conv time was flat from 128 KiB to 1 MiB.
 _CONV_CHUNK_BYTES = 512 * 1024
 
 
@@ -515,32 +520,29 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
     """Batched 2-D cross-correlation by shift-and-GEMM, with an optional
     ReLU epilogue.
 
-    x: [B, C, H, W]. Output: [B, out_ch, OH, OW] with
-    OH = H + 2p - kh + 1.
+    x: [B, C, H, W] with H, W >= 1; the layer's kernel is k x k, k odd,
+    zero-padded by p = k // 2. Output: [B, out_ch, H, W].
 
-    The batch runs in groups of k whole images, k fixed by the shapes and
+    The batch runs in groups of n whole images, n fixed by the shapes and
     ``_CONV_CHUNK_BYTES`` so that a group's grid rows stay in a core's
     cache across the taps. Each group is written into a pixel-major flat
-    grid of zeros, ``xf[k*Hp*Wp + max(lead, tail), C]``: image rows are
-    ``Wp = W + gw`` positions wide, planes ``Hp = H + gh`` rows tall, and
+    grid of zeros, ``xf[n*Hp*Wp + 2*lead, C]``: image rows are
+    ``Wp = W + p`` positions wide, planes ``Hp = H + p`` rows tall, and
     the group's pixel (b, i, j) sits at position
-    ``lead + b*Hp*Wp + i*Wp + j`` with ``lead = p*Wp + p`` and
-    ``tail = (kh-1)*Wp + kw-1``. The output at position
-    ``q = b*Hp*Wp + i*Wp + j`` is the sum over taps (ki, kj) of
+    ``lead + b*Hp*Wp + i*Wp + j`` with ``lead = p*Wp + p``. The output at
+    position ``q = b*Hp*Wp + i*Wp + j`` is the sum over taps (ki, kj) of
     ``W[:, :, ki, kj] @ xf[q + ki*Wp + kj]``, so each tap is one GEMM of
     the weight slice with a contiguous shifted slice of the grid, and no
     im2col buffer exists.
 
-    The gaps are ``gw = max(p, 2p - kw + 1)`` and ``gh = max(p, 2p - kh + 1)``:
-    a read up to p past any edge of a row or plane lands in the zero gap it
-    shares with its neighbour, or in the grid's leading or trailing zeros,
-    where a padded image needs 2p (a 4x4 plane takes 25 positions, not 36).
-    The second term keeps a row as wide as the output when p > k-1.
-    Positions past an image's last valid output row or column are computed
-    and cropped.
+    The gaps are p wide: a read up to p past any edge of a row or plane
+    lands in the zero gap it shares with its neighbour, or in the grid's
+    ``lead`` leading or trailing zeros, where a padded image needs 2p (a
+    4x4 plane takes 25 positions, not 36). The gap positions' outputs are
+    computed and cropped by the slice that fills the grid, ``[:, :H, :W]``.
 
     Each tap is one scipy BLAS ``sgemm`` that adds its product straight into
-    the group's accumulator ``acc[k*Hp*Wp, out_ch]`` (``beta=1``; the first
+    the group's accumulator ``acc[n*Hp*Wp, out_ch]`` (``beta=1``; the first
     tap writes with ``beta=0``), which is then cropped, bias added, into the
     group's images of the output while it is still in cache. BLAS is
     column-major, so ``acc[:m].T``, the
@@ -564,7 +566,7 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
 
     Backward masks the whole output gradient and sums the bias gradient
     from it, then per group scatters its images onto the grid as
-    ``gf[k*Hp*Wp, out_ch]`` (zero in the cropped positions) and, per tap,
+    ``gf[n*Hp*Wp, out_ch]`` (zero in the cropped positions) and, per tap,
     accumulates ``dW_t += G @ X_t.T`` and ``dxf[tap].T += W_t.T @ G`` inside
     sgemm, with G = ``gf[:m].T`` and X_t the tap's grid slice; ``dxf`` is
     cropped into the group's images of the input gradient. The input
@@ -582,42 +584,43 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
     sgemm = _sgemm()
     x = _nchw(x, "conv2d")
     b, c, h, w = x.shape
-    out_ch, in_ch, kh, kw = layer.weight.shape
+    out_ch, in_ch, k, _ = layer.weight.shape
     if c != in_ch:
         raise DimensionError(
             f"conv2d: input axis 1 has {c} channels, layer expects {in_ch}"
         )
-    p = layer.padding
-    if h + 2 * p < kh or w + 2 * p < kw:
-        raise DimensionError(
-            f"conv2d: padded input {h + 2 * p}x{w + 2 * p} smaller than kernel {kh}x{kw}"
-        )
-    hp, wp = h + max(p, 2 * p - kh + 1), w + max(p, 2 * p - kw + 1)
+    if h < 1 or w < 1:
+        raise DimensionError(f"conv2d: empty spatial plane {h}x{w}")
+    p = k // 2
+    hp, wp = h + p, w + p
     plane = hp * wp
-    lead, tail = p * wp + p, (kh - 1) * wp + kw - 1
-    offsets = [ki * wp + kj for ki in range(kh) for kj in range(kw)]
-    # [kh*kw, C, out_ch]: wt[t].T is tap t's [out_ch, C] weight slice
+    lead = p * wp + p
+    offsets = [ki * wp + kj for ki in range(k) for kj in range(k)]
+    # [k*k, C, out_ch]: wt[t].T is tap t's [out_ch, C] weight slice
     wt = np.ascontiguousarray(layer.weight.data.transpose(2, 3, 1, 0)).reshape(-1, c, out_ch)
     per_col = 4 * (out_ch + 2 * c)
-    k = max(1, _CONV_CHUNK_BYTES // (per_col * plane))
-    groups = [(b0, min(b, b0 + k)) for b0 in range(0, b, k)]
-    span = min(b, k) * plane  # grid positions of the largest group
-    out_data = np.empty((b, out_ch, h + 2 * p - kh + 1, w + 2 * p - kw + 1), dtype=np.float32)
-    crop = (slice(None), slice(0, out_data.shape[2]), slice(0, out_data.shape[3]))
+    n = max(1, _CONV_CHUNK_BYTES // (per_col * plane))
+    groups = [(b0, min(b, b0 + n)) for b0 in range(0, b, n)]
+    span = min(b, n) * plane  # grid positions of the largest group
+    out_data = np.empty((b, out_ch, h, w), dtype=np.float32)
+
+    def images(rows):
+        """The [images, H, W, ch] pixels of a group's grid rows, as a view."""
+        return rows.reshape(-1, hp, wp, rows.shape[1])[:, :h, :w]
 
     def fill(xf, b0, b1):
         m = (b1 - b0) * plane
         xf[m + lead:] = 0  # after a shorter last group: clear the images it left behind
-        xf[lead:lead + m].reshape(-1, hp, wp, c)[:, :h, :w] = x.data[b0:b1].transpose(0, 2, 3, 1)
+        images(xf[lead:lead + m])[...] = x.data[b0:b1].transpose(0, 2, 3, 1)
         return m
 
-    xf = np.zeros((span + max(lead, tail), c), dtype=np.float32)
+    xf = np.zeros((span + 2 * lead, c), dtype=np.float32)
     acc = np.empty((span, out_ch), dtype=np.float32)
     for b0, b1 in groups:
         m = fill(xf, b0, b1)
         for t, off in enumerate(offsets):
             sgemm(1.0, wt[t].T, xf[off:m + off].T, beta=float(t > 0), c=acc[:m].T, overwrite_c=1)
-        grid = acc[:m].reshape(-1, hp, wp, out_ch)[crop].transpose(0, 3, 1, 2)
+        grid = images(acc[:m]).transpose(0, 3, 1, 2)
         np.add(grid, layer.bias.data[:, None, None], out=out_data[b0:b1])
         if relu:
             np.maximum(out_data[b0:b1], 0, out=out_data[b0:b1])
@@ -628,14 +631,14 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
             g = g * (out_data > 0)
         need_dx = x.requires_grad
         db = g.sum(axis=(0, 2, 3))
-        xf = np.zeros((span + max(lead, tail), c), dtype=np.float32)
+        xf = np.zeros((span + 2 * lead, c), dtype=np.float32)
         gf = np.zeros((span, out_ch), dtype=np.float32)
         dw = np.zeros((len(offsets), c, out_ch), dtype=np.float32)
         dxf = np.zeros(xf.shape, dtype=np.float32) if need_dx else None
         dx = np.empty(x.shape, dtype=np.float32) if need_dx else None
         for b0, b1 in groups:
             m = fill(xf, b0, b1)
-            gf[:m].reshape(-1, hp, wp, out_ch)[crop] = g[b0:b1].transpose(0, 2, 3, 1)
+            images(gf[:m])[...] = g[b0:b1].transpose(0, 2, 3, 1)
             gc = gf[:m].T
             for t, off in enumerate(offsets):
                 tap = slice(off, m + off)
@@ -643,10 +646,9 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
                 if need_dx:
                     sgemm(1.0, wt[t].T, gc, beta=1.0, c=dxf[tap].T, trans_a=1, overwrite_c=1)
             if need_dx:
-                dx[b0:b1] = (dxf[lead:lead + m].reshape(-1, hp, wp, c)[:, :h, :w]
-                             .transpose(0, 3, 1, 2))
+                dx[b0:b1] = images(dxf[lead:lead + m]).transpose(0, 3, 1, 2)
                 dxf.fill(0)
-        dw = np.ascontiguousarray(dw.reshape(kh, kw, c, out_ch).transpose(3, 2, 0, 1))
+        dw = np.ascontiguousarray(dw.reshape(k, k, c, out_ch).transpose(3, 2, 0, 1))
         return (dx, dw, db)
 
     return x._track(out_data, (x, layer.weight, layer.bias), vjp)

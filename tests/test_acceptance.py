@@ -64,14 +64,14 @@ def _conv_instance(rng):
     b, cin, cout = rng.integers(1, 3), rng.integers(1, 4), rng.integers(1, 4)
     k = int(rng.choice([1, 3]))
     rng.choice([1, 2])  # unused; keeps this instance's shapes and values fixed
-    padding = int(rng.choice([0, 1]))
+    rng.choice([0, 1])  # unused padding draw, likewise
     h, w = rng.integers(k + 2, k + 5), rng.integers(k + 2, k + 5)
     x = Tensor(rng.normal(scale=0.5, size=(b, cin, h, w)).astype(np.float32),
                requires_grad=True)
     wt = Tensor(rng.normal(scale=0.5, size=(cout, cin, k, k)).astype(np.float32),
                 requires_grad=True)
     bt = Tensor(rng.normal(scale=0.2, size=cout).astype(np.float32), requires_grad=True)
-    layer = ConvLayer(wt, bt, padding=padding)
+    layer = ConvLayer(wt, bt)
     c = _readout(rng, conv2d(x, layer).shape)
     return lambda: (conv2d(x, layer) * c).sum(), [x, wt, bt]
 

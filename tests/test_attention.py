@@ -100,8 +100,11 @@ def test_reduction_must_divide_channels():
 
 
 def test_spatial_kernel_must_be_odd():
-    with pytest.raises(ConfigError, match="odd"):
-        new_gate(channels=8, reduction=4, spatial_kernel=4)
+    # ConvLayer owns the rule, and checks it before the weight is drawn
+    for k in (4, 0, -1):
+        with pytest.raises(ConfigError, match=r"^ConvLayer: weight must be \[out, in, k, k\] "
+                                              r"with k odd, got \(1, 2, "):
+            new_gate(channels=8, reduction=4, spatial_kernel=k)
 
 
 @pytest.mark.parametrize("channels, reduction, spatial_kernel, field", [

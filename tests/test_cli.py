@@ -1123,7 +1123,7 @@ def conv_bits(b, ci, co, hw):
     rng = np.random.default_rng(ci * hw)
     x = Tensor(rng.normal(size=(b, ci, hw, hw)), requires_grad=True)
     layer = ConvLayer(Tensor(rng.normal(size=(co, ci, 3, 3)), requires_grad=True),
-                      Tensor(rng.normal(size=co), requires_grad=True), padding=1)
+                      Tensor(rng.normal(size=co), requires_grad=True))
     y = conv2d(x, layer)
     (y * Tensor(rng.normal(size=y.shape))).sum().backward()
     return b"".join(a.tobytes() for a in (y.data, x.grad, layer.weight.grad))
@@ -1138,7 +1138,7 @@ assert mine is public
 """
 
 
-# A conv at 32->32, 32x32, batch 16, padding 1, fused ReLU, forward and
+# A 3x3 conv at 32->32, 32x32, batch 16, fused ReLU, forward and
 # backward: the sha256 of its output, weight gradient and input gradient.
 CONV_BITS = """
 import hashlib
@@ -1148,7 +1148,7 @@ from salypath.tensor import ConvLayer, Tensor, conv2d
 rng = np.random.default_rng(0)
 x = Tensor(rng.normal(size=(16, 32, 32, 32)), requires_grad=True)
 layer = ConvLayer(Tensor(rng.normal(size=(32, 32, 3, 3)), requires_grad=True),
-                  Tensor(rng.normal(size=32), requires_grad=True), padding=1)
+                  Tensor(rng.normal(size=32), requires_grad=True))
 y = conv2d(x, layer, relu=True)
 (y * Tensor(rng.normal(size=y.shape))).sum().backward()
 for a in (y.data, layer.weight.grad, x.grad):

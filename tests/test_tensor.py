@@ -142,37 +142,29 @@ def pooling_inputs(rng, shape):
 
 
 # Conv cases where flat-grid indexing is easiest to get wrong, as
-# (batch, in_ch, out_ch, H, W, (kh, kw), padding): non-square input, 1x1
-# and 7x7 kernels, odd extents, kernels that cover the whole padded input
-# (1x1 output), padding larger than k-1 (the row and plane gaps then follow
-# 2p-k+1, not p), and non-square kernels. The last five give the BLAS operands a unit axis,
+# (batch, in_ch, out_ch, H, W, k), each a k x k "same" conv (padding k // 2):
+# non-square input, 1x1, 5x5 and 7x7 kernels, odd extents, and kernels
+# wider than the input. The last five give the BLAS operands a unit axis,
 # where a view can be C- and F-contiguous at once: one input channel, one
 # output channel, the attention gate's 2->1 7x7 conv at 4x4, a 1x1 conv on
 # 1x1 planes, and one output channel over a batch of three 40x40 planes,
 # one grid chunk each.
 CONV_EDGE_CASES = [
-    (2, 2, 3, 4, 7, (3, 3), 1),
-    (2, 3, 2, 5, 3, (1, 1), 0),
-    (1, 2, 2, 5, 6, (7, 7), 3),
-    (2, 2, 3, 7, 9, (3, 3), 1),
-    (1, 2, 2, 9, 7, (3, 3), 0),
-    (1, 3, 2, 7, 5, (3, 3), 1),
-    (2, 2, 3, 3, 3, (5, 5), 1),
-    (1, 2, 2, 4, 4, (4, 4), 0),
-    (2, 2, 3, 5, 4, (1, 1), 2),
-    (1, 2, 2, 4, 5, (3, 3), 3),
-    (2, 2, 3, 6, 7, (3, 3), 2),
-    (2, 3, 2, 5, 7, (3, 5), 1),
-    (1, 2, 3, 6, 5, (2, 3), 2),
-    (2, 1, 3, 5, 6, (3, 3), 1),
-    (2, 3, 1, 5, 6, (3, 3), 1),
-    (2, 2, 1, 4, 4, (7, 7), 3),
-    (3, 4, 2, 1, 1, (1, 1), 0),
-    (3, 24, 1, 40, 40, (3, 3), 1),
+    (2, 2, 3, 4, 7, 3),
+    (2, 3, 2, 5, 3, 1),
+    (1, 2, 2, 5, 6, 7),
+    (2, 2, 3, 7, 9, 3),
+    (1, 3, 2, 7, 5, 3),
+    (2, 2, 3, 3, 3, 5),
+    (2, 1, 3, 5, 6, 3),
+    (2, 3, 1, 5, 6, 3),
+    (2, 2, 1, 4, 4, 7),
+    (3, 4, 2, 1, 1, 1),
+    (3, 24, 1, 40, 40, 3),
 ]
 
 # (in_ch, out_ch, H=W) of the desk model's 16 encoder and decoder convs,
-# all 3x3 with padding 1, in forward order.
+# all 3x3, in forward order.
 DESK_CONV_SHAPES = [
     (3, 16, 64), (16, 16, 64), (16, 32, 32), (32, 32, 32),
     (32, 48, 16), (48, 48, 16), (48, 64, 8), (64, 64, 8),
@@ -183,11 +175,12 @@ DESK_CONV_SHAPES = [
 
 # 16 -> 16 channels at 24x24 give conv2d groups of 4 images: a batch of 6
 # runs as a group of 4, then a shorter one of 2 on the same scratch grid
-UNEVEN_GROUPS = (6, 16, 16, 24, 24, (3, 3), 1)
+UNEVEN_GROUPS = (6, 16, 16, 24, 24, 3)
 
 
 def random_conv_cases(rng, count=20):
-    """Small random conv cases in the CONV_EDGE_CASES tuple layout."""
+    """Small random conv cases in the CONV_EDGE_CASES tuple layout: of
+    ``count`` draws, the ones whose drawn padding is k // 2."""
     cases = []
     for _ in range(count):
         b = int(rng.integers(1, 3))
@@ -197,10 +190,8 @@ def random_conv_cases(rng, count=20):
         w = int(rng.integers(3, 9))
         k = int(rng.choice([1, 3]))
         rng.choice([1, 2])  # unused; keeps every later draw, and so every case, fixed
-        p = int(rng.choice([0, 1]))
-        if h + 2 * p < k or w + 2 * p < k:
-            p = 1
-        cases.append((b, c, o, h, w, (k, k), p))
+        if int(rng.choice([0, 1])) == k // 2:
+            cases.append((b, c, o, h, w, k))
     return cases
 
 
@@ -209,19 +200,43 @@ def random_conv_cases(rng, count=20):
 def test_conv_box_sum():
     x = Tensor(np.ones((1, 1, 3, 3), np.float32))
     layer = ConvLayer(Tensor(np.ones((1, 1, 3, 3), np.float32)),
-                      Tensor(np.zeros(1, np.float32)), padding=1)
+                      Tensor(np.zeros(1, np.float32)))
     y = conv2d(x, layer)
     assert y.data[0, 0, 1, 1] == 9.0
     for i, j in [(0, 0), (0, 2), (2, 0), (2, 2)]:
         assert y.data[0, 0, i, j] == 4.0
 
 
-@pytest.mark.parametrize("padding", [1.7, 1.0, True, -1])
-def test_conv_layer_padding_must_be_a_non_negative_int(padding):
-    w, b = Tensor(np.zeros((1, 1, 3, 3), np.float32)), Tensor(np.zeros(1, np.float32))
-    with pytest.raises(ConfigError, match="ConvLayer: padding must be"):
-        ConvLayer(w, b, padding=padding)
-    assert type(ConvLayer(w, b, padding=np.int64(2)).padding) is int
+def test_conv_layer_weight_must_be_an_odd_square_kernel():
+    # one rule, one error each: even, non-square and even non-square
+    # kernels, and a weight without its four axes
+    b = Tensor(np.zeros(1, np.float32))
+    for shape in [(1, 1, 4, 4), (1, 1, 3, 5), (1, 1, 2, 3), (1, 1, 3)]:
+        with pytest.raises(ConfigError) as err:
+            ConvLayer(Tensor(np.zeros(shape, np.float32)), b)
+        assert str(err.value) == ("ConvLayer: weight must be [out, in, k, k] with k odd, "
+                                  f"got {shape}")
+
+
+def test_conv_layer_init_takes_only_the_same_padding():
+    # benchmarks/probe.py builds its layers with padding=k // 2
+    for k in (1, 3, 7):
+        layer = ConvLayer.init(2, 3, k, np.random.default_rng(0), padding=k // 2)
+        plain = ConvLayer.init(2, 3, k, np.random.default_rng(0))
+        assert layer.weight.data.tobytes() == plain.weight.data.tobytes()
+        assert conv2d(Tensor(np.ones((1, 2, 5, 4), np.float32)), layer).shape == (1, 3, 5, 4)
+        for bad in (k // 2 + 1, k // 2 - 1, float(k // 2), True):
+            with pytest.raises(ConfigError, match="^ConvLayer.init: padding must be"):
+                ConvLayer.init(2, 3, k, np.random.default_rng(0), padding=bad)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("shape", [(1, 2, 0, 4), (1, 2, 4, 0)], ids=["no-rows", "no-columns"])
+def test_conv_rejects_an_empty_plane(shape, k):
+    layer = ConvLayer(Tensor(np.zeros((1, 2, k, k), np.float32)), Tensor(np.zeros(1, np.float32)))
+    h, w = shape[2:]
+    with pytest.raises(DimensionError, match=rf"^conv2d: empty spatial plane {h}x{w}$"):
+        conv2d(Tensor(np.zeros(shape, np.float32)), layer)
 
 
 def test_conv_identity_kernel():
@@ -229,7 +244,7 @@ def test_conv_identity_kernel():
     x = rng.normal(size=(2, 1, 5, 5)).astype(np.float32)
     w = np.zeros((1, 1, 3, 3), np.float32)
     w[0, 0, 1, 1] = 1.0
-    layer = ConvLayer(Tensor(w), Tensor(np.zeros(1, np.float32)), padding=1)
+    layer = ConvLayer(Tensor(w), Tensor(np.zeros(1, np.float32)))
     y = conv2d(Tensor(x), layer)
     np.testing.assert_array_equal(y.data, x)
 
@@ -237,36 +252,35 @@ def test_conv_identity_kernel():
 def test_conv_matches_loop_oracle():
     rng = np.random.default_rng(7)
     for case in random_conv_cases(rng) + CONV_EDGE_CASES:
-        b, c, o, h, w, k, p = case
+        b, c, o, h, w, k = case
         x = rng.normal(size=(b, c, h, w)).astype(np.float32)
-        wt = rng.normal(size=(o, c) + k).astype(np.float32)
+        wt = rng.normal(size=(o, c, k, k)).astype(np.float32)
         bias = rng.normal(size=o).astype(np.float32)
-        layer = ConvLayer(Tensor(wt), Tensor(bias), padding=p)
+        layer = ConvLayer(Tensor(wt), Tensor(bias))
         got = conv2d(Tensor(x), layer).data
-        want = conv2d_oracle(x, wt, bias, 1, p)
+        want = conv2d_oracle(x, wt, bias, 1, k // 2)
         np.testing.assert_allclose(got, want, atol=1e-5, err_msg=str(case))
 
 
-def _conv_with_grads(x, w, bias, padding, g, op=conv2d):
+def _conv_with_grads(x, w, bias, g, op=conv2d):
     xt = Tensor(x, requires_grad=True)
-    layer = ConvLayer(Tensor(w, requires_grad=True), Tensor(bias, requires_grad=True),
-                      padding=padding)
+    layer = ConvLayer(Tensor(w, requires_grad=True), Tensor(bias, requires_grad=True))
     y = op(xt, layer)
     (y * Tensor(g)).sum().backward()
     return y.data, xt.grad, layer.weight.grad, layer.bias.grad
 
 
 def _oracle_inputs(rng, case):
-    b, c, o, h, w, k, p = case
+    b, c, o, h, w, k = case
     x = rng.normal(size=(b, c, h, w)).astype(np.float32)
-    wt = (rng.normal(size=(o, c) + k) * 0.3).astype(np.float32)
+    wt = (rng.normal(size=(o, c, k, k)) * 0.3).astype(np.float32)
     bias = rng.normal(size=o).astype(np.float32)
-    g = rng.normal(size=(b, o, h + 2 * p - k[0] + 1, w + 2 * p - k[1] + 1)).astype(np.float32)
-    return x, wt, bias, p, g
+    g = rng.normal(size=(b, o, h, w)).astype(np.float32)
+    return x, wt, bias, g
 
 
-def _channel_major(x, w, bias, padding, g):
-    return conv2d_channel_major_oracle(x, w, bias, 1, padding, g)
+def _channel_major(x, w, bias, g):
+    return conv2d_channel_major_oracle(x, w, bias, 1, w.shape[-1] // 2, g)
 
 
 def test_conv_bitwise_matches_channel_major_oracle():
@@ -275,7 +289,7 @@ def test_conv_bitwise_matches_channel_major_oracle():
     # gradient accumulates K blocks inside BLAS, so its rounding moves.
     # The random cases are the loop-oracle test's (same seed).
     rng = np.random.default_rng(7)
-    desk = [(2, ci, co, hw, hw, (3, 3), 1) for ci, co, hw in DESK_CONV_SHAPES]
+    desk = [(2, ci, co, hw, hw, 3) for ci, co, hw in DESK_CONV_SHAPES]
     for case in random_conv_cases(rng) + CONV_EDGE_CASES + desk + [UNEVEN_GROUPS]:
         args = _oracle_inputs(rng, case)
         got = _conv_with_grads(*args)
@@ -299,9 +313,9 @@ def test_conv_reordering_kernel_shapes_match_channel_major_oracle():
     rng = np.random.default_rng(22)
     head = [(64, 64), (64, 56), (56, 48), (48, 40), (40, 32), (32, 24),
             (24, 20), (20, 16), (16, 12), (12, 8)]
-    cases = [(b, ci, co, 4, 4, (3, 3), 1) for ci, co in head for b in (1, 2, 16)]
-    cases += [(b, ci, co, 1, 1, (1, 1), 0) for ci, co in ((64, 16), (16, 64)) for b in (1, 2)]
-    cases += [(2, 4, 1, 5, 6, k, k[0] // 2) for k in ((1, 1), (3, 3))]
+    cases = [(b, ci, co, 4, 4, 3) for ci, co in head for b in (1, 2, 16)]
+    cases += [(b, ci, co, 1, 1, 1) for ci, co in ((64, 16), (16, 64)) for b in (1, 2)]
+    cases += [(2, 4, 1, 5, 6, k) for k in (1, 3)]
     for case in cases:
         args = _oracle_inputs(rng, case)
         got = _conv_with_grads(*args)
@@ -318,8 +332,7 @@ def test_conv_batch_equals_stacked_single_images():
     xs = rng.normal(size=(4, 16, 40, 40)).astype(np.float32)
     layer = ConvLayer(Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32) * 0.1,
                              requires_grad=True),
-                      Tensor(rng.normal(size=16).astype(np.float32), requires_grad=True),
-                      padding=1)
+                      Tensor(rng.normal(size=16).astype(np.float32), requires_grad=True))
     coeffs = rng.normal(size=(4, 16, 40, 40)).astype(np.float32)
 
     def run(lo, hi):
@@ -342,8 +355,7 @@ def test_conv_input_without_grad_keeps_parameter_grads():
     xs = rng.normal(size=(2, 3, 6, 5)).astype(np.float32)
     layer = ConvLayer(Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32),
                              requires_grad=True),
-                      Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True),
-                      padding=1)
+                      Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True))
     grads = []
     for needs in (True, False):
         x = Tensor(xs, requires_grad=needs)
@@ -363,8 +375,7 @@ def test_conv_input_from_an_op_still_returns_dx():
     x = Tensor(rng.normal(size=(2, 3, 5, 6)).astype(np.float32), requires_grad=True)
     layer = ConvLayer(Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32),
                              requires_grad=True),
-                      Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True),
-                      padding=1)
+                      Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True))
     h = x * 2.0
     y = conv2d(h, layer)
     g = rng.normal(size=y.shape).astype(np.float32)
@@ -380,8 +391,7 @@ def test_conv_repeat_calls_are_bitwise_identical():
     x = Tensor(rng.normal(size=(3, 4, 10, 7)).astype(np.float32), requires_grad=True)
     layer = ConvLayer(Tensor(rng.normal(size=(5, 4, 3, 3)).astype(np.float32),
                              requires_grad=True),
-                      Tensor(rng.normal(size=5).astype(np.float32), requires_grad=True),
-                      padding=1)
+                      Tensor(rng.normal(size=5).astype(np.float32), requires_grad=True))
     coeffs = Tensor(rng.normal(size=(3, 5, 10, 7)).astype(np.float32))
     runs = []
     for _ in range(2):
@@ -411,7 +421,7 @@ def test_conv_fused_relu_bitwise_matches_unfused():
     # the random cases are the loop-oracle test's (same seed); the last
     # two split the batch into several groups, the very last unevenly
     rng = np.random.default_rng(7)
-    chunked = [(4, 16, 16, 40, 40, (3, 3), 1), UNEVEN_GROUPS]
+    chunked = [(4, 16, 16, 40, 40, 3), UNEVEN_GROUPS]
     for case in random_conv_cases(rng) + CONV_EDGE_CASES + chunked:
         args = _oracle_inputs(rng, case)
         _assert_same_bits(_conv_with_grads(*args, op=_fused),
@@ -425,15 +435,15 @@ def test_conv_fused_relu_bitwise_at_zeros_and_nan():
     # pre-activation is -0.0; the mask rule out > 0 <=> a > 0 is checked
     # on such values directly below.
     rng = np.random.default_rng(23)
-    x, w, _, p, g = _oracle_inputs(rng, (2, 2, 3, 5, 6, (3, 3), 1))
+    x, w, _, g = _oracle_inputs(rng, (2, 2, 3, 5, 6, 3))
     x[:, :, :, :3] = 0.0
     x[0, 1, 1, 1] = -0.0
     x[1, 0, 3, 4] = np.nan
     bias = np.array([0.0, -0.0, 0.5], np.float32)
-    pre = conv2d(Tensor(x), ConvLayer(Tensor(w), Tensor(bias), padding=p)).data
+    pre = conv2d(Tensor(x), ConvLayer(Tensor(w), Tensor(bias))).data
     assert (pre == 0).any() and np.isnan(pre).any() and (pre < 0).any()
-    _assert_same_bits(_conv_with_grads(x, w, bias, p, g, op=_fused),
-                      _conv_with_grads(x, w, bias, p, g, op=_unfused), "zeros/nan")
+    _assert_same_bits(_conv_with_grads(x, w, bias, g, op=_fused),
+                      _conv_with_grads(x, w, bias, g, op=_unfused), "zeros/nan")
 
     a = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-45, -1e-45, 1.5, -1.5],
                  np.float32)
@@ -451,7 +461,7 @@ def test_conv_sites_retain_only_their_outputs():
     rng = np.random.default_rng(31)
     layers = [ConvLayer(Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32) * 0.1,
                                requires_grad=True),
-                        Tensor(np.zeros(16, np.float32), requires_grad=True), padding=1)
+                        Tensor(np.zeros(16, np.float32), requires_grad=True))
               for _ in range(2)]
     x = Tensor(rng.normal(size=(4, 16, 32, 32)).astype(np.float32), requires_grad=True)
     layers[0](x, relu=True)  # loads sgemm outside the measurement
@@ -476,7 +486,7 @@ def test_conv_scratch_is_group_sized():
     rng = np.random.default_rng(37)
     layer = ConvLayer(Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32) * 0.1,
                              requires_grad=True),
-                      Tensor(np.zeros(16, np.float32), requires_grad=True), padding=1)
+                      Tensor(np.zeros(16, np.float32), requires_grad=True))
     x = Tensor(rng.normal(size=(16, 16, 64, 64)).astype(np.float32), requires_grad=True)
     g = rng.normal(size=x.shape).astype(np.float32)
     layer(Tensor(x.data[:1]), relu=True)  # loads sgemm outside the measurement
@@ -493,13 +503,13 @@ def test_conv_scratch_is_group_sized():
 
 
 def test_conv_one_image_groups_give_each_image_its_own_bits():
-    # At 64x64, 16->16, padding 1 a group is one image (one image's grid rows
+    # At 64x64, 16->16, 3x3 a group is one image (one image's grid rows
     # pass _CONV_CHUNK_BYTES), so every GEMM has the same size whatever the
     # batch: an image's output and input gradient in a batch of 3 are its
     # bits alone. Where a group holds several images they need not be.
     rng = np.random.default_rng(41)
     layer = ConvLayer(Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32) * 0.1),
-                      Tensor(rng.normal(size=16).astype(np.float32)), padding=1)
+                      Tensor(rng.normal(size=16).astype(np.float32)))
     assert 4 * (16 + 2 * 16) * 65 * 65 > _CONV_CHUNK_BYTES
     x = Tensor(rng.normal(size=(3, 16, 64, 64)).astype(np.float32), requires_grad=True)
     g = rng.normal(size=x.shape).astype(np.float32)
@@ -694,7 +704,7 @@ def test_backward_keeps_grad_on_leaves_only():
     x = Tensor(away_from_zero(rng, (2, 3, 4, 4)), requires_grad=True)
     layer = ConvLayer(Tensor(rng.normal(size=(2, 3, 3, 3)).astype(np.float32),
                              requires_grad=True),
-                      Tensor(np.zeros(2, np.float32), requires_grad=True), padding=1)
+                      Tensor(np.zeros(2, np.float32), requires_grad=True))
     scale = Tensor(np.float32(1.5), requires_grad=True)
     y = upsample2(softmax2d(maxpool2(conv2d(x, layer, relu=True)) * scale - 0.5))
     z = concat([y, conv2d(x, layer).relu().sigmoid()], axis=1)
@@ -861,23 +871,23 @@ def check_conv(rng, x, layer, seed):
 def test_gradcheck_conv2d():
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        keep_p = rng.choice([1, 2]) == 2  # a quarter of the seeds run unpadded
-        p = int(rng.choice([0, 1]))
+        rng.choice([1, 2])  # unused padding draws; they keep every later draw fixed
+        rng.choice([0, 1])
         x = Tensor(rng.normal(size=(1, 2, 6, 5)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32) * 0.5,
                    requires_grad=True)
         b = Tensor(rng.normal(size=3).astype(np.float32) * 0.1, requires_grad=True)
-        layer = ConvLayer(w, b, padding=p if keep_p else max(p, 1))
+        layer = ConvLayer(w, b)
         check_conv(rng, x, layer, seed + 4000)
-    for i, (bs, c, o, h, ww, k, p) in enumerate(CONV_EDGE_CASES):
+    for i, (bs, c, o, h, ww, k) in enumerate(CONV_EDGE_CASES):
         if bs * c * h * ww > 4096:
             continue  # two forwards per input element; the oracles cover it
         rng = np.random.default_rng(4100 + i)
         x = Tensor(rng.normal(size=(bs, c, h, ww)).astype(np.float32), requires_grad=True)
-        w = Tensor(rng.normal(size=(o, c) + k).astype(np.float32) * 0.5,
+        w = Tensor(rng.normal(size=(o, c, k, k)).astype(np.float32) * 0.5,
                    requires_grad=True)
         b = Tensor(rng.normal(size=o).astype(np.float32) * 0.1, requires_grad=True)
-        layer = ConvLayer(w, b, padding=p)
+        layer = ConvLayer(w, b)
         check_conv(rng, x, layer, 4200 + i)
 
 
