@@ -230,6 +230,16 @@ def test_conv_layer_init_takes_only_the_same_padding():
                 ConvLayer.init(2, 3, k, np.random.default_rng(0), padding=bad)
 
 
+@pytest.mark.parametrize("padding", [1.7, 1.0, True, -1])
+def test_conv_layer_padding_must_be_a_non_negative_int(padding):
+    # the padding left is ConvLayer.init's checked keyword: a float, a bool or
+    # a negative value raises, and a numpy integer equal to k // 2 builds
+    with pytest.raises(ConfigError, match="^ConvLayer.init: padding must be"):
+        ConvLayer.init(1, 1, 3, np.random.default_rng(0), padding=padding)
+    layer = ConvLayer.init(1, 1, 3, np.random.default_rng(0), padding=np.int64(1))
+    assert layer.weight.shape == (1, 1, 3, 3)
+
+
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("shape", [(1, 2, 0, 4), (1, 2, 4, 0)], ids=["no-rows", "no-columns"])
 def test_conv_rejects_an_empty_plane(shape, k):
