@@ -10,6 +10,7 @@ graphs by hand and checks the gradients against central differences.
 import numpy as np
 
 from salypath import ConvLayer, Tensor, conv2d, maxpool2
+from salypath.tensor import kaiming_uniform
 
 rng = np.random.default_rng(0)
 
@@ -51,7 +52,7 @@ print(f"w.grad[1,0] analytic {w.grad[1, 0]:+.6f}  numeric {numeric:+.6f}")
 # applies the ReLU inside conv2d: one graph node and one output buffer
 # instead of two.
 img = Tensor(rng.normal(size=(1, 3, 8, 8)).astype(np.float32), requires_grad=True)
-layer = ConvLayer.init(3, 4, 3, rng)
+layer = ConvLayer.build(kaiming_uniform(rng), "demo", 3, 4, 3)
 pre = conv2d(img, layer, relu=True)
 pooled = maxpool2(pre)
 print("\nconv->relu->pool:", img.shape, "->", pooled.shape)

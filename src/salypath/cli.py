@@ -112,10 +112,9 @@ def cmd_predict(args) -> int:
     if (img_h, img_w) != (h, w):
         warnings.warn(f"image is {img_w}x{img_h}, resampling to model input {w}x{h}",
                       RuntimeWarning)
-        img = dio.resample_stimulus(img, w, h)
-    smap, path = model.forward(img)
+    smap, path = model.forward(dio.resample_stimulus(img, w, h))
     dio.write_pgm(args.out_map, smap.values)
-    # pixels in the stimulus's own frame, where eval-scanpath reads them
+    # pixels in the stimulus's own frame; eval-scanpath reads the manifest's
     px = path.to_pixels(img_w, img_h)
     dio.write_scanpath_csv(args.out_scanpath, px, extra={
         "x_norm": path.points[:, 0].astype(np.float64),
@@ -193,6 +192,7 @@ def _score_records(manifest, pred_dir: Path, suffix: str, score, out,
 
 
 def cmd_eval_saliency(args) -> int:
+    """Score each prediction resampled from its own size to its record's map."""
     _check_out_paths(args.out)
     if args.seed < 0:
         raise SalypathError(f"--seed must be >= 0, got {args.seed}")
@@ -203,9 +203,7 @@ def cmd_eval_saliency(args) -> int:
     def one(job):
         i, p = job
         gt = manifest.load_map(i)
-        pred = dio.read_pgm(p)
-        if pred.shape != gt.values.shape:
-            pred = dio.resample_map(pred, gt.width, gt.height)
+        pred = dio.resample_map(dio.read_pgm(p), gt.width, gt.height)
         fix = FixationSet.from_scanpaths(
             manifest.load_scanpaths(i), gt.width, gt.height)
         return [

@@ -444,8 +444,8 @@ class ConvLayer:
     def init(cls, in_ch: int, out_ch: int, kernel: int, rng: np.random.Generator,
              padding: int | None = None) -> "ConvLayer":
         """Kaiming-uniform fan-in init (bound sqrt(6/fan_in)), zero bias."""
-        # benchmarks/probe.py passes padding=kernel // 2; the keyword goes with
-        # ROADMAP item 1, and until then any other value is an error
+        # only benchmarks/probe.py calls this outside the tests, with padding=kernel // 2;
+        # the keyword goes with ROADMAP item 1, and until then any other value is an error
         if padding is not None and check_int(padding, "ConvLayer.init: padding") != kernel // 2:
             raise ConfigError(f"ConvLayer.init: padding must be {kernel // 2}, got {padding}")
         return cls.build(kaiming_uniform(rng), "", in_ch, out_ch, kernel)

@@ -174,11 +174,11 @@ class _Sample:
 
 
 def prepare_samples(model: SalypathModel, manifest: DatasetManifest) -> list[_Sample]:
-    """Load, resample to the model's input size, and pool fixations."""
+    """Load, resample each stimulus and map from its own size to the model's
+    input size (an image of that size stays bit for bit), and pool fixations."""
     h, w = model.config.input_size
     head_len = model.config.head_channels[-1]
-    resized = (manifest.height, manifest.width) != (h, w)
-    if resized:
+    if (manifest.height, manifest.width) != (h, w):
         warnings.warn(
             f"dataset is {manifest.width}x{manifest.height}, resampling to "
             f"model input {w}x{h}",
@@ -186,11 +186,8 @@ def prepare_samples(model: SalypathModel, manifest: DatasetManifest) -> list[_Sa
         )
     samples = []
     for i in range(len(manifest)):
-        img = manifest.load_stimulus(i)
-        gt = manifest.load_map(i).values
-        if resized:
-            img = resample_stimulus(img, w, h)
-            gt = resample_map(gt, w, h)
+        img = resample_stimulus(manifest.load_stimulus(i), w, h)
+        gt = resample_map(manifest.load_map(i), w, h)
         paths = manifest.load_scanpaths(i)
         fix = None
         if paths:  # each fixated pixel once: the NSS term weighs a pixel 0 or 1

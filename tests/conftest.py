@@ -4,6 +4,7 @@ small input factories that keep inputs away from non-smooth points."""
 import numpy as np
 import pytest
 
+from salypath.data import DatasetManifest, generate_synthetic, write_pgm, write_ppm
 from salypath.tensor import Tensor
 
 EPS = 1e-3
@@ -84,6 +85,16 @@ def graph_nodes(root: Tensor) -> list[Tensor]:
             nodes.append(node)
             stack.extend(node._parents)
     return nodes
+
+
+def mis_sized_dataset(root) -> DatasetManifest:
+    """A 3-record 16x16 synthetic dataset under ``root`` whose record 1
+    stimulus and record 2 map are rewritten as valid 8x8 images."""
+    man = generate_synthetic(3, seed=0, size=(16, 16), out_dir=root)
+    rng = np.random.default_rng(0)
+    write_ppm(man.stimulus_path(1), rng.random((3, 8, 8)))
+    write_pgm(man.map_path(2), rng.random((8, 8)))
+    return man
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ from salypath.cli import SALIENCY_COLS, SCANPATH_COLS, main
 from salypath.data import (
     DatasetManifest,
     ManifestRecord,
+    generate_synthetic,
     load_manifest,
     read_pgm,
     read_scanpath_csv,
@@ -36,6 +37,8 @@ from salypath.data import (
 from salypath.model import ModelConfig, SalypathModel
 from salypath.scanpath_metrics import multimatch
 from salypath.types import Scanpath
+
+from conftest import mis_sized_dataset
 
 # every ModelConfig field, so a checkpoint header built from it is complete
 TINY_MODEL = dict(
@@ -436,6 +439,15 @@ class TestTrain:
         assert proc.stderr.splitlines() == [
             "salypath train: warning: dataset is 32x32, resampling to model input 16x16"]
 
+    def test_images_of_other_sizes_train_without_a_word(self, tmp_path, capsys):
+        mis_sized_dataset(tmp_path)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"model": TINY_MODEL, "train": TINY_TRAIN}))
+        rc = main(["train", "--data", str(tmp_path / "manifest.json"),
+                   "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("flag", ["--out", "--report"])
     def test_missing_output_dir_exits_2_before_training(self, dataset, trained, tmp_path,
                                                        capsys, monkeypatch, flag):
@@ -750,6 +762,61 @@ class TestCheckpointFiles:
             assert main(argv) == 2
             [line] = capsys.readouterr().err.splitlines()
             assert line == f"salypath predict: error: {ckpt}: payload {error}"
+
+
+def pnm_cases(raw: bytes) -> dict[str, bytes]:
+    """Malformed and re-sized copies of the binary PNM file ``raw`` by case
+    id, enumerated: cut after each header byte (and to nothing) and once
+    inside the payload; its magic swapped for P5, P6 and P3; its maxval set
+    to 0 and 65535; and rewritten valid at 8x8, 16x8 and 1x1 (width x
+    height)."""
+    magic, dims, _, payload = raw.split(b"\n", 3)
+    n_head = len(raw) - len(payload)
+    channels = 3 if magic == b"P6" else 1
+    cases = {f"cut-{i}": raw[:i] for i in range(n_head + 1)}
+    cases["cut-payload"] = raw[:n_head + len(payload) // 2]
+    for swap in (b"P5", b"P6", b"P3"):
+        cases[f"magic-{swap.decode()}"] = swap + raw[2:]
+    for maxval in (b"0", b"65535"):
+        cases[f"maxval-{maxval.decode()}"] = b"\n".join([magic, dims, maxval, payload])
+    rng = np.random.default_rng(0)
+    for w, h in ((8, 8), (16, 8), (1, 1)):
+        pixels = rng.integers(0, 256, size=w * h * channels, dtype=np.uint8)
+        cases[f"size-{w}x{h}"] = b"%s\n%d %d\n255\n" % (magic, w, h) + pixels.tobytes()
+    return cases
+
+
+class TestTrainingImages:
+    """``train`` on a 2-record 16x16 manifest whose record 0 stimulus or map
+    is each case of ``pnm_cases``, in process."""
+
+    @pytest.mark.parametrize("kind", ["stimulus", "map"])
+    def test_every_enumerated_case_exits_0_or_2_naming_the_file(self, tmp_path, capsys,
+                                                               kind):
+        man = generate_synthetic(2, seed=0, size=(16, 16), out_dir=tmp_path)
+        victim = man.stimulus_path(0) if kind == "stimulus" else man.map_path(0)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"model": TINY_MODEL, "train": {
+            **TINY_TRAIN, "phase1_epochs": 1, "phase2_epochs": 1}}))
+        argv = ["train", "--data", str(tmp_path / "manifest.json"),
+                "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg)]
+        cases = pnm_cases(victim.read_bytes())
+        assert len(cases) == 23
+        escapes, exits = [], {0: 0, 2: 0}
+        for case, raw in cases.items():
+            victim.write_bytes(raw)
+            try:
+                rc = main(argv)
+            except Exception as e:  # an escape is what the sweep looks for
+                rc = f"{type(e).__name__}: {str(e)[:80]}"
+            err = capsys.readouterr().err.splitlines()
+            if (rc == 0 and not err) or (rc == 2 and len(err) == 1 and err[0].startswith(
+                    f"salypath train: error: {victim}: ")):
+                exits[rc] += 1
+            else:
+                escapes.append(f"{case}: exit {rc}, stderr {err[:2]}")
+        assert not escapes, f"{len(escapes)} of {len(cases)} cases: {escapes}"
+        assert exits[0] and exits[2]
 
 
 # -- evaluation -------------------------------------------------------------

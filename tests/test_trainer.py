@@ -18,7 +18,15 @@ import pytest
 
 from salypath import trainer
 from salypath.checkpoint import load_checkpoint
-from salypath.data import generate_synthetic, load_manifest, save_manifest
+from salypath.data import (
+    generate_synthetic,
+    load_manifest,
+    read_pgm,
+    read_ppm,
+    resample_map,
+    resample_stimulus,
+    save_manifest,
+)
 from salypath.errors import ConfigError, ContractError, NumericError, TrainingDiverged
 from salypath.losses import LossWeights, saliency_loss, scanpath_loss
 from salypath.model import ModelConfig, SalypathModel, soft_argmax
@@ -26,7 +34,7 @@ from salypath.tensor import Tensor, no_grad
 from salypath.trainer import Adam, SGD, TrainConfig, TrainReport, lr_schedule, train
 from salypath.types import FixationSet
 
-from conftest import graph_nodes
+from conftest import graph_nodes, mis_sized_dataset
 
 TINY = dict(
     input_size=(16, 16),
@@ -337,6 +345,21 @@ class TestPhase1:
         cfg = TrainConfig(phase1_epochs=1, phase1_lr=1e-4, batch_size=2, seed=0)
         with pytest.warns(RuntimeWarning, match="resampling"):
             train_only(1, tiny_model(), man, cfg)
+
+    def test_each_image_is_resampled_from_its_own_size(self, tmp_path):
+        man = mis_sized_dataset(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the manifest has the model's size
+            samples = trainer.prepare_samples(tiny_model(), man)
+        for i, s in enumerate(samples):
+            img, gt = read_ppm(man.stimulus_path(i)), read_pgm(man.map_path(i))
+            assert s.image.shape == (3, 16, 16) and s.gt_map.shape == (16, 16)
+            assert s.image.tobytes() == resample_stimulus(img, 16, 16).tobytes()
+            assert s.gt_map.tobytes() == resample_map(gt, 16, 16).tobytes()
+            if i != 1:
+                assert s.image.tobytes() == img.tobytes()
+            if i != 2:
+                assert s.gt_map.tobytes() == gt.tobytes()
 
 
 # -- phase 2 ------------------------------------------------------------------
