@@ -52,7 +52,7 @@ print(f"wall time: {r1.wall_time_s + r2.wall_time_s:.1f}s")
 ccs, mms = [], []
 for i in range(len(data)):
     pred_map, pred_path = model.forward(data.load_stimulus(i))
-    ccs.append(cc(pred_map.values, data.load_map(i).values))
+    ccs.append(cc(pred_map, data.load_map(i)))
     gt = data.load_scanpaths(i)[0]
     mms.append(multimatch(pred_path.points, gt.points).mean)
 

@@ -56,6 +56,6 @@ from .tensor import (
     upsample2,
 )
 from .trainer import Adam, SGD, TrainConfig, TrainReport, lr_schedule, train
-from .types import FixationSet, SaliencyMap, Scanpath
+from .types import FixationSet, Scanpath
 
 __version__ = "0.1.0"

@@ -113,8 +113,8 @@ def cmd_predict(args) -> int:
         warnings.warn(f"image is {img_w}x{img_h}, resampling to model input {w}x{h}",
                       RuntimeWarning)
     smap, path = model.forward(dio.resample_stimulus(img, w, h))
-    dio.write_pgm(args.out_map, smap.values)
-    # pixels in the stimulus's own frame; eval-scanpath reads the manifest's
+    dio.write_pgm(args.out_map, smap)
+    # pixels in the stimulus's own frame; eval-scanpath reads x_norm, y_norm
     px = path.to_pixels(img_w, img_h)
     dio.write_scanpath_csv(args.out_scanpath, px, extra={
         "x_norm": path.points[:, 0].astype(np.float64),
@@ -203,18 +203,18 @@ def cmd_eval_saliency(args) -> int:
     def one(job):
         i, p = job
         gt = manifest.load_map(i)
-        pred = dio.resample_map(dio.read_pgm(p), gt.width, gt.height)
-        fix = FixationSet.from_scanpaths(
-            manifest.load_scanpaths(i), gt.width, gt.height)
+        h, w = gt.shape
+        pred = dio.resample_map(dio.read_pgm(p), w, h)
+        fix = FixationSet.from_scanpaths(manifest.load_scanpaths(i), w, h)
         return [
             manifest.image_id(i),
             sm.auc_judd(pred, fix),
             sm.auc_borji(pred, fix, n_splits=args.borji_splits,
                          rng_seed=args.seed + i),
             sm.nss(pred, fix),
-            sm.cc(pred, gt.values),
-            sm.sim(pred, gt.values),
-            sm.kld(pred, gt.values),
+            sm.cc(pred, gt),
+            sm.sim(pred, gt),
+            sm.kld(pred, gt),
         ]
 
     return _score_records(manifest, Path(args.pred_dir), ".pgm", one,
@@ -222,6 +222,8 @@ def cmd_eval_saliency(args) -> int:
 
 
 def cmd_eval_scanpath(args) -> int:
+    """Score each prediction's x_norm, y_norm columns, or without them its
+    pixels read in the manifest's frame, against its record."""
     _check_out_paths(args.out)
     if not 0.0 < args.congruency_percentile < 100.0:
         raise SalypathError("--congruency-percentile must be in (0, 100), "
@@ -236,8 +238,7 @@ def cmd_eval_scanpath(args) -> int:
             raise SalypathError(
                 f"record {i} ({manifest.image_id(i)}) has no ground-truth scanpaths"
             )
-        pred = Scanpath.from_pixels(
-            dio.read_scanpath_csv(p), manifest.width, manifest.height)
+        pred = Scanpath(dio.read_scanpath_csv(p, (manifest.width, manifest.height)))
         # one row per observer: the four MultiMatch scores and their mean
         table = np.array([s.as_tuple() + (s.mean,)
                           for s in (spm.multimatch(pred, g) for g in gts)])
@@ -248,8 +249,8 @@ def cmd_eval_scanpath(args) -> int:
             mm = [float(np.mean(col)) for col in table.T]
         return [
             manifest.image_id(i), *mm,
-            spm.nss_scanpath(pred, gt.values),
-            spm.congruency(pred, gt.values, percentile=args.congruency_percentile),
+            spm.nss_scanpath(pred, gt),
+            spm.congruency(pred, gt, percentile=args.congruency_percentile),
         ]
 
     return _score_records(manifest, Path(args.pred_dir), ".csv", one,

@@ -3,15 +3,18 @@
 File formats, all dependency-free and byte-stable:
 
 * Saliency maps: binary PGM (P5), 8-bit, maxval 255; pixel value k means
-  intensity k/255.
+  intensity k/255. ``read_pgm`` (and so ``DatasetManifest.load_map``)
+  returns the [H, W] float32 array; ``write_pgm`` clips to [0, 1] and
+  rejects a NaN or infinite value.
 * Stimuli: binary PPM (P6), 8-bit RGB.
 * PNM header, read by the one pattern ``_PNM_HEADER``: the magic; width,
   height and maxval as decimal numbers (at most 18 significant digits),
   separated by whitespace or ``#`` comments that end in a newline; then
   exactly one whitespace byte before the payload.
 * Scanpaths: CSV with header ``index,x,y``; x and y are float pixel
-  coordinates (x along width). Extra columns are ignored on read, so
-  prediction outputs carrying normalized coordinates re-load cleanly.
+  coordinates (x along width). Extra columns are ignored on read, except
+  that a reader given a frame takes the ``x_norm``/``y_norm`` columns
+  ``predict`` writes, when a file has both, in place of the pixels.
   Floats are written with repr so write -> read -> write is byte-identical.
   A manifest's scanpaths are read by one checked reader, whether
   ``load_manifest`` reads them or a hand-built ``DatasetManifest`` does:
@@ -42,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DimensionError, ManifestError
-from .types import SaliencyMap, Scanpath, map_values, path_points
+from .types import Scanpath, map_values, path_points, pixel_to_norm
 
 WARM = np.array([0.95, 0.45, 0.15], dtype=np.float64)
 COOL = np.array([0.10, 0.30, 0.55], dtype=np.float64)
@@ -97,8 +100,12 @@ def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
 
 
 def write_pgm(path, values) -> None:
-    """8-bit binary PGM from a [H, W] map of values in [0, 1]."""
-    _write_pnm(path, b"P5", map_values(values, "write_pgm"))
+    """8-bit binary PGM from a [H, W] map, clipped to [0, 1]; a NaN or
+    infinite value raises ContractError before the file is opened."""
+    v = map_values(values, "write_pgm")
+    if not np.isfinite(v).all():
+        raise ContractError("write_pgm: values must be finite")
+    _write_pnm(path, b"P5", v)
 
 
 def read_pgm(path) -> np.ndarray:
@@ -145,9 +152,13 @@ def write_scanpath_csv(path, xy_pixels, extra: dict[str, np.ndarray] | None = No
             wr.writerow(row)
 
 
-def read_scanpath_csv(path) -> np.ndarray:
-    """[N, 2] float64 pixel (x, y). Requires the index,x,y header; extra
-    columns are ignored; indices must run 0..N-1."""
+def read_scanpath_csv(path, frame: tuple[int, int] | None = None) -> np.ndarray:
+    """[N, 2] (x, y) points. Requires the index,x,y header; indices must
+    run 0..N-1. Without ``frame``: float64 pixels, extra columns ignored.
+    With a (width, height) ``frame``: normalized points, the x_norm and
+    y_norm columns when the header has both, else the pixels read in that
+    frame (``pixel_to_norm``); one of the two without the other raises
+    ManifestError."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as f:
             rows = list(csv.reader(f))
@@ -162,14 +173,18 @@ def read_scanpath_csv(path) -> np.ndarray:
         raise ManifestError(
             f"{path}: header must start with index,x,y, got {rows[0][:3]}"
         )
+    norm = [c for c in ("x_norm", "y_norm") if c in header] if frame else []
+    if len(norm) == 1:
+        raise ManifestError(f"{path}: has column {norm[0]} without its pair")
+    cols = [header.index(c) for c in norm] or [1, 2]
     pts = []
     for ln, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         try:
             idx = int(row[0])
-            x = float(row[1])
-            y = float(row[2])
+            x = float(row[cols[0]])
+            y = float(row[cols[1]])
         except (ValueError, IndexError) as e:
             raise ManifestError(f"{path}: line {ln}: bad row {row!r}") from e
         if idx != len(pts):
@@ -179,7 +194,8 @@ def read_scanpath_csv(path) -> np.ndarray:
         pts.append((x, y))
     if not pts:
         raise ManifestError(f"{path}: no fixation rows")
-    return np.array(pts, dtype=np.float64)
+    pts = np.array(pts, dtype=np.float64)
+    return pixel_to_norm(pts, *frame) if frame and not norm else pts
 
 
 def _read_checked_scanpath(root: Path, rel: str, width: int, height: int,
@@ -230,8 +246,8 @@ class DatasetManifest:
     def load_stimulus(self, i: int) -> np.ndarray:
         return read_ppm(self.stimulus_path(i))
 
-    def load_map(self, i: int) -> SaliencyMap:
-        return SaliencyMap(read_pgm(self.map_path(i)))
+    def load_map(self, i: int) -> np.ndarray:
+        return read_pgm(self.map_path(i))
 
     def _scanpath_pixels(self, i: int) -> list[np.ndarray]:
         """Record i's scanpaths as [N, 2] pixel (x, y) arrays: the ones

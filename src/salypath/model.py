@@ -27,7 +27,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import CheckpointError, ConfigError, DimensionError
 from .tensor import (ConvLayer, ParamMaker, Tensor, _nchw, concat, kaiming_uniform, maxpool2,
                      no_grad, recording, softmax2d, upsample2)
-from .types import SaliencyMap, Scanpath, config_from_dict, read_fields
+from .types import Scanpath, config_from_dict, read_fields
 
 DESK_BLOCKS = ((2, 16), (2, 32), (2, 48), (2, 64))
 DESK_HEAD = (64, 56, 48, 40, 32, 24, 20, 16, 12, 8)
@@ -243,8 +243,9 @@ class SalypathModel:
         points = soft_argmax(feats, self.config.beta)
         return maps, points
 
-    def forward(self, image) -> tuple[SaliencyMap, Scanpath]:
-        """Single image [3, H, W] (array or Tensor) -> domain objects."""
+    def forward(self, image) -> tuple[np.ndarray, Scanpath]:
+        """Single image [3, H, W] (array or Tensor) -> its [H, W] float32
+        saliency map and its Scanpath."""
         arr = image.data if isinstance(image, Tensor) else np.asarray(image, np.float32)
         if arr.ndim != 3:
             raise DimensionError(
@@ -252,7 +253,7 @@ class SalypathModel:
             )
         with no_grad():
             maps, points = self.forward_tensors(Tensor(arr[None]))
-        return SaliencyMap(maps.data[0, 0]), Scanpath(points.data[0])
+        return maps.data[0, 0], Scanpath(points.data[0])
 
     # -- persistence ------------------------------------------------------
 

@@ -6,10 +6,10 @@ all-zero maps where a distribution is required) raise ContractError:
 evaluation never silently masks a broken input, unlike the training
 losses which must stay robust.
 
-Maps, read by ``types.map_values``, are SaliencyMaps or [H, W]
-array-likes. Fixations, read by ``types.fixation_set`` as in the losses,
-are a FixationSet on the map's grid or a [K, 2] integer array-like of
-(row, col) pixels; duplicates count with multiplicity.
+Maps, read by ``types.map_values``, are [H, W] array-likes. Fixations,
+read by ``types.fixation_set`` as in the losses, are a FixationSet on the
+map's grid or a [K, 2] integer array-like of (row, col) pixels; duplicates
+count with multiplicity.
 
 When prediction and ground truth resolutions differ, callers are expected
 to resample the prediction to the GT grid first (data.resample_map); the

@@ -5,7 +5,8 @@ Coordinate conventions, used consistently everywhere:
 * Scanpath points are (x, y) pairs normalized to [0, 1]^2, x along width.
 * Pixel mapping: row = round(y * (H-1)), col = round(x * (W-1)), clamped.
   The inverse divides by (size - 1).
-* Saliency maps are [H, W] float32 arrays with values in [0, 1].
+* Saliency maps are [H, W] float32 arrays with values in [0, 1];
+  ``data.write_pgm`` rejects a non-finite one.
 * Fixation sets are integer (row, col) pixel locations on a stated grid.
 
 Every loss, metric and writer reads its map, path and fixation arguments
@@ -27,9 +28,9 @@ from .errors import ConfigError, ContractError, DimensionError
 
 
 def map_values(x, caller: str) -> np.ndarray:
-    """The values of a SaliencyMap or an array-like map, uncast; anything
-    but [H, W] raises DimensionError naming ``caller``."""
-    v = x.values if isinstance(x, SaliencyMap) else np.asarray(x)
+    """An array-like map as an array, uncast; anything but [H, W] raises
+    DimensionError naming ``caller``."""
+    v = np.asarray(x)
     if v.ndim != 2:
         raise DimensionError(f"{caller}: expected a [H, W] map, got shape {v.shape}")
     return v
@@ -131,31 +132,6 @@ class Scanpath:
     @classmethod
     def from_pixels(cls, xy_pixels: np.ndarray, width: int, height: int) -> "Scanpath":
         return cls(pixel_to_norm(xy_pixels, width, height))
-
-
-@dataclass
-class SaliencyMap:
-    """Single-channel saliency distribution, values in [0, 1]."""
-
-    values: np.ndarray  # [H, W] float32
-
-    def __post_init__(self):
-        v = np.asarray(map_values(self.values, "SaliencyMap"), dtype=np.float32)
-        if v.shape[0] < 1 or v.shape[1] < 1:
-            raise DimensionError(f"SaliencyMap: empty extent in shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ContractError("SaliencyMap: values must be finite")
-        if v.min() < 0.0 or v.max() > 1.0:
-            raise ContractError("SaliencyMap: values must lie in [0, 1]")
-        self.values = v
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass

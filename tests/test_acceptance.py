@@ -359,7 +359,7 @@ def _kl_mse_part(model: SalypathModel, manifest) -> float:
     total = 0.0
     for i in range(len(manifest)):
         smap, _ = model.forward(manifest.load_stimulus(i))
-        gt = manifest.load_map(i).values
+        gt = manifest.load_map(i)
         total += w.kl_w * kldiv(smap, gt).item() + w.mse_w * mse_map(smap, gt).item()
     return total / len(manifest)
 

@@ -648,6 +648,21 @@ class TestPredict:
         assert line.startswith("salypath predict: error:") and "empty image 0x16" in line
         assert not (tmp_path / "m.pgm").exists()
 
+    def test_nan_decoder_exits_2_with_one_line_writing_nothing(self, tmp_path, capsys):
+        model = SalypathModel(ModelConfig(**TINY_MODEL), seed=0)
+        model.parameters()["dec.out.bias"].data[...] = np.nan
+        model.save(tmp_path / "nan.ckpt")
+        write_ppm(tmp_path / "img.ppm", np.random.default_rng(0).random((3, 16, 16)))
+        outs = [tmp_path / "m.pgm", tmp_path / "p.csv"]
+        rc = main(["predict", "--checkpoint", str(tmp_path / "nan.ckpt"),
+                   "--image", str(tmp_path / "img.ppm"),
+                   "--out-map", str(outs[0]), "--out-scanpath", str(outs[1])])
+        assert rc == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("salypath predict: error: ")
+        assert line.endswith(": values must be finite")
+        assert not any(p.exists() for p in outs)
+
     def test_size_mismatch_resamples_with_warning(self, trained, tmp_path, capsys):
         write_ppm(tmp_path / "big.ppm", np.zeros((3, 24, 24), dtype=np.float32))
         rc = main(["predict", "--checkpoint", str(trained["ckpt"]),
@@ -659,8 +674,8 @@ class TestPredict:
         assert read_pgm(tmp_path / "m.pgm").shape == (16, 16)
 
     def test_scanpath_pixels_are_in_the_stimulus_frame(self, trained, tmp_path):
-        # eval-scanpath maps pixels back with the stimulus's own size, so
-        # predict must write them in that frame, not the model's 16x16
+        # pixels in the stimulus's own frame, not the model's 16x16, beside
+        # the x_norm and y_norm columns that eval-scanpath scores
         rng = np.random.default_rng(0)
         write_ppm(tmp_path / "wide.ppm", rng.random((3, 40, 48)).astype(np.float32))
         out = tmp_path / "p.csv"
@@ -1001,6 +1016,33 @@ class TestEvalScanpath:
                         for name in ("shape", "direction", "length", "position", "mean")]
             assert [float(v) for v in row[1:6]] == want, row[0]
 
+    def test_prediction_of_a_mis_sized_stimulus_is_scored_in_its_own_frame(
+            self, trained, tmp_path):
+        # record 1's stimulus is 8x8 on a 16x16 manifest: predict writes its
+        # pixels in the 8x8 frame, and eval-scanpath must score the points
+        # it predicted, as if the stimulus had the manifest's size
+        man = mis_sized_dataset(tmp_path / "ds")
+        own, manifest_frame = tmp_path / "own", tmp_path / "manifest-frame"
+        own.mkdir()
+        manifest_frame.mkdir()
+        for i in range(len(man)):
+            csv_path = own / f"{man.image_id(i)}.csv"
+            assert main(["predict", "--checkpoint", str(trained["ckpt"]),
+                         "--image", str(man.stimulus_path(i)),
+                         "--out-map", str(tmp_path / "m.pgm"),
+                         "--out-scanpath", str(csv_path)]) == 0
+            with open(csv_path, newline="") as f:
+                path = Scanpath([[float(v) for v in row[3:]]    # x_norm, y_norm
+                                 for row in list(csv.reader(f))[1:]])
+            write_scanpath_csv(manifest_frame / csv_path.name, path.to_pixels(16, 16))
+        rows = []
+        for pred in (own, manifest_frame):
+            out = tmp_path / f"{pred.name}.csv"
+            assert main(["eval-scanpath", "--manifest", str(tmp_path / "ds" / "manifest.json"),
+                         "--pred-dir", str(pred), "--out", str(out)]) == 0
+            rows.append(read_report(out)[1])
+        assert rows[0] == rows[1]
+
     def test_missing_prediction_listed_and_exit_1(self, perfect, tmp_path, capsys):
         pred = tmp_path / "pred"
         shutil.copytree(perfect / "pred", pred)
@@ -1016,7 +1058,8 @@ class TestEvalScanpath:
     @pytest.mark.parametrize("text,error", [
         ("x,y\n1.0\n", "header must start with index,x,y"),
         ("index,x,y\n0,inf,3.0\n1,2.0,-inf\n", "pixel_to_norm: pixel coordinates must be finite"),
-    ], ids=["bad-header", "infinite-coordinates"])
+        ("index,x,y,y_norm\n0,1.0,2.0,0.5\n1,3.0,4.0,0.25\n", "s0.csv: has column y_norm without its pair"),
+    ], ids=["bad-header", "infinite-coordinates", "one-normalized-column"])
     def test_malformed_prediction_fails_its_record_exit_1(self, perfect, tmp_path,
                                                            capsys, text, error):
         pred = tmp_path / "pred"

@@ -98,6 +98,15 @@ class TestPgm:
         with pytest.raises(DimensionError, match=r"\[H, W\]"):
             write_pgm(tmp_path / "r.pgm", np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected_before_writing(self, tmp_path, bad):
+        # clipping would turn an infinity into 0 or 1, and a NaN has no byte
+        vals = np.full((2, 3), 0.5, dtype=np.float32)
+        vals[1, 2] = bad
+        with pytest.raises(ContractError, match="^write_pgm: values must be finite$"):
+            write_pgm(tmp_path / "n.pgm", vals)
+        assert not (tmp_path / "n.pgm").exists()
+
 
 # -- PPM ------------------------------------------------------------------
 
@@ -246,6 +255,28 @@ class TestScanpathCsv:
         back = read_scanpath_csv(p)
         assert np.array_equal(back, [[1.0, 2.0], [3.0, 4.0]])
 
+    def test_frame_reads_normalized_columns(self, tmp_path):
+        p = tmp_path / "n.csv"
+        p.write_text("index,x,y,x_norm,y_norm\n0,3.0,6.0,0.25,0.75\n1,9.0,0.0,1.0,0.0\n")
+        assert np.array_equal(read_scanpath_csv(p), [[3.0, 6.0], [9.0, 0.0]])
+        back = read_scanpath_csv(p, (100, 100))
+        assert np.array_equal(back, [[0.25, 0.75], [1.0, 0.0]])
+
+    def test_frame_reads_pixels_without_normalized_columns(self, tmp_path):
+        p = tmp_path / "px.csv"
+        p.write_text("index,x,y,duration\n0,3.0,6.0,310\n1,15.0,0.0,95\n")
+        back = read_scanpath_csv(p, (16, 7))
+        assert back.dtype == np.float32
+        assert np.array_equal(back, np.float32([[3.0 / 15, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("col", ["x_norm", "y_norm"])
+    def test_frame_rejects_one_normalized_column(self, tmp_path, col):
+        p = tmp_path / "half.csv"
+        p.write_text(f"index,x,y,{col}\n0,1.0,2.0,0.5\n")
+        assert read_scanpath_csv(p).shape == (1, 2)
+        with pytest.raises(ManifestError, match=f"half.csv: has column {col} without its pair"):
+            read_scanpath_csv(p, (4, 4))
+
     def test_blank_lines_tolerated(self, tmp_path):
         p = tmp_path / "b.csv"
         p.write_text("index,x,y\n0,1.0,1.0\n\n1,2.0,2.0\n")
@@ -336,7 +367,7 @@ class TestManifest:
         tiny_dataset(tmp_path)
         man = load_manifest(tmp_path / "manifest.json")
         assert man.load_stimulus(0).shape == (3, 4, 4)
-        assert man.load_map(0).values.shape == (4, 4)
+        assert man.load_map(0).shape == (4, 4)
         sps = man.load_scanpaths(0)
         assert len(sps) == 1
         # pixel (3, 2) on a 4x4 grid -> normalized (1.0, 2/3)
@@ -578,7 +609,7 @@ class TestGenerateSynthetic:
     def test_maps_are_normalized(self, tmp_path):
         man = generate_synthetic(6, seed=3, size=(32, 32), out_dir=tmp_path)
         for i in range(len(man)):
-            gm = man.load_map(i).values
+            gm = man.load_map(i)
             assert gm.max() == np.float32(1.0)
             assert gm.min() >= 0.0
 
@@ -610,7 +641,7 @@ class TestGenerateSynthetic:
             8, seed=6, size=(48, 48), out_dir=tmp_path, min_center_dist=0.35,
         )
         for i in range(len(man)):
-            gm = man.load_map(i).values
+            gm = man.load_map(i)
             r, c = np.unravel_index(int(np.argmax(gm)), gm.shape)
             assert np.hypot(c / 47.0 - 0.5, r / 47.0 - 0.5) > 0.2
 
@@ -621,7 +652,7 @@ class TestGenerateSynthetic:
         for seed in range(100):
             sub = tmp_path / f"s{seed}"
             man = generate_synthetic(1, seed=seed, size=(32, 32), out_dir=sub)
-            gm = man.load_map(0).values
+            gm = man.load_map(0)
             keep = gm >= np.percentile(gm, 50.0)
             for sp in man.load_scanpaths(0):
                 rc = norm_to_pixel(sp.points, 32, 32)
@@ -635,7 +666,7 @@ class TestGenerateSynthetic:
         man = generate_synthetic(6, seed=8, size=(32, 32), out_dir=tmp_path)
         for i in range(len(man)):
             img = man.load_stimulus(i)
-            gm = man.load_map(i).values.ravel().astype(np.float64)
+            gm = man.load_map(i).ravel().astype(np.float64)
             red = img[0].ravel().astype(np.float64)
             blue = img[2].ravel().astype(np.float64)
             assert np.corrcoef(red, gm)[0, 1] > 0.5

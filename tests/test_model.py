@@ -13,7 +13,7 @@ from salypath.checkpoint import load_checkpoint, save_checkpoint
 from salypath.errors import CheckpointError, ConfigError, ContractError, DimensionError
 from salypath.model import ModelConfig, SalypathModel, soft_argmax
 from salypath.tensor import Tensor, conv2d, maxpool2, softmax2d, upsample2
-from salypath.types import SaliencyMap, Scanpath
+from salypath.types import Scanpath
 
 from conftest import distinct_values, gradcheck
 
@@ -298,9 +298,9 @@ def test_forward_produces_domain_objects(rng):
     model = SalypathModel(ModelConfig.desk(), seed=3)
     image = rng.uniform(size=(3, 64, 64)).astype(np.float32)
     smap, path = model.forward(image)
-    assert isinstance(smap, SaliencyMap) and isinstance(path, Scanpath)
-    assert smap.values.shape == (64, 64)
-    assert np.all(smap.values >= 0.0) and np.all(smap.values <= 1.0)
+    assert isinstance(smap, np.ndarray) and isinstance(path, Scanpath)
+    assert smap.dtype == np.float32 and smap.shape == (64, 64)
+    assert np.all(smap >= 0.0) and np.all(smap <= 1.0)
     assert path.points.shape == (8, 2)
     assert np.all(path.points >= 0.0) and np.all(path.points <= 1.0)
 
@@ -313,7 +313,7 @@ def test_forward_returns_forward_tensors_bits(rng):
         image = image.astype(np.float32)
         smap, path = model.forward(image)
         maps, points = model.forward_tensors(Tensor(image[None]))
-        assert smap.values.tobytes() == maps.data[0, 0].tobytes()
+        assert smap.tobytes() == maps.data[0, 0].tobytes()
         assert path.points.tobytes() == points.data[0].tobytes()
 
 
@@ -322,7 +322,7 @@ def test_forward_is_deterministic(rng):
     image = rng.uniform(size=(3, 64, 64)).astype(np.float32)
     m1, p1 = model.forward(image)
     m2, p2 = model.forward(image)
-    np.testing.assert_array_equal(m1.values, m2.values)
+    np.testing.assert_array_equal(m1, m2)
     np.testing.assert_array_equal(p1.points, p2.points)
 
 
