@@ -7,7 +7,10 @@ bottleneck:
 
 * decoder: mirror of the encoder (nearest-neighbour 2x upsampling, then
   the block's convs, the last conv of each block stepping the channel
-  count down), finished by a 1x1 conv + sigmoid -> [B, 1, H, W];
+  count down), finished by a 1x1 conv + sigmoid -> [B, 1, H, W]. Each
+  block's upsampling and first conv run as one sub-pixel conv
+  (``conv2d(..., upsample=True)``): four 2x2 convs of the low-resolution
+  input, one per output phase, so no upsampled activation exists;
 * scanpath head: ten 3x3 convs tapering to 8 channels (ReLU after all
   but the last), then a spatial soft-argmax turning each of the 8 channel
   planes into one normalized (x, y) fixation.
@@ -26,7 +29,10 @@ from .attention import AttentionGate, attend
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import CheckpointError, ConfigError, DimensionError
 from .tensor import (ConvLayer, ParamMaker, Tensor, _nchw, concat, kaiming_uniform, maxpool2,
-                     no_grad, recording, softmax2d, upsample2)
+                     no_grad, recording, softmax2d)
+# unused since the decoder folds it into a conv; benchmarks/tracing.py patches
+# model.upsample2 by name, so it stays until the tracer patches nothing (ROADMAP item 4)
+from .tensor import upsample2  # noqa: F401
 from .types import Scanpath, config_from_dict, read_fields
 
 DESK_BLOCKS = ((2, 16), (2, 32), (2, 48), (2, 64))
@@ -220,11 +226,15 @@ class SalypathModel:
         return attend(bottleneck, self.att)
 
     def decode(self, bottleneck: Tensor) -> Tensor:
-        """Attended bottleneck -> saliency map batch [B, 1, H, W] in (0, 1)."""
+        """Attended bottleneck -> saliency map batch [B, 1, H, W] in (0, 1).
+
+        A block's first conv takes its input's nearest 2x upsampling inside
+        ``conv2d`` (``upsample=True``), equal to ``upsample2`` then the conv
+        up to float32 rounding."""
         x = bottleneck
-        for block in self.decoder:
-            x = upsample2(x)
-            for layer in block:
+        for first, *rest in self.decoder:
+            x = first(x, relu=True, upsample=True)
+            for layer in rest:
                 x = layer(x, relu=True)
         return self.dec_out(x).sigmoid()
 

@@ -28,7 +28,10 @@ Design notes, load-bearing:
   views, or f2py writes into a copy), and backward reads the same slices.
   Convs are "same": an odd k x k kernel, zero padding k // 2 and stride 1
   keep the input's size (the model downsamples by pooling alone), and the
-  zero gaps between rows and planes are the padding. The batch runs in
+  zero gaps between rows and planes are the padding. ``upsample=True``
+  folds a nearest 2x upsampling into the conv: four output phases, each a
+  conv of the low-resolution input with pre-summed weights (``_taps``), so
+  no upsampled activation exists. The batch runs in
   groups of whole images that fit in cache; each group fills, multiplies
   and crops its own grid, so the grid, the accumulator and the gradient
   grids are one group in size (allocated once per call and reused).
@@ -459,8 +462,8 @@ class ConvLayer:
         return cls(make(f"{name}.weight", (out_ch, in_ch, kernel, kernel)),
                    make(f"{name}.bias", (out_ch,)))
 
-    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
-        return conv2d(x, self, relu)
+    def __call__(self, x: Tensor, relu: bool = False, upsample: bool = False) -> Tensor:
+        return conv2d(x, self, relu, upsample)
 
 
 @functools.cache
@@ -510,54 +513,101 @@ def _sgemm():
     return module.sgemm
 
 
+@functools.cache
+def _taps(k: int, upsample: bool) -> tuple[int, list[list[tuple[int, int]]], np.ndarray | None]:
+    """conv2d's tap table for a k x k kernel: ``(pad, phases, fold)``.
+
+    ``pad`` is the grid's zero gap, ``phases[ph]`` lists the (di, dj)
+    input-pixel offset each tap of output phase ``ph`` reads, and ``fold``
+    is None (tap t is kernel cell t) or the constant 0/1 matrix
+    [taps, k*k] whose product with the kernel cells sums each tap's weight.
+
+    A plain conv is one phase of k*k taps at offsets -p..p (p = k // 2).
+    Nearest 2x upsampling then the conv is four phases: along each axis,
+    output row 2i + a reads upsampled rows 2i + a + d for d in -p..p, which
+    are input rows i + (a + d) // 2, so the kernel rows that land on one
+    input row add up. For k = 3, phase 0 reads offsets {-1, 0} with taps
+    {W0, W1 + W2}, and phase 1 reads {0, +1} with {W0 + W1, W2}.
+    """
+    p = k // 2
+    if not upsample:
+        return p, [[(i - p, j - p) for i in range(k) for j in range(k)]], None
+    rows, folds = [], []
+    for a in (0, 1):
+        src = [(a + d) // 2 for d in range(-p, p + 1)]  # input row of each kernel row
+        rows.append(sorted(set(src)))
+        folds.append(np.array([[s == r for s in src] for r in rows[-1]], dtype=np.float32))
+    phases = [[(ri, rj) for ri in rows[a] for rj in rows[bb]] for a in (0, 1) for bb in (0, 1)]
+    fold = np.concatenate([np.kron(folds[a], folds[bb]) for a in (0, 1) for bb in (0, 1)])
+    return (p + 1) // 2, phases, fold
+
+
 # Bytes of grid rows one conv2d group of images touches (input and output; in
 # backward also the input gradient): small enough to stay in a core's L2 cache across
-# the k*k taps. On a 2 MiB-L2 Xeon, phase-1 conv time was flat from 128 KiB to 1 MiB.
+# the taps. On a 2 MiB-L2 Xeon, phase-1 conv time was flat from 128 KiB to 1 MiB.
 _CONV_CHUNK_BYTES = 512 * 1024
 
 
-def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
+def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False, upsample: bool = False) -> Tensor:
     """Batched 2-D cross-correlation by shift-and-GEMM, with an optional
-    ReLU epilogue.
+    ReLU epilogue, of ``x`` or (``upsample``) of its nearest 2x upsampling.
 
     x: [B, C, H, W] with H, W >= 1; the layer's kernel is k x k, k odd,
-    zero-padded by p = k // 2. Output: [B, out_ch, H, W].
+    zero-padded by k // 2 at the conv's resolution. Output: [B, out_ch, H, W],
+    or [B, out_ch, 2H, 2W] with ``upsample``.
+
+    The conv runs ``_taps``'s table: per output phase, the input offsets
+    its taps read and each tap's weight. A plain conv is one phase of k*k
+    taps, one per kernel cell. ``upsample`` runs four phases (output row
+    and column parity), each a conv of ``x`` itself with weights pre-summed
+    by one product with the table's 0/1 fold matrix, whose transpose sums
+    the vjp's phase-tap gradients back onto the kernel. At k = 3 that is 16
+    multiplies per input pixel and channel pair instead of upsample-then-
+    conv's 36, and no upsampled activation (Shi et al. 2016, arXiv
+    1609.05158). It equals ``conv2d(upsample2(x), layer)`` to float32
+    rounding, not in bits: the pre-summed weights round differently.
 
     The batch runs in groups of n whole images, n fixed by the shapes and
-    ``_CONV_CHUNK_BYTES`` so that a group's grid rows stay in a core's
+    ``_CONV_CHUNK_BYTES`` so that a group's grid rows (its input and
+    gradient rows, plus every phase's accumulator row) stay in a core's
     cache across the taps. Each group is written into a pixel-major flat
-    grid of zeros, ``xf[n*Hp*Wp + 2*lead, C]``: image rows are
-    ``Wp = W + p`` positions wide, planes ``Hp = H + p`` rows tall, and
+    grid of zeros, ``xf[n*Hp*Wp + 2*lead, C]``: with ``pad`` the table's
+    gap (k // 2 plain, 1 for a 3x3 upsample), image rows are
+    ``Wp = W + pad`` positions wide, planes ``Hp = H + pad`` rows tall, and
     the group's pixel (b, i, j) sits at position
-    ``lead + b*Hp*Wp + i*Wp + j`` with ``lead = p*Wp + p``. The output at
-    position ``q = b*Hp*Wp + i*Wp + j`` is the sum over taps (ki, kj) of
-    ``W[:, :, ki, kj] @ xf[q + ki*Wp + kj]``, so each tap is one GEMM of
-    the weight slice with a contiguous shifted slice of the grid, and no
+    ``lead + b*Hp*Wp + i*Wp + j`` with ``lead = pad*Wp + pad``. A phase's
+    output at position ``q = b*Hp*Wp + i*Wp + j`` is the sum over its taps
+    (di, dj) of ``W_tap @ xf[lead + q + di*Wp + dj]``, so each tap is one
+    GEMM of its weight with a contiguous shifted slice of the grid, and no
     im2col buffer exists.
 
-    The gaps are p wide: a read up to p past any edge of a row or plane
-    lands in the zero gap it shares with its neighbour, or in the grid's
-    ``lead`` leading or trailing zeros, where a padded image needs 2p (a
-    4x4 plane takes 25 positions, not 36). The gap positions' outputs are
-    computed and cropped by the slice that fills the grid, ``[:, :H, :W]``.
+    The gaps are ``pad`` wide: a read up to ``pad`` past any edge of a row
+    or plane lands in the zero gap it shares with its neighbour, or in the
+    grid's ``lead`` leading or trailing zeros, where a padded image needs
+    2 * pad (a 4x4 plane takes 25 positions, not 36). The gap positions'
+    outputs are computed and cropped.
 
     Each tap is one scipy BLAS ``sgemm`` that adds its product straight into
-    the group's accumulator ``acc[n*Hp*Wp, out_ch]`` (``beta=1``; the first
-    tap writes with ``beta=0``), which is then cropped, bias added, into the
-    group's images of the output while it is still in cache. BLAS is
-    column-major, so ``acc[:m].T``, the
-    grid slices' ``.T`` and ``wt[t].T`` are F-contiguous views, passed with
-    no copy. Every ``c`` must be one: f2py's ``overwrite_c`` silently writes
-    into a copy of any other array. sgemm is loaded at the first call by
-    ``_sgemm``, straight from scipy's ``_fblas`` extension file, so no
-    process imports the ``scipy.linalg`` package for it.
+    its phase's rows of the group's accumulator ``acc[phases, n*Hp*Wp,
+    out_ch]`` (``beta=1``; a phase's first tap writes with ``beta=0``).
+    With ``upsample`` one strided copy interleaves the four phases into the
+    group's pixel-major images ``px[n, 2H, 2W, out_ch]``; one crop then adds
+    the bias and writes the group's images of the output while they are
+    still in cache. BLAS is
+    column-major, so ``acc[ph, :m].T``, the grid slices' ``.T`` and
+    ``wt[ph, t].T`` are F-contiguous views, passed with no copy. Every
+    ``c`` must be one: f2py's ``overwrite_c`` silently writes into a copy of
+    any other array. sgemm is loaded at the first call by ``_sgemm``,
+    straight from scipy's ``_fblas`` extension file, so no process imports
+    the ``scipy.linalg`` package for it.
 
     With ``relu``, the output is clamped in place
     (``np.maximum(out, 0, out=out)``, ``Tensor.relu``'s arithmetic) and
     backward masks the output gradient with ``out > 0``. That holds exactly
     where the pre-activation's ``a > 0`` does (NaN fails both; -0.0 and 0.0
     clamp to a zero), so the output, the masked gradient and the bias
-    gradient summed from it have the bits of ``conv2d(x, layer).relu()``.
+    gradient summed from it have the bits of ``conv2d(x, layer,
+    upsample=upsample).relu()``.
 
     The vjp keeps only ``x`` and the output: backward refills each group's
     grid from ``x.data``, instead of a padded copy of every conv input
@@ -565,12 +615,12 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
     2016, arXiv 1604.06174).
 
     Backward masks the whole output gradient and sums the bias gradient
-    from it, then per group scatters its images onto the grid as
-    ``gf[n*Hp*Wp, out_ch]`` (zero in the cropped positions) and, per tap,
-    accumulates ``dW_t += G @ X_t.T`` and ``dxf[tap].T += W_t.T @ G`` inside
-    sgemm, with G = ``gf[:m].T`` and X_t the tap's grid slice; ``dxf`` is
-    cropped into the group's images of the input gradient. The input
-    gradient is skipped when nothing upstream needs it.
+    from it, then per group scatters its images' phases onto the grid as
+    ``gf[phases, n*Hp*Wp, out_ch]`` (zero in the cropped positions) and,
+    per tap, accumulates ``dW_t += G @ X_t.T`` and ``dxf[tap].T += W_t.T @ G``
+    inside sgemm, with G = ``gf[ph, :m].T`` and X_t the tap's grid slice;
+    ``dxf`` is cropped into the group's images of the input gradient. The
+    input gradient is skipped when nothing upstream needs it.
 
     Scratch is sized to one group, allocated once per call and reused:
     no array but the output, the masked gradient and the input gradient
@@ -579,7 +629,8 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
     inputs in the same batch give the same bits. An image's bits can
     depend on how many images share its group, because BLAS picks its
     kernel by the GEMM's size (``head.1``, 64->56 at 4x4, differs between
-    batch 1 and batch 16); where a group is one image, they cannot.
+    batch 1 and batch 16); where a group is one image (every 64x64 output,
+    the decoder's folded 32x32 -> 64x64 site included), they cannot.
     """
     sgemm = _sgemm()
     x = _nchw(x, "conv2d")
@@ -591,22 +642,29 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
         )
     if h < 1 or w < 1:
         raise DimensionError(f"conv2d: empty spatial plane {h}x{w}")
-    p = k // 2
-    hp, wp = h + p, w + p
+    pad, table, fold = _taps(k, bool(upsample))
+    s = 2 if upsample else 1  # output pixels per input pixel along each axis
+    hp, wp = h + pad, w + pad
     plane = hp * wp
-    lead = p * wp + p
-    offsets = [ki * wp + kj for ki in range(k) for kj in range(k)]
-    # [k*k, C, out_ch]: wt[t].T is tap t's [out_ch, C] weight slice
-    wt = np.ascontiguousarray(layer.weight.data.transpose(2, 3, 1, 0)).reshape(-1, c, out_ch)
-    per_col = 4 * (out_ch + 2 * c)
+    lead = pad * wp + pad
+    offsets = [[lead + di * wp + dj for di, dj in taps] for taps in table]
+    # [k*k, C*out_ch] kernel cells; wt[ph, t].T is the [out_ch, C] weight of phase ph's tap t
+    cells = np.ascontiguousarray(layer.weight.data.transpose(2, 3, 1, 0)).reshape(k * k, -1)
+    wt = (cells if fold is None else fold @ cells).reshape(s * s, -1, c, out_ch)
+    per_col = 4 * (s * s * out_ch + 2 * c)
     n = max(1, _CONV_CHUNK_BYTES // (per_col * plane))
     groups = [(b0, min(b, b0 + n)) for b0 in range(0, b, n)]
     span = min(b, n) * plane  # grid positions of the largest group
-    out_data = np.empty((b, out_ch, h, w), dtype=np.float32)
+    out_data = np.empty((b, out_ch, s * h, s * w), dtype=np.float32)
 
     def images(rows):
-        """The [images, H, W, ch] pixels of a group's grid rows, as a view."""
-        return rows.reshape(-1, hp, wp, rows.shape[1])[:, :h, :w]
+        """The [..., images, H, W, ch] pixels of a group's [..., m, ch] grid rows, as a view."""
+        return rows.reshape(rows.shape[:-2] + (-1, hp, wp, rows.shape[-1]))[..., :h, :w, :]
+
+    def phases(a):
+        """[images, s*H, s*W, ch] pixels as their [s, s, images, H, W, ch] output
+        phases, a view: phase (r, q) holds pixel (s*i + r, s*j + q)."""
+        return a.reshape(a.shape[0], h, s, w, s, a.shape[3]).transpose(2, 4, 0, 1, 3, 5)
 
     def fill(xf, b0, b1):
         m = (b1 - b0) * plane
@@ -615,16 +673,25 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
         return m
 
     xf = np.zeros((span + 2 * lead, c), dtype=np.float32)
-    acc = np.empty((span, out_ch), dtype=np.float32)
+    acc = np.empty((s * s, span, out_ch), dtype=np.float32)
+    # a group's interleaved output pixels: cropping the phases straight into
+    # NCHW runs numpy's inner loop over a phase pair, at about 3x the time
+    px = np.empty((min(b, n), s * h, s * w, out_ch), dtype=np.float32) if upsample else None
     for b0, b1 in groups:
         m = fill(xf, b0, b1)
-        for t, off in enumerate(offsets):
-            sgemm(1.0, wt[t].T, xf[off:m + off].T, beta=float(t > 0), c=acc[:m].T, overwrite_c=1)
-        grid = images(acc[:m]).transpose(0, 3, 1, 2)
-        np.add(grid, layer.bias.data[:, None, None], out=out_data[b0:b1])
+        for ph, offs in enumerate(offsets):
+            for t, off in enumerate(offs):
+                sgemm(1.0, wt[ph, t].T, xf[off:m + off].T, beta=float(t > 0), c=acc[ph, :m].T,
+                      overwrite_c=1)
+        if upsample:
+            grid = px[:b1 - b0]
+            phases(grid)[...] = images(acc[:, :m].reshape(s, s, m, out_ch))
+        else:
+            grid = images(acc[0, :m])
+        np.add(grid.transpose(0, 3, 1, 2), layer.bias.data[:, None, None], out=out_data[b0:b1])
         if relu:
             np.maximum(out_data[b0:b1], 0, out=out_data[b0:b1])
-    # the vjp must not name xf, acc or grid: each would stay alive until backward
+    # the vjp must not name xf, acc, px or grid: each would stay alive until backward
 
     def vjp(g):
         if relu:
@@ -632,22 +699,28 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False) -> Tensor:
         need_dx = x.requires_grad
         db = g.sum(axis=(0, 2, 3))
         xf = np.zeros((span + 2 * lead, c), dtype=np.float32)
-        gf = np.zeros((span, out_ch), dtype=np.float32)
-        dw = np.zeros((len(offsets), c, out_ch), dtype=np.float32)
+        gf = np.zeros((s * s, span, out_ch), dtype=np.float32)
+        dw = np.zeros(wt.shape, dtype=np.float32)
         dxf = np.zeros(xf.shape, dtype=np.float32) if need_dx else None
         dx = np.empty(x.shape, dtype=np.float32) if need_dx else None
         for b0, b1 in groups:
             m = fill(xf, b0, b1)
-            images(gf[:m])[...] = g[b0:b1].transpose(0, 2, 3, 1)
-            gc = gf[:m].T
-            for t, off in enumerate(offsets):
-                tap = slice(off, m + off)
-                sgemm(1.0, gc, xf[tap].T, beta=1.0, c=dw[t].T, trans_b=1, overwrite_c=1)
-                if need_dx:
-                    sgemm(1.0, wt[t].T, gc, beta=1.0, c=dxf[tap].T, trans_a=1, overwrite_c=1)
+            rows = gf[:, :m].reshape(s, s, m, out_ch)
+            images(rows)[...] = phases(g[b0:b1].transpose(0, 2, 3, 1))
+            for ph, offs in enumerate(offsets):
+                gc = gf[ph, :m].T
+                for t, off in enumerate(offs):
+                    tap = slice(off, m + off)
+                    sgemm(1.0, gc, xf[tap].T, beta=1.0, c=dw[ph, t].T, trans_b=1, overwrite_c=1)
+                    if need_dx:
+                        sgemm(1.0, wt[ph, t].T, gc, beta=1.0, c=dxf[tap].T, trans_a=1,
+                              overwrite_c=1)
             if need_dx:
                 dx[b0:b1] = images(dxf[lead:lead + m]).transpose(0, 3, 1, 2)
                 dxf.fill(0)
+        dw = dw.reshape(-1, c * out_ch)
+        if fold is not None:
+            dw = fold.T @ dw
         dw = np.ascontiguousarray(dw.reshape(k, k, c, out_ch).transpose(3, 2, 0, 1))
         return (dx, dw, db)
 

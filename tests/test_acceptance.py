@@ -324,10 +324,16 @@ def desk_run(tmp_path_factory):
                      "--out-map", str(pred / f"{iid}.pgm"),
                      "--out-scanpath", str(pred / f"{iid}.csv")]) == 0
 
-    # baselines: a shared center-prior map and seeded uniform-random paths
-    base = root / "base"
-    base.mkdir()
+    # baselines: a shared center-prior map and seeded uniform-random paths;
+    # seeded centre paths, (31.5, 31.5) plus 3-px normal jitter per point
+    # (a constant path has no extent, which multimatch rejects); and greedy
+    # inhibition of return on the model's own map: its 8 highest peaks, each
+    # suppressing an 8-px radius around it (Itti, Koch & Niebur 1998)
+    base, centre, ior = root / "base", root / "centre", root / "ior"
+    for d in (base, centre, ior):
+        d.mkdir()
     rng = np.random.default_rng(99)
+    centre_rng = np.random.default_rng(98)
     yy, xx = np.mgrid[0:64, 0:64]
     blob = np.exp(-(((xx - 31.5) / 64) ** 2 + ((yy - 31.5) / 64) ** 2)
                   / (2 * 0.25 ** 2))
@@ -335,18 +341,29 @@ def desk_run(tmp_path_factory):
         iid = held.image_id(i)
         write_pgm(base / f"{iid}.pgm", blob / blob.max())
         write_scanpath_csv(base / f"{iid}.csv", rng.random((8, 2)) * 63)
+        write_scanpath_csv(centre / f"{iid}.csv",
+                           np.clip(31.5 + centre_rng.normal(scale=3.0, size=(8, 2)), 0, 63))
+        smap = read_pgm(pred / f"{iid}.pgm").astype(np.float64)
+        peaks = []
+        for _ in range(8):
+            r, c = np.unravel_index(np.argmax(smap), smap.shape)
+            peaks.append((c, r))
+            smap[(yy - r) ** 2 + (xx - c) ** 2 <= 8 ** 2] = -np.inf
+        write_scanpath_csv(ior / f"{iid}.csv", np.array(peaks, dtype=np.float64))
 
     reports = {}
-    for tag, pdir in (("model", pred), ("baseline", base)):
-        for kind in ("saliency", "scanpath"):
-            out = root / f"{kind}-{tag}.csv"
-            assert main([f"eval-{kind}",
-                         "--manifest", str(root / "held" / "manifest.json"),
-                         "--pred-dir", str(pdir), "--out", str(out)]) == 0
-            with open(out, newline="") as f:
-                rows = list(csv.reader(f))
-            assert rows[-1][0] == "MEAN"
-            reports[(kind, tag)] = dict(zip(rows[0], rows[-1]))
+    runs = [("saliency", "model", pred), ("saliency", "baseline", base)]
+    runs += [("scanpath", tag, pdir) for tag, pdir in
+             (("model", pred), ("baseline", base), ("centre", centre), ("ior", ior))]
+    for kind, tag, pdir in runs:
+        out = root / f"{kind}-{tag}.csv"
+        assert main([f"eval-{kind}",
+                     "--manifest", str(root / "held" / "manifest.json"),
+                     "--pred-dir", str(pdir), "--out", str(out)]) == 0
+        with open(out, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[-1][0] == "MEAN"
+        reports[(kind, tag)] = dict(zip(rows[0], rows[-1]))
     run["reports"] = reports
     return run
 
@@ -388,15 +405,29 @@ def test_criterion_6_desk_training_convergence(desk_run, capsys):
 
 
 def test_criterion_7_beats_baselines(desk_run, capsys):
+    # gates: cc over the centre-prior map; mm_mean over random paths; and
+    # mm_mean and NSS over centre paths. The inhibition-of-return path reads
+    # the model's own map, so its margins are printed, not gated.
     rep = desk_run["reports"]
     cc_model = float(rep[("saliency", "model")]["cc"])
     cc_base = float(rep[("saliency", "baseline")]["cc"])
-    mm_model = float(rep[("scanpath", "model")]["mm_mean"])
-    mm_base = float(rep[("scanpath", "baseline")]["mm_mean"])
-    ok = cc_model > cc_base and mm_model > mm_base
+    path = {tag: {k: float(rep[("scanpath", tag)][k]) for k in ("mm_mean", "nss", "congruency")}
+            for tag in ("model", "baseline", "centre", "ior")}
+    model = path["model"]
+
+    def margins(tag, keys):
+        return ", ".join(f"{k} {model[k]:.3f} vs {path[tag][k]:.3f} "
+                         f"({model[k] - path[tag][k]:+.3f})" for k in keys)
+
+    ok = (cc_model > cc_base and model["mm_mean"] > path["baseline"]["mm_mean"]
+          and model["mm_mean"] > path["centre"]["mm_mean"]
+          and model["nss"] > path["centre"]["nss"])
     announce(capsys, 7, "beats baselines on held-out split", ok,
-             f"cc {cc_model:.3f} > center-prior {cc_base:.3f}; "
-             f"mm_mean {mm_model:.3f} > random {mm_base:.3f}")
+             f"cc {cc_model:.3f} vs center-prior {cc_base:.3f} ({cc_model - cc_base:+.3f}); "
+             f"random path: {margins('baseline', ('mm_mean',))}; "
+             f"centre path: {margins('centre', ('mm_mean', 'nss'))}; "
+             f"inhibition of return, not gated: "
+             f"{margins('ior', ('mm_mean', 'nss', 'congruency'))}")
 
 
 # -- criterion 8: byte-exact format round trips ---------------------------------

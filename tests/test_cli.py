@@ -1263,6 +1263,11 @@ y = conv2d(x, layer, relu=True)
 (y * Tensor(rng.normal(size=y.shape))).sum().backward()
 for a in (y.data, layer.weight.grad, x.grad):
     print(hashlib.sha256(a.tobytes()).hexdigest())
+# the folded upsampling conv also pre-sums its weights with numpy's matmul
+z = conv2d(x, layer, relu=True, upsample=True)
+(z * Tensor(rng.normal(size=z.shape))).sum().backward()
+for a in (z.data, layer.weight.grad, x.grad):
+    print(hashlib.sha256(a.tobytes()).hexdigest())
 """
 
 # The OpenBLAS that the public scipy.linalg.blas runs on, reached through its

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from salypath.errors import ConfigError, ContractError, DimensionError, NumericError
 from salypath.tensor import (
     _CONV_CHUNK_BYTES,
+    _taps,
     ConvLayer,
     Tensor,
     concat,
@@ -540,6 +541,140 @@ def test_conv_channel_mismatch_names_axis():
         conv2d(x, layer)
 
 
+# -- nearest 2x upsampling folded into the conv after it -----------------------
+#
+# conv2d(x, layer, upsample=True) against its oracle, conv2d(upsample2(x), layer).
+# Cases as (batch, in_ch, out_ch, H, W, k) at the input's (low) resolution:
+# C != O both ways, H != W, a 1x1 plane, batch 1, the desk model's four
+# decoder sites at batch 2, 1x1 and 5x5 kernels, and 16 -> 16 at 12x12, which
+# conv2d runs in groups of 8 images: a batch of 20 runs as 8, 8, then 4.
+UPSAMPLE_CASES = [
+    (2, 3, 5, 4, 7, 3),
+    (2, 5, 3, 6, 3, 3),
+    (3, 2, 4, 1, 1, 3),
+    (1, 4, 2, 5, 6, 3),
+    (2, 64, 64, 4, 4, 3), (2, 48, 48, 8, 8, 3), (2, 32, 32, 16, 16, 3), (2, 16, 16, 32, 32, 3),
+    (2, 3, 2, 5, 4, 1),
+    (2, 2, 3, 4, 5, 5),
+    (20, 16, 16, 12, 12, 3),
+]
+
+
+def _upsample_inputs(rng, case):
+    b, c, o, h, w, k = case
+    x, wt, bias, _ = _oracle_inputs(rng, case)
+    return x, wt, bias, rng.normal(size=(b, o, 2 * h, 2 * w)).astype(np.float32)
+
+
+def _folded(x, layer, relu=False):
+    return conv2d(x, layer, relu=relu, upsample=True)
+
+
+def test_upsample_taps_fold_the_kernel_per_phase():
+    # 3x3: per axis, phase 0 reads offsets {-1, 0} with {W0, W1 + W2} and
+    # phase 1 reads {0, +1} with {W0 + W1, W2}; one 0/1 matrix folds all 16 taps
+    pad, phases, fold = _taps(3, True)
+    assert pad == 1 and fold.shape == (16, 9) and fold.dtype == np.float32
+    rows = {0: [(-1, (0,)), (0, (1, 2))], 1: [(0, (0, 1)), (1, (2,))]}
+    for ph, (a, c) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+        taps = [((di, dj), {3 * ki + kj for ki in ks for kj in js})
+                for di, ks in rows[a] for dj, js in rows[c]]
+        assert phases[ph] == [t for t, _ in taps]
+        for t, (_, cells) in enumerate(taps):
+            assert set(np.flatnonzero(fold[4 * ph + t])) == cells
+    pad, phases, fold = _taps(3, False)
+    assert (pad, fold) == (1, None)
+    assert phases == [[(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]]
+
+
+def test_upsample_conv_matches_upsample_then_conv():
+    rng = np.random.default_rng(53)
+    for case in UPSAMPLE_CASES:
+        args = _upsample_inputs(rng, case)
+        got = _conv_with_grads(*args, op=_folded)
+        want = _conv_with_grads(*args, op=lambda x, layer: conv2d(upsample2(x), layer))
+        for name, a, b in zip(("out", "dx", "dw", "db"), got, want):
+            assert a.shape == b.shape, (case, name)
+            np.testing.assert_allclose(a, b, rtol=1e-5, atol=2e-6 * np.abs(b).max(),
+                                       err_msg=f"{case} {name}")
+    b, c, o, h, w, _ = UPSAMPLE_CASES[-1]
+    assert b > 2 * (_CONV_CHUNK_BYTES // (4 * (4 * o + 2 * c) * (h + 1) * (w + 1))) > 2
+
+
+def test_upsample_conv_fused_relu_bitwise_matches_unfused():
+    rng = np.random.default_rng(59)
+    for case in UPSAMPLE_CASES:
+        args = _upsample_inputs(rng, case)
+        _assert_same_bits(_conv_with_grads(*args, op=lambda x, layer: _folded(x, layer, True)),
+                          _conv_with_grads(*args, op=lambda x, layer: _folded(x, layer).relu()),
+                          case)
+
+
+def test_upsample_conv_repeat_calls_are_bitwise_identical():
+    # the last case runs in several groups on one reused scratch grid
+    for case in (UPSAMPLE_CASES[0], UPSAMPLE_CASES[-1]):
+        args = _upsample_inputs(np.random.default_rng(61), case)
+        runs = [_conv_with_grads(*args, op=lambda x, layer: _folded(x, layer, True))
+                for _ in range(2)]
+        _assert_same_bits(*runs, case)
+
+
+def test_upsample_conv_one_image_groups_give_each_image_its_own_bits():
+    # 16 -> 16 at 32x32 (the desk decoder's 32 -> 64 site): one image's grid
+    # rows, with four phases of accumulator rows, pass half of _CONV_CHUNK_BYTES,
+    # so a group is one image whatever the batch
+    rng = np.random.default_rng(67)
+    layer = ConvLayer(Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32) * 0.1),
+                      Tensor(rng.normal(size=16).astype(np.float32)))
+    assert 2 * 4 * (4 * 16 + 2 * 16) * 33 * 33 > _CONV_CHUNK_BYTES
+    x = Tensor(rng.normal(size=(3, 16, 32, 32)).astype(np.float32), requires_grad=True)
+    y = layer(x, relu=True, upsample=True)
+    g = rng.normal(size=y.shape).astype(np.float32)
+    dx = y._vjp(g)[0]
+    for i in range(3):
+        yi = layer(Tensor(x.data[i:i + 1], requires_grad=True), relu=True, upsample=True)
+        assert yi.data.tobytes() == y.data[i:i + 1].tobytes()
+        assert yi._vjp(g[i:i + 1])[0].tobytes() == dx[i:i + 1].tobytes()
+
+
+def test_upsample_conv_holds_no_upsampled_input():
+    # Between forward and backward the folded site holds its output alone;
+    # upsample-then-conv also holds the upsampled input, the output's size
+    # here (8 MiB held, 17 MiB peak). The peak over forward and vjp holds the
+    # output, the masked gradient, its mask and the input gradient (9.5 MiB).
+    rng = np.random.default_rng(71)
+    layer = ConvLayer(Tensor(rng.normal(size=(16, 16, 3, 3)).astype(np.float32) * 0.1,
+                             requires_grad=True),
+                      Tensor(np.zeros(16, np.float32), requires_grad=True))
+    x = Tensor(rng.normal(size=(16, 16, 32, 32)).astype(np.float32), requires_grad=True)
+    g = rng.normal(size=(16, 16, 64, 64)).astype(np.float32)
+    layer(Tensor(x.data[:1]), relu=True, upsample=True)  # loads sgemm outside the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = layer(x, relu=True, upsample=True)
+        held = tracemalloc.get_traced_memory()[0] - before
+        dx, dw, db = y._vjp(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert dx.shape == x.shape and dw.shape == layer.weight.shape
+    assert held <= g.nbytes + _CONV_CHUNK_BYTES, held / 2**20
+    bound = 2 * g.nbytes + 2 * x.data.nbytes + 4 * _CONV_CHUNK_BYTES
+    assert peak <= bound, (peak / 2**20, bound / 2**20)
+
+
+def test_gradcheck_upsample_conv():
+    for i, (bs, c, o, h, w, k) in enumerate(UPSAMPLE_CASES):
+        if bs * c * h * w > 512:
+            continue  # two forwards per input element; the oracle test covers it
+        rng = np.random.default_rng(4300 + i)
+        x = Tensor(rng.normal(size=(bs, c, h, w)).astype(np.float32), requires_grad=True)
+        wt = Tensor(rng.normal(size=(o, c, k, k)).astype(np.float32) * 0.5, requires_grad=True)
+        b = Tensor(rng.normal(size=o).astype(np.float32) * 0.1, requires_grad=True)
+        check_conv(rng, x, ConvLayer(wt, b), 4400 + i, upsample=True)
+
+
 def test_maxpool_single_window():
     y = maxpool2(Tensor(np.array([[[[1, 2], [3, 4]]]], np.float32)))
     assert y.data.reshape(()) == 4.0
@@ -863,19 +998,20 @@ def test_gradcheck_reductions_and_shapes():
         check_op(lambda: x[1, :, 1:3], [x], seed + 3500)
 
 
-def check_conv(rng, x, layer, seed):
-    """Gradcheck ``conv2d(x, layer)``, then its fused-ReLU form. For the
-    fused form ``x`` is redrawn until no pre-activation lies within 5e-3 of
-    the kink, beyond what a 1e-3 probe step moves one at these scales."""
+def check_conv(rng, x, layer, seed, upsample=False):
+    """Gradcheck ``conv2d(x, layer, upsample=upsample)``, then its fused-ReLU
+    form. For the fused form ``x`` is redrawn until no pre-activation lies
+    within 5e-3 of the kink, beyond what a 1e-3 probe step moves one at
+    these scales."""
     params = [x, layer.weight, layer.bias]
-    check_op(lambda: conv2d(x, layer), params, seed)
+    check_op(lambda: conv2d(x, layer, upsample=upsample), params, seed)
     for _ in range(20):
-        if np.abs(conv2d(x, layer).data).min() >= 5e-3:
+        if np.abs(conv2d(x, layer, upsample=upsample).data).min() >= 5e-3:
             break
         x.data[...] = rng.normal(size=x.shape)
     else:
         raise AssertionError("no kink-free input found for the fused gradcheck")
-    check_op(lambda: conv2d(x, layer, relu=True), params, seed)
+    check_op(lambda: conv2d(x, layer, relu=True, upsample=upsample), params, seed)
 
 
 def test_gradcheck_conv2d():

@@ -12,11 +12,12 @@ import json
 import math
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from salypath import trainer
+from salypath import tensor, trainer
 from salypath.checkpoint import load_checkpoint
 from salypath.data import (
     generate_synthetic,
@@ -30,7 +31,7 @@ from salypath.data import (
 from salypath.errors import ConfigError, ContractError, NumericError, TrainingDiverged
 from salypath.losses import LossWeights, saliency_loss, scanpath_loss
 from salypath.model import ModelConfig, SalypathModel, soft_argmax
-from salypath.tensor import Tensor, no_grad
+from salypath.tensor import ConvLayer, Tensor, kaiming_uniform, no_grad, upsample2
 from salypath.trainer import Adam, SGD, TrainConfig, TrainReport, lr_schedule, train
 from salypath.types import FixationSet
 
@@ -675,3 +676,59 @@ class TestBatchGraphLifetime:
         rep = train_only(2, tiny_model(), dataset, cfg)
         assert len(alive) == len(calls) == 2 * math.ceil(rep.n_samples / 3) >= 4
         assert alive == [0] * len(alive)
+
+
+# -- work counts: what a step issues is a function of the shapes alone -----------
+
+def counting_sgemm(monkeypatch) -> list[int]:
+    """Route conv2d's sgemm through a wrapper that records each call's
+    issued flops, 2*M*N*K; returns the record."""
+    sgemm = tensor._sgemm()
+    flops = []
+
+    def counted(alpha, a, b, beta=0.0, c=None, trans_a=0, trans_b=0, overwrite_c=0):
+        m, k = a.shape[::-1] if trans_a else a.shape
+        flops.append(2 * m * k * (b.shape[0] if trans_b else b.shape[1]))
+        return sgemm(alpha, a, b, beta=beta, c=c, trans_a=trans_a, trans_b=trans_b,
+                     overwrite_c=overwrite_c)
+
+    monkeypatch.setattr(tensor, "_sgemm", lambda: counted)
+    return flops
+
+
+class TestWorkCounts:
+    def test_desk_phase1_step_issues_pinned_work(self, tmp_path, monkeypatch):
+        # one desk phase-1 step, batch 16 at 64x64, forward and backward.
+        # Upsample-then-conv at the four decoder sites issued 4329 calls and
+        # 8_738_854_080 flops; folded, they issue fewer flops in more calls
+        # (16 taps per group instead of 9)
+        data = generate_synthetic(16, seed=0, size=(64, 64), out_dir=tmp_path)
+        model = SalypathModel(ModelConfig.desk(), seed=0)
+        phase = trainer._Phase(model, trainer.prepare_samples(model, data), TrainConfig(), 1)
+        flops = counting_sgemm(monkeypatch)
+        phase._step(np.arange(16), 1e-4)
+        assert (len(flops), sum(flops)) == (4689, 7_305_630_912)
+
+    @pytest.mark.parametrize("ch, h", [(64, 4), (48, 8), (32, 16), (16, 32)])
+    def test_folded_decoder_site_issues_16_of_36_multiplies(self, monkeypatch, ch, h):
+        # the desk decoder's four sites at batch 16, forward and backward
+        rng = np.random.default_rng(ch)
+        layer = ConvLayer.build(kaiming_uniform(rng), "site", ch, ch, 3)
+        x = Tensor(rng.normal(size=(16, ch, h, h)).astype(np.float32), requires_grad=True)
+        flops = counting_sgemm(monkeypatch)
+
+        def work(run):
+            flops.clear()
+            run().sum().backward()
+            return sum(flops)
+
+        folded = work(lambda: layer(x, relu=True, upsample=True))
+        unfolded = work(lambda: layer(upsample2(x), relu=True))
+        # forward, dW and dx each issue 2*C*O flops per tap and grid position:
+        # 16 taps over the (h+1)^2-position input grid, or 9 taps over the
+        # (2h+1)^2-position upsampled one
+        assert folded == 3 * 2 * ch * ch * 16 * 16 * (h + 1) ** 2
+        assert unfolded == 3 * 2 * ch * ch * 9 * 16 * (2 * h + 1) ** 2
+        # per output pixel of a grid position (a folded one yields four)
+        per_pixel = Fraction(folded, 4 * (h + 1) ** 2) / Fraction(unfolded, (2 * h + 1) ** 2)
+        assert per_pixel == Fraction(16, 36)
