@@ -53,8 +53,7 @@ ccs, mms = [], []
 for i in range(len(data)):
     pred_map, pred_path = model.forward(data.load_stimulus(i))
     ccs.append(cc(pred_map, data.load_map(i)))
-    gt = data.load_scanpaths(i)[0]
-    mms.append(multimatch(pred_path.points, gt.points).mean)
+    mms.append(multimatch(pred_path, data.load_scanpaths(i)[0]).mean)
 
 print(f"\ntrain-set fit: cc {np.mean(ccs):.3f}   multimatch mean {np.mean(mms):.3f}")
 print(f"checkpoint written to {work / 'model.ckpt'}")

@@ -32,7 +32,7 @@ from . import scanpath_metrics as spm
 from .errors import SalypathError
 from .model import ModelConfig, SalypathModel
 from .trainer import TrainConfig, train
-from .types import FixationSet, Scanpath
+from .types import FixationSet, norm_to_pixel_xy
 
 SALIENCY_COLS = ["image_id", "auc_judd", "auc_borji", "nss", "cc", "sim", "kld"]
 SCANPATH_COLS = ["image_id", "mm_shape", "mm_dir", "mm_len", "mm_pos",
@@ -54,12 +54,17 @@ def _workers(n_tasks: int) -> int:
 
 
 def _check_out_paths(*paths) -> None:
-    """Fail before any work when an output path cannot be written as a file."""
+    """Fail before any work when an output path cannot be written as a file,
+    or names the file an earlier one does (one would overwrite the other)."""
+    seen: dict[Path, Path] = {}
     for path in map(Path, filter(None, paths)):
         if path.is_dir():
             raise SalypathError(f"cannot write {path}: it is a directory")
         if not path.parent.is_dir():
             raise SalypathError(f"cannot write {path}: {path.parent} is not a directory")
+        other = seen.setdefault(path.resolve(), path)
+        if other is not path:
+            raise SalypathError(f"cannot write {path}: {other} is the same file")
 
 
 def _curve(losses: list[float]) -> str:
@@ -112,14 +117,12 @@ def cmd_predict(args) -> int:
     if (img_h, img_w) != (h, w):
         warnings.warn(f"image is {img_w}x{img_h}, resampling to model input {w}x{h}",
                       RuntimeWarning)
-    smap, path = model.forward(dio.resample_stimulus(img, w, h))
+    smap, points = model.forward(dio.resample_stimulus(img, w, h))
     dio.write_pgm(args.out_map, smap)
     # pixels in the stimulus's own frame; eval-scanpath reads x_norm, y_norm
-    px = path.to_pixels(img_w, img_h)
-    dio.write_scanpath_csv(args.out_scanpath, px, extra={
-        "x_norm": path.points[:, 0].astype(np.float64),
-        "y_norm": path.points[:, 1].astype(np.float64),
-    })
+    px = norm_to_pixel_xy(points, img_w, img_h)
+    dio.write_scanpath_csv(args.out_scanpath, px,
+                           extra={"x_norm": points[:, 0], "y_norm": points[:, 1]})
     print(f"wrote {args.out_map} and {args.out_scanpath}")
     return 0
 
@@ -238,7 +241,7 @@ def cmd_eval_scanpath(args) -> int:
             raise SalypathError(
                 f"record {i} ({manifest.image_id(i)}) has no ground-truth scanpaths"
             )
-        pred = Scanpath(dio.read_scanpath_csv(p, (manifest.width, manifest.height)))
+        pred = dio.read_scanpath_csv(p, (manifest.width, manifest.height))
         # one row per observer: the four MultiMatch scores and their mean
         table = np.array([s.as_tuple() + (s.mean,)
                           for s in (spm.multimatch(pred, g) for g in gts)])

@@ -14,11 +14,14 @@ File formats, all dependency-free and byte-stable:
 * Scanpaths: CSV with header ``index,x,y``; x and y are float pixel
   coordinates (x along width). Extra columns are ignored on read, except
   that a reader given a frame takes the ``x_norm``/``y_norm`` columns
-  ``predict`` writes, when a file has both, in place of the pixels.
+  ``predict`` writes, when a file has both, in place of the pixels, and
+  rejects a value that is not finite or lies outside [0, 1].
   Floats are written with repr so write -> read -> write is byte-identical.
   A manifest's scanpaths are read by one checked reader, whether
   ``load_manifest`` reads them or a hand-built ``DatasetManifest`` does:
-  read-only arrays, every fixation inside the stimulus.
+  read-only arrays, every fixation inside the stimulus. ``load_scanpaths``
+  returns them as [N, 2] float32 normalized points, like every scanpath
+  in the package.
 * Manifest: JSON {"name", "width", "height", "records": [{"stimulus",
   "map", "scanpaths": [...]}]} with paths relative to the manifest's
   directory. ``read_json_object`` reads it, and ``train --config`` too;
@@ -45,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DimensionError, ManifestError
-from .types import Scanpath, map_values, path_points, pixel_to_norm
+from .types import map_values, norm_to_pixel_xy, path_points, pixel_to_norm
 
 WARM = np.array([0.95, 0.45, 0.15], dtype=np.float64)
 COOL = np.array([0.10, 0.30, 0.55], dtype=np.float64)
@@ -155,10 +158,11 @@ def write_scanpath_csv(path, xy_pixels, extra: dict[str, np.ndarray] | None = No
 def read_scanpath_csv(path, frame: tuple[int, int] | None = None) -> np.ndarray:
     """[N, 2] (x, y) points. Requires the index,x,y header; indices must
     run 0..N-1. Without ``frame``: float64 pixels, extra columns ignored.
-    With a (width, height) ``frame``: normalized points, the x_norm and
-    y_norm columns when the header has both, else the pixels read in that
-    frame (``pixel_to_norm``); one of the two without the other raises
-    ManifestError."""
+    With a (width, height) ``frame``: float32 normalized points, the x_norm
+    and y_norm columns when the header has both, else the pixels read in
+    that frame (``pixel_to_norm``). One of the two columns without the
+    other, or a normalized value that is not finite or lies outside [0, 1],
+    raises ManifestError."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as f:
             rows = list(csv.reader(f))
@@ -194,8 +198,12 @@ def read_scanpath_csv(path, frame: tuple[int, int] | None = None) -> np.ndarray:
         pts.append((x, y))
     if not pts:
         raise ManifestError(f"{path}: no fixation rows")
-    pts = np.array(pts, dtype=np.float64)
-    return pixel_to_norm(pts, *frame) if frame and not norm else pts
+    pts = np.array(pts, dtype=np.float32 if norm else np.float64)
+    if not norm:
+        return pixel_to_norm(pts, *frame) if frame else pts
+    if not ((pts >= 0) & (pts <= 1)).all():  # NaN fails too
+        raise ManifestError(f"{path}: x_norm, y_norm must be finite and inside [0, 1]")
+    return pts
 
 
 def _read_checked_scanpath(root: Path, rel: str, width: int, height: int,
@@ -257,9 +265,9 @@ class DatasetManifest:
                 else _read_checked_scanpath(self.root, rel, self.width, self.height, where)
                 for rel in rec.scanpaths]
 
-    def load_scanpaths(self, i: int) -> list[Scanpath]:
-        return [Scanpath.from_pixels(px, self.width, self.height)
-                for px in self._scanpath_pixels(i)]
+    def load_scanpaths(self, i: int) -> list[np.ndarray]:
+        """Record i's scanpaths as [N, 2] float32 normalized points."""
+        return [pixel_to_norm(px, self.width, self.height) for px in self._scanpath_pixels(i)]
 
     def to_dict(self) -> dict:
         return {
@@ -496,9 +504,8 @@ def generate_synthetic(n: int, seed: int, size: tuple[int, int] = (64, 64),
             pts = np.clip(np.array(centers)[blob_idx] + jitter, 0.0, 1.0)
             order = np.argsort(-weights[blob_idx], kind="stable")
             pts = pts[order]
-            px = np.stack([pts[:, 0] * (w - 1), pts[:, 1] * (h - 1)], axis=1)
             rel = f"scanpaths/{stem}_{s}.csv"
-            write_scanpath_csv(out_dir / rel, px)
+            write_scanpath_csv(out_dir / rel, norm_to_pixel_xy(pts, w, h))
             sp_rel.append(rel)
 
         records.append(ManifestRecord(

@@ -33,7 +33,7 @@ from .tensor import (ConvLayer, ParamMaker, Tensor, _nchw, concat, kaiming_unifo
 # unused since the decoder folds it into a conv; benchmarks/tracing.py patches
 # model.upsample2 by name, so it stays until the tracer patches nothing (ROADMAP item 4)
 from .tensor import upsample2  # noqa: F401
-from .types import Scanpath, config_from_dict, read_fields
+from .types import config_from_dict, read_fields
 
 DESK_BLOCKS = ((2, 16), (2, 32), (2, 48), (2, 64))
 DESK_HEAD = (64, 56, 48, 40, 32, 24, 20, 16, 12, 8)
@@ -253,9 +253,10 @@ class SalypathModel:
         points = soft_argmax(feats, self.config.beta)
         return maps, points
 
-    def forward(self, image) -> tuple[np.ndarray, Scanpath]:
+    def forward(self, image) -> tuple[np.ndarray, np.ndarray]:
         """Single image [3, H, W] (array or Tensor) -> its [H, W] float32
-        saliency map and its Scanpath."""
+        saliency map and its [8, 2] float32 scanpath of normalized (x, y)
+        points (one per head channel)."""
         arr = image.data if isinstance(image, Tensor) else np.asarray(image, np.float32)
         if arr.ndim != 3:
             raise DimensionError(
@@ -263,7 +264,7 @@ class SalypathModel:
             )
         with no_grad():
             maps, points = self.forward_tensors(Tensor(arr[None]))
-        return maps.data[0, 0], Scanpath(points.data[0])
+        return maps.data[0, 0], points.data[0]
 
     # -- persistence ------------------------------------------------------
 

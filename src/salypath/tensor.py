@@ -560,7 +560,7 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False, upsample: bool = Fal
     its taps read and each tap's weight. A plain conv is one phase of k*k
     taps, one per kernel cell. ``upsample`` runs four phases (output row
     and column parity), each a conv of ``x`` itself with weights pre-summed
-    by one product with the table's 0/1 fold matrix, whose transpose sums
+    by one sgemm with the table's 0/1 fold matrix, whose transpose sums
     the vjp's phase-tap gradients back onto the kernel. At k = 3 that is 16
     multiplies per input pixel and channel pair instead of upsample-then-
     conv's 36, and no upsampled activation (Shi et al. 2016, arXiv
@@ -650,7 +650,7 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False, upsample: bool = Fal
     offsets = [[lead + di * wp + dj for di, dj in taps] for taps in table]
     # [k*k, C*out_ch] kernel cells; wt[ph, t].T is the [out_ch, C] weight of phase ph's tap t
     cells = np.ascontiguousarray(layer.weight.data.transpose(2, 3, 1, 0)).reshape(k * k, -1)
-    wt = (cells if fold is None else fold @ cells).reshape(s * s, -1, c, out_ch)
+    wt = (cells if fold is None else sgemm(1.0, fold, cells)).reshape(s * s, -1, c, out_ch)
     per_col = 4 * (s * s * out_ch + 2 * c)
     n = max(1, _CONV_CHUNK_BYTES // (per_col * plane))
     groups = [(b0, min(b, b0 + n)) for b0 in range(0, b, n)]
@@ -720,7 +720,7 @@ def conv2d(x: Tensor, layer: ConvLayer, relu: bool = False, upsample: bool = Fal
                 dxf.fill(0)
         dw = dw.reshape(-1, c * out_ch)
         if fold is not None:
-            dw = fold.T @ dw
+            dw = sgemm(1.0, fold, dw, trans_a=1)
         dw = np.ascontiguousarray(dw.reshape(k, k, c, out_ch).transpose(3, 2, 0, 1))
         return (dx, dw, db)
 

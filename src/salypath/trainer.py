@@ -193,8 +193,8 @@ def prepare_samples(model: SalypathModel, manifest: DatasetManifest) -> list[_Sa
         if paths:  # each fixated pixel once: the NSS term weighs a pixel 0 or 1
             pix = FixationSet.from_scanpaths(paths, w, h).points
             fix = FixationSet(np.unique(pix, axis=0), (h, w))
-        keep = [p.points for p in paths if len(p) == head_len]
-        pts = (np.stack(keep).astype(np.float32) if keep
+        keep = [p for p in paths if len(p) == head_len]
+        pts = (np.stack(keep) if keep
                else np.zeros((0, head_len, 2), dtype=np.float32))
         samples.append(_Sample(image=img, gt_map=gt, fixations=fix, paths=pts))
     return samples

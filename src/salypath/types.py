@@ -2,9 +2,13 @@
 
 Coordinate conventions, used consistently everywhere:
 
-* Scanpath points are (x, y) pairs normalized to [0, 1]^2, x along width.
-* Pixel mapping: row = round(y * (H-1)), col = round(x * (W-1)), clamped.
-  The inverse divides by (size - 1).
+* A scanpath is an [N, 2] float32 array of (x, y) points normalized to
+  [0, 1]^2, x along width. The one reader of normalized points from
+  outside, ``data.read_scanpath_csv``, rejects a value that is not finite
+  or lies outside [0, 1].
+* Pixel mapping: row = round(y * (H-1)), col = round(x * (W-1)), clamped
+  (``norm_to_pixel``); float pixels are x*(W-1), y*(H-1)
+  (``norm_to_pixel_xy``), and ``pixel_to_norm`` divides by (size - 1).
 * Saliency maps are [H, W] float32 arrays with values in [0, 1];
   ``data.write_pgm`` rejects a non-finite one.
 * Fixation sets are integer (row, col) pixel locations on a stated grid.
@@ -46,9 +50,9 @@ def map_pair(pred, gt, caller: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def path_points(x, caller: str) -> np.ndarray:
-    """The points of a Scanpath or an array-like path as float64; anything
-    but [N, 2] raises DimensionError naming ``caller``."""
-    pts = np.asarray(x.points if isinstance(x, Scanpath) else x, dtype=np.float64)
+    """An array-like path as float64; anything but [N, 2] raises
+    DimensionError naming ``caller``."""
+    pts = np.asarray(x, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DimensionError(f"{caller}: expected [N, 2] points, got shape {pts.shape}")
     return pts
@@ -93,6 +97,13 @@ def norm_to_pixel(points, width: int, height: int) -> np.ndarray:
     return np.stack([rows, cols], axis=1)
 
 
+def norm_to_pixel_xy(points, width: int, height: int) -> np.ndarray:
+    """Map normalized (x, y) points to float64 pixel (x, y) coordinates:
+    x*(W-1), y*(H-1)."""
+    pts = path_points(points, "norm_to_pixel_xy")
+    return np.stack([pts[:, 0] * (width - 1), pts[:, 1] * (height - 1)], axis=1)
+
+
 def pixel_to_norm(xy_pixels, width: int, height: int) -> np.ndarray:
     """Map pixel (x, y) coordinates to normalized [0,1]^2 (x, y), clipping
     finite ones; a NaN or infinite coordinate raises ContractError."""
@@ -103,35 +114,6 @@ def pixel_to_norm(xy_pixels, width: int, height: int) -> np.ndarray:
     sy = max(height - 1, 1)
     out = np.stack([pts[:, 0] / sx, pts[:, 1] / sy], axis=1)
     return np.clip(out, 0.0, 1.0).astype(np.float32)
-
-
-@dataclass
-class Scanpath:
-    """Ordered fixation sequence, normalized (x, y) in [0, 1]^2."""
-
-    points: np.ndarray  # [N, 2] float32
-
-    def __post_init__(self):
-        pts = path_points(self.points, "Scanpath").astype(np.float32)
-        if pts.shape[0] < 1:
-            raise ContractError("Scanpath: need at least one point")
-        if not ((pts >= 0) & (pts <= 1)).all():
-            raise ContractError(
-                "Scanpath: coordinates must be finite and inside [0, 1]"
-            )
-        self.points = pts
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def to_pixels(self, width: int, height: int) -> np.ndarray:
-        """Float (x, y) pixel coordinates: x*(W-1), y*(H-1)."""
-        pts = self.points.astype(np.float64)
-        return np.stack([pts[:, 0] * (width - 1), pts[:, 1] * (height - 1)], axis=1)
-
-    @classmethod
-    def from_pixels(cls, xy_pixels: np.ndarray, width: int, height: int) -> "Scanpath":
-        return cls(pixel_to_norm(xy_pixels, width, height))
 
 
 @dataclass

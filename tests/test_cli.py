@@ -36,7 +36,7 @@ from salypath.data import (
 )
 from salypath.model import ModelConfig, SalypathModel
 from salypath.scanpath_metrics import multimatch
-from salypath.types import Scanpath
+from salypath.types import norm_to_pixel_xy, pixel_to_norm
 
 from conftest import mis_sized_dataset
 
@@ -1003,8 +1003,8 @@ class TestEvalScanpath:
         _, rows = read_report(out)
         assert len(rows) == len(man) + 1
         for i, row in enumerate(rows[:-1]):
-            path = Scanpath.from_pixels(read_scanpath_csv(pred / f"{row[0]}.csv"),
-                                        man.width, man.height)
+            path = pixel_to_norm(read_scanpath_csv(pred / f"{row[0]}.csv"),
+                                 man.width, man.height)
             scored = [multimatch(path, g) for g in man.load_scanpaths(i)]
             assert len(scored) == 12
             # the reductions as one np.mean per score list, or the first best
@@ -1032,9 +1032,9 @@ class TestEvalScanpath:
                          "--out-map", str(tmp_path / "m.pgm"),
                          "--out-scanpath", str(csv_path)]) == 0
             with open(csv_path, newline="") as f:
-                path = Scanpath([[float(v) for v in row[3:]]    # x_norm, y_norm
-                                 for row in list(csv.reader(f))[1:]])
-            write_scanpath_csv(manifest_frame / csv_path.name, path.to_pixels(16, 16))
+                path = np.array([[float(v) for v in row[3:]]    # x_norm, y_norm
+                                 for row in list(csv.reader(f))[1:]], dtype=np.float32)
+            write_scanpath_csv(manifest_frame / csv_path.name, norm_to_pixel_xy(path, 16, 16))
         rows = []
         for pred in (own, manifest_frame):
             out = tmp_path / f"{pred.name}.csv"
@@ -1059,7 +1059,12 @@ class TestEvalScanpath:
         ("x,y\n1.0\n", "header must start with index,x,y"),
         ("index,x,y\n0,inf,3.0\n1,2.0,-inf\n", "pixel_to_norm: pixel coordinates must be finite"),
         ("index,x,y,y_norm\n0,1.0,2.0,0.5\n1,3.0,4.0,0.25\n", "s0.csv: has column y_norm without its pair"),
-    ], ids=["bad-header", "infinite-coordinates", "one-normalized-column"])
+        ("index,x,y,x_norm,y_norm\n0,1.0,2.0,1.5,0.5\n1,3.0,4.0,0.25,0.75\n",
+         "s0.csv: x_norm, y_norm must be finite and inside [0, 1]"),
+        ("index,x,y,x_norm,y_norm\n0,1.0,2.0,0.5,0.5\n1,3.0,4.0,0.25,nan\n",
+         "s0.csv: x_norm, y_norm must be finite and inside [0, 1]"),
+    ], ids=["bad-header", "infinite-coordinates", "one-normalized-column", "x_norm-1.5",
+            "y_norm-nan"])
     def test_malformed_prediction_fails_its_record_exit_1(self, perfect, tmp_path,
                                                            capsys, text, error):
         pred = tmp_path / "pred"
@@ -1160,6 +1165,26 @@ class TestUsage:
         assert line == (f"salypath {command}: error: cannot write {out}: "
                         f"{out.parent} is not a directory")
         assert calls == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("spelling", ["same", "relative"])
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_two_outputs_naming_one_file_exit_2_writing_nothing(
+            self, dataset, trained, tmp_path, capsys, monkeypatch, command, spelling):
+        # one output once overwrote the other and the command exited 0
+        monkeypatch.chdir(tmp_path)
+        first = tmp_path / "out"
+        second = "out" if spelling == "relative" else str(first)
+        if command == "train":
+            argv = ["--data", str(dataset / "manifest.json"), "--config",
+                    str(trained["config"]), "--out", str(first), "--report", second]
+        else:
+            image = load_manifest(dataset / "manifest.json").stimulus_path(0)
+            argv = ["--checkpoint", str(trained["ckpt"]), "--image", str(image),
+                    "--out-map", str(first), "--out-scanpath", second]
+        assert main([command, *argv]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"salypath {command}: error: cannot write {second}: {first} is the same file"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("kind", ["missing", "file"])
     @pytest.mark.parametrize("command", ["eval-saliency", "eval-scanpath"])
@@ -1263,7 +1288,7 @@ y = conv2d(x, layer, relu=True)
 (y * Tensor(rng.normal(size=y.shape))).sum().backward()
 for a in (y.data, layer.weight.grad, x.grad):
     print(hashlib.sha256(a.tobytes()).hexdigest())
-# the folded upsampling conv also pre-sums its weights with numpy's matmul
+# the folded upsampling conv, whose weight pre-sum is one more sgemm
 z = conv2d(x, layer, relu=True, upsample=True)
 (z * Tensor(rng.normal(size=z.shape))).sum().backward()
 for a in (z.data, layer.weight.grad, x.grad):

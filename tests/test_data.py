@@ -371,8 +371,9 @@ class TestManifest:
         sps = man.load_scanpaths(0)
         assert len(sps) == 1
         # pixel (3, 2) on a 4x4 grid -> normalized (1.0, 2/3)
-        assert sps[0].points[1, 0] == pytest.approx(1.0)
-        assert sps[0].points[1, 1] == pytest.approx(2.0 / 3.0)
+        assert sps[0].dtype == np.float32 and sps[0].shape == (2, 2)
+        assert sps[0][1, 0] == pytest.approx(1.0)
+        assert sps[0][1, 1] == pytest.approx(2.0 / 3.0)
 
     def test_missing_key_rejected(self, tmp_path):
         p = tmp_path / "manifest.json"
@@ -619,9 +620,9 @@ class TestGenerateSynthetic:
             sps = man.load_scanpaths(i)
             assert len(sps) == 2
             for sp in sps:
-                assert len(sp.points) == 8          # default length
-                assert sp.points.min() >= 0.0
-                assert sp.points.max() <= 1.0
+                assert len(sp) == 8          # default length
+                assert sp.min() >= 0.0
+                assert sp.max() <= 1.0
 
     def test_length_weights_control_support(self, tmp_path):
         man = generate_synthetic(
@@ -629,7 +630,7 @@ class TestGenerateSynthetic:
             length_weights={5: 1.0, 11: 1.0},
         )
         seen = {
-            len(sp.points)
+            len(sp)
             for i in range(len(man)) for sp in man.load_scanpaths(i)
         }
         assert seen == {5, 11}
@@ -655,7 +656,7 @@ class TestGenerateSynthetic:
             gm = man.load_map(0)
             keep = gm >= np.percentile(gm, 50.0)
             for sp in man.load_scanpaths(0):
-                rc = norm_to_pixel(sp.points, 32, 32)
+                rc = norm_to_pixel(sp, 32, 32)
                 total += rc.shape[0]
                 inside += int(keep[rc[:, 0], rc[:, 1]].sum())
         assert inside / total > 0.9

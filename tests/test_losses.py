@@ -16,7 +16,7 @@ from salypath.losses import (
     scanpath_loss,
 )
 from salypath.tensor import Tensor
-from salypath.types import FixationSet, Scanpath
+from salypath.types import FixationSet
 
 from conftest import gradcheck
 
@@ -252,10 +252,6 @@ def test_scanpath_loss_is_symmetric(rng):
         assert float(scanpath_loss(p, q).data) == float(scanpath_loss(q, p).data)
 
 
-def test_scanpath_loss_accepts_domain_objects(rng):
-    a = Scanpath(rng.uniform(size=(8, 2)).astype(np.float32))
-    b = Scanpath(rng.uniform(size=(8, 2)).astype(np.float32))
-    assert float(scanpath_loss(a, b).data) == float(scanpath_loss(a.points, b.points).data)
 
 
 def test_scanpath_loss_errors(rng):

@@ -16,7 +16,6 @@ from salypath.scanpath_metrics import (
     nss_scanpath,
     to_saccades,
 )
-from salypath.types import Scanpath
 
 
 # -- oracles ----------------------------------------------------------------
@@ -317,9 +316,9 @@ def test_multimatch_bit_exact_with_zero_length_saccades(rng):
     assert multimatch(a, a.copy()).as_tuple() == (1.0, 1.0, 1.0, 1.0)
 
 
-def test_multimatch_bit_exact_on_scanpath_objects(rng):
-    a = Scanpath(rng.uniform(0.1, 0.9, size=(12, 2)).astype(np.float32))
-    b = Scanpath(rng.uniform(0.1, 0.9, size=(16, 2)).astype(np.float32))
+def test_multimatch_bit_exact_on_float32_scanpaths(rng):
+    a = rng.uniform(0.1, 0.9, size=(12, 2)).astype(np.float32)
+    b = rng.uniform(0.1, 0.9, size=(16, 2)).astype(np.float32)
     assert multimatch(a, b).as_tuple() == multimatch_loop(a, b)
 
 
@@ -353,14 +352,6 @@ def test_multimatch_rejects_degenerate_paths(rng):
         multimatch(flat, good)
     with pytest.raises(ContractError):
         multimatch(good, flat)
-
-
-def test_multimatch_accepts_scanpath_objects(rng):
-    a = Scanpath(rng.uniform(0.1, 0.9, size=(8, 2)).astype(np.float32))
-    b = Scanpath(rng.uniform(0.1, 0.9, size=(8, 2)).astype(np.float32))
-    s1 = multimatch(a, b)
-    s2 = multimatch(a.points, b.points)
-    np.testing.assert_allclose(s1.as_tuple(), s2.as_tuple(), atol=1e-12)
 
 
 # -- nss over a map ---------------------------------------------------------------------

@@ -680,20 +680,24 @@ class TestBatchGraphLifetime:
 
 # -- work counts: what a step issues is a function of the shapes alone -----------
 
-def counting_sgemm(monkeypatch) -> list[int]:
+def counting_sgemm(monkeypatch) -> list[tuple[int, int, int]]:
     """Route conv2d's sgemm through a wrapper that records each call's
-    issued flops, 2*M*N*K; returns the record."""
+    (M, K, N), which issues 2*M*K*N flops; returns the record."""
     sgemm = tensor._sgemm()
-    flops = []
+    calls = []
 
     def counted(alpha, a, b, beta=0.0, c=None, trans_a=0, trans_b=0, overwrite_c=0):
         m, k = a.shape[::-1] if trans_a else a.shape
-        flops.append(2 * m * k * (b.shape[0] if trans_b else b.shape[1]))
+        calls.append((m, k, b.shape[0] if trans_b else b.shape[1]))
         return sgemm(alpha, a, b, beta=beta, c=c, trans_a=trans_a, trans_b=trans_b,
                      overwrite_c=overwrite_c)
 
     monkeypatch.setattr(tensor, "_sgemm", lambda: counted)
-    return flops
+    return calls
+
+
+def flops(calls) -> int:
+    return sum(2 * m * k * n for m, k, n in calls)
 
 
 class TestWorkCounts:
@@ -701,13 +705,15 @@ class TestWorkCounts:
         # one desk phase-1 step, batch 16 at 64x64, forward and backward.
         # Upsample-then-conv at the four decoder sites issued 4329 calls and
         # 8_738_854_080 flops; folded, they issue fewer flops in more calls
-        # (16 taps per group instead of 9)
+        # (16 taps per group instead of 9), and the weight pre-sum and its
+        # vjp add two calls at each site (4689 and 7_305_630_912 when they
+        # ran on numpy's matmul)
         data = generate_synthetic(16, seed=0, size=(64, 64), out_dir=tmp_path)
         model = SalypathModel(ModelConfig.desk(), seed=0)
         phase = trainer._Phase(model, trainer.prepare_samples(model, data), TrainConfig(), 1)
-        flops = counting_sgemm(monkeypatch)
+        calls = counting_sgemm(monkeypatch)
         phase._step(np.arange(16), 1e-4)
-        assert (len(flops), sum(flops)) == (4689, 7_305_630_912)
+        assert (len(calls), flops(calls)) == (4697, 7_310_054_592)
 
     @pytest.mark.parametrize("ch, h", [(64, 4), (48, 8), (32, 16), (16, 32)])
     def test_folded_decoder_site_issues_16_of_36_multiplies(self, monkeypatch, ch, h):
@@ -715,15 +721,18 @@ class TestWorkCounts:
         rng = np.random.default_rng(ch)
         layer = ConvLayer.build(kaiming_uniform(rng), "site", ch, ch, 3)
         x = Tensor(rng.normal(size=(16, ch, h, h)).astype(np.float32), requires_grad=True)
-        flops = counting_sgemm(monkeypatch)
+        calls = counting_sgemm(monkeypatch)
 
         def work(run):
-            flops.clear()
+            calls.clear()
             run().sum().backward()
-            return sum(flops)
+            # the folded weight pre-sum, [16, 9] @ [9, C*O], and its vjp
+            folds = [call for call in calls if call[:2] in ((16, 9), (9, 16))]
+            return flops(calls) - flops(folds), folds
 
-        folded = work(lambda: layer(x, relu=True, upsample=True))
-        unfolded = work(lambda: layer(upsample2(x), relu=True))
+        folded, folds = work(lambda: layer(x, relu=True, upsample=True))
+        unfolded, no_folds = work(lambda: layer(upsample2(x), relu=True))
+        assert folds == [(16, 9, ch * ch), (9, 16, ch * ch)] and no_folds == []
         # forward, dW and dx each issue 2*C*O flops per tap and grid position:
         # 16 taps over the (h+1)^2-position input grid, or 9 taps over the
         # (2h+1)^2-position upsampled one

@@ -5,7 +5,7 @@ wrong form raises the same error, naming the function that was called."""
 import numpy as np
 import pytest
 
-from salypath import data, losses
+from salypath import data, losses, types
 from salypath import saliency_metrics as sm
 from salypath import scanpath_metrics as spm
 from salypath.errors import ContractError, DimensionError
@@ -39,6 +39,9 @@ PATH_CALLS = {
     "nss_scanpath": lambda tmp: spm.nss_scanpath(BAD_PATH, MAP),
     "congruency": lambda tmp: spm.congruency(BAD_PATH, MAP),
     "scanpath_loss": lambda tmp: losses.scanpath_loss(BAD_PATH, PATH),
+    "norm_to_pixel": lambda tmp: types.norm_to_pixel(BAD_PATH, 4, 4),
+    "norm_to_pixel_xy": lambda tmp: types.norm_to_pixel_xy(BAD_PATH, 4, 4),
+    "pixel_to_norm": lambda tmp: types.pixel_to_norm(BAD_PATH, 4, 4),
 }
 CASES = ([pytest.param(name, r"expected a \[H, W\] map", call, id=f"map-{name}")
           for name, call in MAP_CALLS.items()]
