@@ -56,6 +56,5 @@ from .tensor import (
     upsample2,
 )
 from .trainer import Adam, SGD, TrainConfig, TrainReport, lr_schedule, train
-from .types import FixationSet
 
 __version__ = "0.1.0"

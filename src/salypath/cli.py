@@ -32,7 +32,7 @@ from . import scanpath_metrics as spm
 from .errors import SalypathError
 from .model import ModelConfig, SalypathModel
 from .trainer import TrainConfig, train
-from .types import FixationSet, norm_to_pixel_xy
+from .types import norm_to_pixel_xy, pool_fixations
 
 SALIENCY_COLS = ["image_id", "auc_judd", "auc_borji", "nss", "cc", "sim", "kld"]
 SCANPATH_COLS = ["image_id", "mm_shape", "mm_dir", "mm_len", "mm_pos",
@@ -53,18 +53,20 @@ def _workers(n_tasks: int) -> int:
     return max(1, min(n_tasks, cap_n))
 
 
-def _check_out_paths(*paths) -> None:
+def _check_out_paths(inputs: dict[str, str | None], *paths) -> None:
     """Fail before any work when an output path cannot be written as a file,
-    or names the file an earlier one does (one would overwrite the other)."""
-    seen: dict[Path, Path] = {}
+    or names the file an input (``{flag: path}``) or an earlier output
+    does (one would overwrite the other)."""
+    seen = {Path(v).resolve(): f"{flag} {v}" for flag, v in inputs.items() if v}
     for path in map(Path, filter(None, paths)):
         if path.is_dir():
             raise SalypathError(f"cannot write {path}: it is a directory")
         if not path.parent.is_dir():
             raise SalypathError(f"cannot write {path}: {path.parent} is not a directory")
-        other = seen.setdefault(path.resolve(), path)
-        if other is not path:
-            raise SalypathError(f"cannot write {path}: {other} is the same file")
+        key = path.resolve()
+        if key in seen:
+            raise SalypathError(f"cannot write {path}: {seen[key]} is the same file")
+        seen[key] = str(path)
 
 
 def _curve(losses: list[float]) -> str:
@@ -73,7 +75,8 @@ def _curve(losses: list[float]) -> str:
 
 
 def cmd_train(args) -> int:
-    _check_out_paths(args.out, args.report)
+    _check_out_paths({"--data": args.data, "--config": args.config},
+                     args.out, args.report)
     paper = args.preset == "paper"
     conf = {"model": (ModelConfig.full_scale() if paper else ModelConfig.desk()).to_dict(),
             "train": (TrainConfig.full_scale() if paper else TrainConfig()).to_dict()}
@@ -109,7 +112,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _check_out_paths(args.out_map, args.out_scanpath)
+    _check_out_paths({"--checkpoint": args.checkpoint, "--image": args.image},
+                     args.out_map, args.out_scanpath)
     model = SalypathModel.load(args.checkpoint)
     h, w = model.config.input_size
     img = dio.read_ppm(args.image)
@@ -196,7 +200,7 @@ def _score_records(manifest, pred_dir: Path, suffix: str, score, out,
 
 def cmd_eval_saliency(args) -> int:
     """Score each prediction resampled from its own size to its record's map."""
-    _check_out_paths(args.out)
+    _check_out_paths({"--manifest": args.manifest}, args.out)
     if args.seed < 0:
         raise SalypathError(f"--seed must be >= 0, got {args.seed}")
     if args.borji_splits < 1:
@@ -208,7 +212,7 @@ def cmd_eval_saliency(args) -> int:
         gt = manifest.load_map(i)
         h, w = gt.shape
         pred = dio.resample_map(dio.read_pgm(p), w, h)
-        fix = FixationSet.from_scanpaths(manifest.load_scanpaths(i), w, h)
+        fix = pool_fixations(manifest.load_scanpaths(i), w, h)
         return [
             manifest.image_id(i),
             sm.auc_judd(pred, fix),
@@ -227,7 +231,7 @@ def cmd_eval_saliency(args) -> int:
 def cmd_eval_scanpath(args) -> int:
     """Score each prediction's x_norm, y_norm columns, or without them its
     pixels read in the manifest's frame, against its record."""
-    _check_out_paths(args.out)
+    _check_out_paths({"--manifest": args.manifest}, args.out)
     if not 0.0 < args.congruency_percentile < 100.0:
         raise SalypathError("--congruency-percentile must be in (0, 100), "
                             f"got {args.congruency_percentile}")

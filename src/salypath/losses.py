@@ -1,9 +1,10 @@
 """Training objectives.
 
 Saliency loss: 0.6 * KL + 0.3 * MSE - 0.1 * NSS over predicted vs ground
-truth maps, the NSS term evaluated at ground-truth fixation points when
-they are supplied and otherwise at the pixels at or above the 90th
-percentile of the GT map. A zero-variance prediction makes the NSS term 0
+truth maps, the NSS term evaluated at ground-truth fixations ([K, 2]
+integer (row, col) pixels, counted with multiplicity) when they are
+supplied and otherwise at the pixels at or above the 90th percentile of
+the GT map. A zero-variance prediction makes the NSS term 0
 with a RuntimeWarning (training must not crash on a flat early map; the
 evaluation metric in saliency_metrics raises instead).
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .tensor import Tensor
-from .types import FixationSet, fixation_set, map_pair, map_values, path_points, read_fields
+from .types import fixation_set, map_pair, map_values, path_points, read_fields
 
 # guards both sides of the KL log ratio; ``saliency_metrics.kld`` uses it too
 KL_EPS = 1e-8
@@ -83,7 +84,9 @@ def nss_term(pred, fixations) -> Tensor:
     emitted; an empty fixation set raises ContractError.
     """
     t = _as_tensor(pred, map_values, "nss_term")
-    wgrid = fixation_set(fixations, t.shape, "nss_term").weights()
+    pts = fixation_set(fixations, t.shape, "nss_term")
+    counts = np.zeros(t.shape, dtype=np.float32)  # fixations per pixel
+    np.add.at(counts, (pts[:, 0], pts[:, 1]), np.float32(1.0))
     mu = t.mean()
     var = ((t - mu) * (t - mu)).mean()
     if float(var.data) == 0.0:
@@ -94,8 +97,7 @@ def nss_term(pred, fixations) -> Tensor:
         )
         return Tensor(np.float32(0.0))
     z = (t - mu) / var.sqrt()
-    w_t = Tensor(wgrid.astype(np.float32))
-    return (z * w_t).sum() / np.float32(wgrid.sum())
+    return (z * Tensor(counts)).sum() / np.float32(len(pts))
 
 
 def saliency_loss(pred, gt_map, gt_fixations=None,
@@ -107,7 +109,7 @@ def saliency_loss(pred, gt_map, gt_fixations=None,
     if gt_fixations is None:
         vals = g.data
         thr = np.percentile(vals, 90.0)
-        gt_fixations = FixationSet(np.argwhere(vals >= thr), vals.shape)
+        gt_fixations = np.argwhere(vals >= thr)
     fix = fixation_set(gt_fixations, p.shape, "saliency_loss")
     return loss - weights.nss_w * nss_term(p, fix)
 

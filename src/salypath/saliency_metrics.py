@@ -7,9 +7,9 @@ evaluation never silently masks a broken input, unlike the training
 losses which must stay robust.
 
 Maps, read by ``types.map_values``, are [H, W] array-likes. Fixations,
-read by ``types.fixation_set`` as in the losses, are a FixationSet on the
-map's grid or a [K, 2] integer array-like of (row, col) pixels; duplicates
-count with multiplicity.
+read by ``types.fixation_set`` as in the losses, are a [K, 2] integer
+array-like of (row, col) pixels on the map's grid; duplicates count with
+multiplicity.
 
 When prediction and ground truth resolutions differ, callers are expected
 to resample the prediction to the GT grid first (data.resample_map); the
@@ -36,7 +36,7 @@ def _pair(pred, gt_map, name: str) -> tuple[np.ndarray, np.ndarray]:
 def _pos_neg(pred, fixations, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Map values at the fixations (with multiplicity) and off them."""
     m = map_values(pred, name).astype(np.float64)
-    pts = fixation_set(fixations, m.shape, name).points
+    pts = fixation_set(fixations, m.shape, name)
     fixated = np.zeros(m.shape, dtype=bool)
     fixated[pts[:, 0], pts[:, 1]] = True
     if fixated.all():
@@ -96,7 +96,7 @@ def nss_at(values, fixations, caller: str) -> float:
     ``nss_scanpath`` of the GT map. A zero-variance map raises
     ContractError naming ``caller``."""
     m = map_values(values, caller).astype(np.float64)
-    pts = fixation_set(fixations, m.shape, caller).points
+    pts = fixation_set(fixations, m.shape, caller)
     std = m.std()
     if std == 0.0:
         raise ContractError(f"{caller}: map has zero variance")

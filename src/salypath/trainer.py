@@ -40,7 +40,7 @@ from .errors import ConfigError, ContractError, NumericError, TrainingDiverged
 from .losses import LossWeights, saliency_loss, scanpath_loss
 from .model import SalypathModel, soft_argmax
 from .tensor import Tensor, no_grad
-from .types import FixationSet, config_from_dict, read_fields
+from .types import config_from_dict, pool_fixations, read_fields
 
 __all__ = ["TrainConfig", "TrainReport", "SGD", "Adam", "lr_schedule", "train"]
 
@@ -169,7 +169,7 @@ class Adam:
 class _Sample:
     image: np.ndarray            # [3, H, W] float32 at model input size
     gt_map: np.ndarray           # [H, W] float32 at model input size
-    fixations: FixationSet | None  # distinct fixated pixels, or None
+    fixations: np.ndarray | None  # [K, 2] int64 distinct (row, col) pixels, or None
     paths: np.ndarray            # [S, L, 2] float32 normalized, L = head length
 
 
@@ -191,8 +191,7 @@ def prepare_samples(model: SalypathModel, manifest: DatasetManifest) -> list[_Sa
         paths = manifest.load_scanpaths(i)
         fix = None
         if paths:  # each fixated pixel once: the NSS term weighs a pixel 0 or 1
-            pix = FixationSet.from_scanpaths(paths, w, h).points
-            fix = FixationSet(np.unique(pix, axis=0), (h, w))
+            fix = np.unique(pool_fixations(paths, w, h), axis=0)
         keep = [p for p in paths if len(p) == head_len]
         pts = (np.stack(keep) if keep
                else np.zeros((0, head_len, 2), dtype=np.float32))

@@ -11,7 +11,9 @@ Coordinate conventions, used consistently everywhere:
   (``norm_to_pixel_xy``), and ``pixel_to_norm`` divides by (size - 1).
 * Saliency maps are [H, W] float32 arrays with values in [0, 1];
   ``data.write_pgm`` rejects a non-finite one.
-* Fixation sets are integer (row, col) pixel locations on a stated grid.
+* A fixation set is a [K, 2] integer array of (row, col) pixels on the
+  grid of the map it scores; duplicates count with multiplicity, and
+  ``pool_fixations`` pools scanpaths into one.
 
 Every loss, metric and writer reads its map, path and fixation arguments
 through ``map_values``, ``path_points`` and ``fixation_set``, and a
@@ -24,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import typing
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,35 +59,22 @@ def path_points(x, caller: str) -> np.ndarray:
     return pts
 
 
-def _pixel_points(x, shape: tuple[int, int], caller: str) -> np.ndarray:
-    """An array-like of integer (row, col) pixels on the (H, W) grid
-    ``shape`` as int64. Anything but [K, 2] integers (a float mask, say)
-    raises DimensionError, and a pixel off the grid ContractError, naming
-    ``caller``."""
+def fixation_set(x, shape: tuple[int, int], caller: str) -> np.ndarray:
+    """[K, 2] integer (row, col) pixels on the (H, W) grid ``shape`` as
+    int64. Anything but [K, 2] integers (a float mask, say) raises
+    DimensionError, and an empty set or a pixel off the grid ContractError,
+    naming ``caller``."""
     pts = np.asarray(x)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.dtype.kind not in "iu":
         raise DimensionError(f"{caller}: expected [K, 2] integer (row, col) pixels, "
                              f"got {pts.dtype} {pts.shape}")
     pts = pts.astype(np.int64)
-    if pts.shape[0] > 0:
-        for axis, (side, extent) in enumerate((("row", "height"), ("col", "width"))):
-            if pts[:, axis].min() < 0 or pts[:, axis].max() >= shape[axis]:
-                raise ContractError(
-                    f"{caller}: {side} out of bounds for {extent} {shape[axis]}")
-    return pts
-
-
-def fixation_set(x, shape: tuple[int, int], caller: str) -> "FixationSet":
-    """A FixationSet, or [K, 2] integer (row, col) pixels, on the grid
-    ``shape``. Another form or grid raises DimensionError, and an empty set
-    or a pixel off the grid ContractError, naming ``caller``."""
-    if not isinstance(x, FixationSet):
-        x = FixationSet(_pixel_points(x, shape, caller), shape)
-    if x.shape != tuple(shape):
-        raise DimensionError(f"{caller}: fixations on grid {x.shape}, map is {tuple(shape)}")
-    if not len(x):
+    if not pts.shape[0]:
         raise ContractError(f"{caller}: empty fixation set")
-    return x
+    for axis, (side, extent) in enumerate((("row", "height"), ("col", "width"))):
+        if pts[:, axis].min() < 0 or pts[:, axis].max() >= shape[axis]:
+            raise ContractError(f"{caller}: {side} out of bounds for {extent} {shape[axis]}")
+    return pts
 
 
 def norm_to_pixel(points, width: int, height: int) -> np.ndarray:
@@ -95,6 +83,13 @@ def norm_to_pixel(points, width: int, height: int) -> np.ndarray:
     cols = np.clip(np.round(pts[:, 0] * (width - 1)), 0, width - 1).astype(np.int64)
     rows = np.clip(np.round(pts[:, 1] * (height - 1)), 0, height - 1).astype(np.int64)
     return np.stack([rows, cols], axis=1)
+
+
+def pool_fixations(paths, width: int, height: int) -> np.ndarray:
+    """Every point of every scanpath as [K, 2] int64 (row, col) pixels,
+    duplicates kept; no paths give an empty [0, 2] array."""
+    return np.concatenate([np.zeros((0, 2), np.int64),
+                           *(norm_to_pixel(p, width, height) for p in paths)])
 
 
 def norm_to_pixel_xy(points, width: int, height: int) -> np.ndarray:
@@ -114,39 +109,6 @@ def pixel_to_norm(xy_pixels, width: int, height: int) -> np.ndarray:
     sy = max(height - 1, 1)
     out = np.stack([pts[:, 0] / sx, pts[:, 1] / sy], axis=1)
     return np.clip(out, 0.0, 1.0).astype(np.float32)
-
-
-@dataclass
-class FixationSet:
-    """Discrete fixation locations as integer (row, col) pixels on an
-    (H, W) grid. Duplicates are allowed and count with multiplicity."""
-
-    points: np.ndarray  # [K, 2] int64 (row, col)
-    shape: tuple[int, int]  # (H, W)
-
-    def __post_init__(self):
-        h, w = int(self.shape[0]), int(self.shape[1])
-        if h < 1 or w < 1:
-            raise DimensionError(f"FixationSet: bad grid shape {self.shape}")
-        self.points = _pixel_points(self.points, (h, w), "FixationSet")
-        self.shape = (h, w)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    @classmethod
-    def from_scanpaths(cls, paths, width: int, height: int) -> "FixationSet":
-        """Pool every point of every scanpath into one fixation multiset."""
-        chunks = [norm_to_pixel(p, width, height) for p in paths]
-        pts = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 2), np.int64)
-        return cls(pts, (height, width))
-
-    def weights(self) -> np.ndarray:
-        """Float [H, W] grid counting fixations per pixel (multiplicity)."""
-        w = np.zeros(self.shape, dtype=np.float64)
-        if len(self):
-            np.add.at(w, (self.points[:, 0], self.points[:, 1]), 1.0)
-        return w
 
 
 @functools.cache

@@ -923,6 +923,28 @@ class TestEvalSaliency:
         assert [r[0] for r in rows] == ["s0", "s2", "MEAN"]
         assert rows[:2] == [want[0], want[2]]
 
+    def test_record_without_scanpaths_fails_alone_exit_1(self, tmp_path, capsys):
+        # its pooled fixation set is empty, so no location metric scores it
+        root = tmp_path / "ds"
+        assert main(["gen-synth", "--n", "3", "--seed", "0", "--size", "16x16",
+                     "--out", str(root)]) == 0
+        man = load_manifest(root / "manifest.json")
+        man.records[1].scanpaths = []
+        save_manifest(man, root / "manifest.json")
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for i in range(len(man)):
+            shutil.copy(man.map_path(i), pred / f"{man.image_id(i)}.pgm")
+        out = tmp_path / "sal.csv"
+        capsys.readouterr()
+        rc = main(["eval-saliency", "--manifest", str(root / "manifest.json"),
+                   "--pred-dir", str(pred), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["failed record img_001: auc_judd: empty fixation set"]
+        _, rows = read_report(out)
+        assert [r[0] for r in rows] == ["img_000", "img_002", "MEAN"]
+
     def test_thread_cap_does_not_change_output(self, perfect, tmp_path, monkeypatch):
         outs = []
         for threads in ("1", "4"):
@@ -1185,6 +1207,35 @@ class TestUsage:
         [line] = capsys.readouterr().err.splitlines()
         assert line == f"salypath {command}: error: cannot write {second}: {first} is the same file"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag, out_flag", [
+        ("train", "--data", "--out"), ("train", "--config", "--report"),
+        ("predict", "--checkpoint", "--out-map"), ("predict", "--image", "--out-scanpath"),
+        ("eval-saliency", "--manifest", "--out"), ("eval-scanpath", "--manifest", "--out"),
+    ])
+    def test_output_naming_an_input_exit_2_writing_nothing(
+            self, dataset, trained, tmp_path, capsys, monkeypatch, command, flag, out_flag):
+        # train --out over its --data manifest once wrote the checkpoint there, exit 0
+        monkeypatch.chdir(tmp_path)
+        shutil.copytree(dataset, tmp_path / "ds")
+        shutil.copy(trained["ckpt"], tmp_path / "model.ckpt")
+        shutil.copy(trained["config"], tmp_path / "config.json")
+        manifest = str(tmp_path / "ds" / "manifest.json")
+        image = str(load_manifest(manifest).stimulus_path(0))
+        args = {
+            "train": {"--data": manifest, "--config": str(tmp_path / "config.json"),
+                      "--out": "out.ckpt", "--report": "report.json"},
+            "predict": {"--checkpoint": str(tmp_path / "model.ckpt"), "--image": image,
+                        "--out-map": "m.pgm", "--out-scanpath": "s.csv"},
+        }.get(command, {"--manifest": manifest, "--pred-dir": "ds", "--out": "r.csv"})
+        # the output spelled relative to the working directory, the input absolute
+        out = args[out_flag] = str(Path(args[flag]).relative_to(tmp_path))
+        before = tree_digest(tmp_path)
+        assert main([command, *[v for kv in args.items() for v in kv]]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"salypath {command}: error: cannot write {out}: "
+                        f"{flag} {args[flag]} is the same file")
+        assert tree_digest(tmp_path) == before
 
     @pytest.mark.parametrize("kind", ["missing", "file"])
     @pytest.mark.parametrize("command", ["eval-saliency", "eval-scanpath"])

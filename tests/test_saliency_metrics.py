@@ -8,7 +8,6 @@ import pytest
 
 from salypath.errors import ContractError, DimensionError
 from salypath.saliency_metrics import auc_borji, auc_judd, cc, kld, nss, sim
-from salypath.types import FixationSet
 
 
 # -- oracles ----------------------------------------------------------------
@@ -134,12 +133,6 @@ def test_auc_judd_rank_invariance(rng):
     base = auc_judd(m, pts)
     assert abs(auc_judd(m ** 3, pts) - base) < 1e-12
     assert abs(auc_judd(2.0 * m + 1.0, pts) - base) < 1e-12
-
-
-def test_auc_judd_accepts_fixation_set(rng):
-    m = rng.uniform(size=(4, 4))
-    fs = FixationSet(np.array([[1, 2], [3, 0]]), (4, 4))
-    assert auc_judd(m, fs) == auc_judd(m, fs.points)
 
 
 def test_auc_judd_errors(rng):

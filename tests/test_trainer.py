@@ -33,7 +33,7 @@ from salypath.losses import LossWeights, saliency_loss, scanpath_loss
 from salypath.model import ModelConfig, SalypathModel, soft_argmax
 from salypath.tensor import ConvLayer, Tensor, kaiming_uniform, no_grad, upsample2
 from salypath.trainer import Adam, SGD, TrainConfig, TrainReport, lr_schedule, train
-from salypath.types import FixationSet
+from salypath.types import pool_fixations
 
 from conftest import graph_nodes, mis_sized_dataset
 
@@ -328,18 +328,23 @@ class TestPhase1:
         # the stored set holds each fixated pixel once, so the loss weighs a
         # pixel 0 or 1, not by multiplicity; the phase-1 loss is
         # saliency_loss with it
+        def counts(pts):
+            grid = np.zeros((16, 16))
+            np.add.at(grid, (pts[:, 0], pts[:, 1]), 1.0)
+            return grid
+
         model = tiny_model()
-        grids = [FixationSet.from_scanpaths(dataset.load_scanpaths(i), 16, 16).weights()
-                 for i in range(len(dataset))]
+        pooled = [pool_fixations(dataset.load_scanpaths(i), 16, 16)
+                  for i in range(len(dataset))]
+        grids = [counts(pts) for pts in pooled]
         k = next(i for i, g in enumerate(grids) if g.max() > 1)  # a repeated fixation pixel
         phase = trainer._Phase(model, trainer.prepare_samples(model, dataset), TrainConfig(), 1)
         s = phase.samples[k]
-        assert np.array_equal(s.fixations.weights(), grids[k] > 0)
+        assert np.array_equal(counts(s.fixations), grids[k] > 0)
         maps = model.decode(model.attend(model.encode(Tensor(s.image[None]))))
         loss = phase._batch_loss([k]).item()
         assert loss == saliency_loss(maps[0, 0], s.gt_map, np.argwhere(grids[k])).item()
-        counted = FixationSet.from_scanpaths(dataset.load_scanpaths(k), 16, 16)
-        assert loss != saliency_loss(maps[0, 0], s.gt_map, counted).item()
+        assert loss != saliency_loss(maps[0, 0], s.gt_map, pooled[k]).item()
 
     def test_resampling_warns(self, tmp_path):
         man = generate_synthetic(2, seed=0, size=(24, 24), out_dir=tmp_path)
